@@ -1,0 +1,111 @@
+"""Golden CLI outputs: exit code and exact stdout bytes of every subcommand,
+plus stderr for the error cases, compared against files in tests/golden/.
+
+The goldens pin pure code moves: a refactor that claims to leave behaviour
+unchanged must leave every byte here unchanged.  Re-record them only for an
+intended change of output, with
+
+    python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+STATUS = GOLDEN / "status.json"
+EXPR = "p1^2/2 + x1^4/4"
+
+# name -> argv; step counts and lattices are small so each golden stays a few KB
+CASES = {
+    "criterion": ["criterion", "--alpha", "0.9", "--beta", "0.9", "--hbar", "0.159155"],
+    "criterion_csv": ["criterion", "--alpha", "0.5,1.5", "--beta", "1,1", "--dimension", "2",
+                      "--format", "csv"],
+    "frame_check": ["frame-check", "--alpha", "0.9", "--beta", "0.9"],
+    "frame_check_csv": ["frame-check", "--alpha", "1.1", "--beta", "1.1", "--radius", "5",
+                        "--format", "csv"],
+    "frame_check_n2": ["frame-check", "--dimension", "2", "--alpha", "0.9", "--beta", "0.9",
+                       "--radius", "1.5", "--family-size", "8"],
+    "deform_harmonic": ["deform", "--hamiltonian", "harmonic", "--t", "1.57",
+                        "--alpha", "0.9", "--beta", "0.9"],
+    "deform_anharmonic": ["deform", "--hamiltonian", "anharmonic", "--t", "0.5",
+                          "--window-center=0.3,0.2"],
+    "deform_expression_csv": ["deform", "--hamiltonian", EXPR, "--t", "0.25",
+                              "--window-center=0.2,-0.1", "--format", "csv"],
+    "deform_exact_nonlinear": ["deform", "--hamiltonian", "anharmonic", "--t", "0.3",
+                               "--steps", "16", "--lattice-mode", "exact-nonlinear",
+                               "--dump-lattice", "--alpha", "1.5", "--beta", "1.5",
+                               "--radius", "3"],
+    "invariance": ["invariance", "--hamiltonian", EXPR, "--t", "0.5", "--alpha", "0.9",
+                   "--beta", "0.9", "--trials", "2", "--steps", "64"],
+    "invariance_csv": ["invariance", "--hamiltonian", "harmonic", "--t", "0.7",
+                       "--window-center=0.4,0.1", "--trials", "3", "--format", "csv"],
+    "integrate_harmonic_exact": ["integrate", "--hamiltonian", "harmonic", "--z0", "1,0",
+                                 "--t", "1", "--steps", "6", "--dump-matrices"],
+    "integrate_anharmonic_verlet": ["integrate", "--hamiltonian", "anharmonic", "--z0", "1,0",
+                                    "--t", "1", "--steps", "6"],
+    "integrate_expression_rk4": ["integrate", "--hamiltonian", EXPR, "--z0", "1,0.5",
+                                 "--t", "1", "--steps", "6"],
+    "integrate_driven_csv": ["integrate", "--hamiltonian", "driven", "--z0", "0.5,0",
+                             "--t", "0.5", "--steps", "4", "--format", "csv"],
+    "sweep_ab_default_radius": ["sweep", "--ab-grid", "0.64,1.21", "--family-size", "16"],
+    "sweep_ab_radius_csv": ["sweep", "--ab-grid", "0.5:1.0:3", "--radius", "4",
+                            "--format", "csv"],
+    "sweep_t_descending": ["sweep", "--t-grid", "1:0:3", "--hamiltonian", "harmonic",
+                           "--alpha", "0.9", "--beta", "0.9", "--radius", "5"],
+    "sweep_t_anharmonic_csv": ["sweep", "--t-grid", "0.2,0.4", "--hamiltonian", "anharmonic",
+                               "--radius", "4", "--format", "csv"],
+    "path_rotation": ["path-hamiltonian", "--path-name", "rotation", "--t", "0.5"],
+    "path_translation": ["path-hamiltonian", "--path-name", "translation", "--t", "0.5"],
+    "path_dilation_csv": ["path-hamiltonian", "--path-name", "dilation", "--t", "0.3",
+                          "--format", "csv"],
+    "error_siegel_symplectic": ["deform", "--hamiltonian", "anharmonic", "--t", "1.0",
+                                "--steps", "64", "--window-center=1.0,0.5"],
+    "error_bad_method": ["integrate", "--hamiltonian", "anharmonic", "--z0", "1,0",
+                         "--method", "leapfrog", "--steps", "4"],
+}
+
+
+def run_case(argv) -> tuple[int, bytes, str]:
+    from gaborflow.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    status = {}
+    for name, argv in CASES.items():
+        code, out, err = run_case(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        status[name] = {"code": code, "stderr": err if code == 1 else None}
+        print(f"{name}: exit {code}, {len(out)} bytes")
+    STATUS.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli(name):
+    expected = json.loads(STATUS.read_text())[name]
+    code, out, err = run_case(CASES[name])
+    assert code == expected["code"]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    if expected["stderr"] is not None:
+        assert err == expected["stderr"]
+
+
+def test_every_golden_has_a_case():
+    assert set(json.loads(STATUS.read_text())) == set(CASES)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    record()
