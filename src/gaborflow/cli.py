@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,9 +26,15 @@ from .config import (
     parse_complex_list,
 )
 from .deformation import DeformationConfig, deformed_system, invariance_check, weak_deform
-from .dynamics import integrate, hamiltonian_from_linear_path, hamiltonian_from_isotopy
+from .dynamics import (
+    auto_method,
+    default_steps,
+    hamiltonian_from_isotopy,
+    hamiltonian_from_linear_path,
+    integrate,
+)
 from .errors import GaborflowError
-from .frames import GaborSystem, frame_bounds, gaussian_frame_criterion
+from .frames import GaborSystem, default_radius, frame_bounds, gaussian_frame_criterion
 from .gaussians import GaussianState
 from .symplectic import rotation, make_generator, separable_lattice
 
@@ -167,11 +171,8 @@ def cmd_invariance(args, cfg: RunConfig) -> int:
 def cmd_integrate(args, cfg: RunConfig) -> int:
     H = build_hamiltonian(cfg)
     z0 = parse_float_list(args.z0)
-    method = cfg.method
-    if method == "auto":
-        method = "exact" if (H.quadratic is not None and H.autonomous) else (
-            "verlet" if H.separable is not None else "rk4")
-    steps = cfg.steps or max(256, int(np.ceil(abs(cfg.t) * 512)))
+    method = auto_method(H, symplectic=True) if cfg.method == "auto" else cfg.method
+    steps = default_steps(cfg.t) if cfg.steps is None else cfg.steps
     traj = integrate(H, z0, cfg.t, steps, method=method)
     payload = {
         "method": method,
@@ -202,25 +203,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.asarray(parse_float_list(spec))
 
 
-def _workers() -> int:
-    raw = os.environ.get("GABOR_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return 1
-
-
 def cmd_sweep(args, cfg: RunConfig) -> int:
     est = estimation_config(cfg)
     if args.ab_grid:
         grid = _parse_grid(args.ab_grid)
         window = build_window(cfg)
-        radius = cfg.radius
+        radius = cfg.radius if cfg.radius is not None else default_radius(cfg.hbar)
 
         def one(ab):
             side = float(np.sqrt(ab))
-            lat = separable_lattice([side] * cfg.dimension, [side] * cfg.dimension,
-                                    radius if radius is not None else
-                                    8.0 * np.sqrt(2 * np.pi * cfg.hbar))
+            lat = separable_lattice([side] * cfg.dimension, [side] * cfg.dimension, radius)
             report = frame_bounds(GaborSystem(window, lat, cfg.hbar), est)
             return float(ab), report
 
@@ -236,12 +228,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             return float(t), frame_bounds(deformed_system(sys_, result), est)
 
         label = "t"
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(g) for g in grid]
+    results = [one(g) for g in grid]
     payload = {
         "grid_label": label,
         "rows": [
@@ -266,36 +253,25 @@ def cmd_path_hamiltonian(args, cfg: RunConfig) -> int:
               np.array([-1.2, 0.5])]
     if args.path_name == "translation":
         shift = np.array([0.4, -0.3])
+        Q = None
 
         def iso(tt, z):
             return np.asarray(z, dtype=float) + tt * shift
+    else:
+        if args.path_name not in _BUILTIN_PATHS:
+            raise GaborflowError(f"unknown path {args.path_name!r}; "
+                                 f"choose rotation, shear, dilation, translation")
+        path = _BUILTIN_PATHS[args.path_name]
+        Q = hamiltonian_from_linear_path(path, t).tolist()
 
-        values = [hamiltonian_from_isotopy(iso, t, z) for z in probes]
-        payload = {
-            "path": args.path_name,
-            "t": t,
-            "quadratic_form": None,
-            "isotopy_values": [
-                {"z": z.tolist(), "value": v} for z, v in zip(probes, values)
-            ],
-        }
-        rows = [tuple(z.tolist()) + (v,) for z, v in zip(probes, values)]
-        _write_output(payload, rows, ("z0", "z1", "value"), args, cfg)
-        return EXIT_OK
-    if args.path_name not in _BUILTIN_PATHS:
-        raise GaborflowError(f"unknown path {args.path_name!r}; "
-                             f"choose rotation, shear, dilation, translation")
-    path = _BUILTIN_PATHS[args.path_name]
-    Q = hamiltonian_from_linear_path(path, t)
-
-    def iso(tt, z):
-        return path(tt) @ np.asarray(z, dtype=float)
+        def iso(tt, z):
+            return path(tt) @ np.asarray(z, dtype=float)
 
     values = [hamiltonian_from_isotopy(iso, t, z) for z in probes]
     payload = {
         "path": args.path_name,
         "t": t,
-        "quadratic_form": Q.tolist(),
+        "quadratic_form": Q,
         "isotopy_values": [
             {"z": z.tolist(), "value": v} for z, v in zip(probes, values)
         ],

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Hamiltonian, flow_map, integrate
+from .dynamics import Hamiltonian, auto_method, default_steps, flow_map, integrate
 from .errors import InvalidMatrix
-from .frames import EstimationConfig, FrameReport, GaborSystem, frame_bounds, frame_terms
+from .frames import EstimationConfig, FrameReport, GaborSystem, frame_bounds, matched_pair
 from .gaussians import (
     GaussianState,
     check_siegel,
@@ -24,7 +24,6 @@ from .gaussians import (
     metaplectic_apply,
     siegel_action,
 )
-from .symplectic import is_symplectic
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class DeformationConfig:
     steps: int | None = None
     method: str = "auto"
     lattice_mode: str = "affine"
-    symplectic_tol: float = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +46,6 @@ class DeformationResult:
     action_phase: float
     lattice_mode: str
     source_center: np.ndarray
-
-
-def _resolve_method(H: Hamiltonian, cfg: DeformationConfig) -> str:
-    if cfg.method != "auto":
-        return cfg.method
-    if H.quadratic is not None and H.autonomous:
-        return "exact"
-    return "rk4"
-
-
-def _resolve_steps(t: float, cfg: DeformationConfig) -> int:
-    if cfg.steps is not None:
-        return cfg.steps
-    return max(256, int(np.ceil(abs(t) * 512)))
 
 
 def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
@@ -79,15 +63,13 @@ def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
         raise InvalidMatrix("weak deformation requires a Gaussian window")
     if cfg.lattice_mode not in ("affine", "exact-nonlinear"):
         raise InvalidMatrix(f"unknown lattice mode {cfg.lattice_mode!r}")
-    method = _resolve_method(H, cfg)
-    steps = _resolve_steps(t, cfg)
+    method = auto_method(H, symplectic=False) if cfg.method == "auto" else cfg.method
+    steps = default_steps(t) if cfg.steps is None else cfg.steps
     zc = window.center
     traj = integrate(H, zc, t, steps, method=method)
     S = traj.final_matrix
     zt = traj.final_point
     gamma = traj.final_action
-    if not is_symplectic(S, cfg.symplectic_tol):
-        raise InvalidMatrix("linearized flow lost symplecticity beyond tolerance")
     new_window = GaussianState(
         siegel_action(S, window.M), zt, window.phase + gamma, window.hbar
     )
@@ -138,11 +120,8 @@ def invariance_check(sys: GaborSystem, H: Hamiltonian, t: float, psi,
     if cfg.lattice_mode != "affine":
         raise InvalidMatrix("the invariance identity holds in the affine lattice mode")
     result = weak_deform(sys, H, t, cfg)
-    t1 = frame_terms(deformed_system(sys, result), psi)
-    t2 = frame_terms(sys, matched_test_state(result, psi))
-    if return_terms:
-        return t1, t2
-    return float(np.sum(t1)), float(np.sum(t2))
+    return matched_pair(deformed_system(sys, result), psi, sys,
+                        matched_test_state(result, psi), return_terms)
 
 
 def gaussian_corollary_check(M, sys: GaborSystem, H: Hamiltonian, t: float, psi,

@@ -297,22 +297,30 @@ def verlet_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     return np.concatenate([x1, p1])
 
 
-def literal_second_order_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
-    """Variant of the second-order update with no dt factor on the position
-    half-steps.  Not consistent as dt -> 0; exposed for comparison only and
-    carries no correctness contract."""
-    sep = _separable(H)
-    z = as_phase_vector(z, H.n)
-    n = H.n
-    xh = z[:n] + 0.5 * np.atleast_1d(sep.du(z[n:]))
-    x1 = xh + 0.5 * np.atleast_1d(sep.du(z[n:]))
-    p1 = z[n:] - np.atleast_1d(sep.dv(xh)) * dt
-    return np.concatenate([x1, p1])
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
+
+def has_exact_flow(H: Hamiltonian) -> bool:
+    """Whether H is autonomous quadratic, so its flow is an exact affine map."""
+    return H.quadratic is not None and H.autonomous
+
+
+def auto_method(H: Hamiltonian, symplectic: bool) -> str:
+    """The integrator that method "auto" selects: the exact flow where H has
+    one, else position Verlet for separable H when a symplectic scheme is
+    wanted, else RK4."""
+    if has_exact_flow(H):
+        return "exact"
+    if symplectic and H.separable is not None:
+        return "verlet"
+    return "rk4"
+
+
+def default_steps(t: float) -> int:
+    """Step count used when none is given: 512 per unit time, at least 256."""
+    return max(256, int(np.ceil(abs(t) * 512)))
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -345,47 +353,31 @@ def _check_overflow(z):
         raise DivergenceError("trajectory exceeded the overflow guard")
 
 
-def _rk4_state_step(H: Hamiltonian, z, S, t, h, variational):
-    """One RK4 step of the coupled system (z, S)."""
-    J = standard_j(H.n)
-
-    def fz(zz, tt):
-        return H.velocity(zz, tt)
-
-    k1 = fz(z, t)
-    z2 = z + 0.5 * h * k1
-    k2 = fz(z2, t + 0.5 * h)
-    z3 = z + 0.5 * h * k2
-    k3 = fz(z3, t + 0.5 * h)
-    z4 = z + h * k3
-    k4 = fz(z4, t + h)
-    z_new = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    S_new = None
-    if variational:
-        def A(zz, tt):
-            return J @ H.hessian(zz, tt)
-
-        m1 = A(z, t) @ S
-        m2 = A(z2, t + 0.5 * h) @ (S + 0.5 * h * m1)
-        m3 = A(z3, t + 0.5 * h) @ (S + 0.5 * h * m2)
-        m4 = A(z4, t + h) @ (S + h * m3)
-        S_new = S + h / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
-    return z_new, S_new
-
-
-def _variational_rk4_step(H: Hamiltonian, S, z0, z1, t, h):
-    """RK4 for dS/dt = J Hess(z(t), t) S with z interpolated from the step
-    endpoints (midpoint average); order-consistent with euler and verlet."""
-    J = standard_j(H.n)
-    zm = 0.5 * (z0 + z1)
-    A0 = J @ H.hessian(z0, t)
-    Am = J @ H.hessian(zm, t + 0.5 * h)
-    A1 = J @ H.hessian(z1, t + h)
-    m1 = A0 @ S
-    m2 = Am @ (S + 0.5 * h * m1)
-    m3 = Am @ (S + 0.5 * h * m2)
-    m4 = A1 @ (S + h * m3)
+def _variational_rk4_step(S, h, A1, A2, A3, A4):
+    """One RK4 step of the variational equation dS/dt = A(t) S, given the
+    matrices A = J Hess H at the four RK4 stages."""
+    m1 = A1 @ S
+    m2 = A2 @ (S + 0.5 * h * m1)
+    m3 = A3 @ (S + 0.5 * h * m2)
+    m4 = A4 @ (S + h * m3)
     return S + h / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
+
+
+def _rk4_state_step(H: Hamiltonian, J, z, S, t, h):
+    """One RK4 step of the coupled system (z, S); S is None when the
+    variational flow is not carried."""
+    k1 = H.velocity(z, t)
+    z2 = z + 0.5 * h * k1
+    k2 = H.velocity(z2, t + 0.5 * h)
+    z3 = z + 0.5 * h * k2
+    k3 = H.velocity(z3, t + 0.5 * h)
+    z4 = z + h * k3
+    k4 = H.velocity(z4, t + h)
+    z_new = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if S is None:
+        return z_new, None
+    stages = ((z, t), (z2, t + 0.5 * h), (z3, t + 0.5 * h), (z4, t + h))
+    return z_new, _variational_rk4_step(S, h, *(J @ H.hessian(zz, tt) for zz, tt in stages))
 
 
 def integrate(
@@ -408,6 +400,7 @@ def integrate(
         raise InvalidMatrix("steps must be >= 1")
     z0 = as_phase_vector(z0, H.n)
     dim = 2 * H.n
+    J = standard_j(H.n)
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)
     points = np.zeros((steps + 1, dim))
@@ -417,7 +410,7 @@ def integrate(
         matrices[0] = np.eye(dim)
 
     if method == "exact":
-        if H.quadratic is None or not H.quadratic.autonomous:
+        if not has_exact_flow(H):
             raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
         step_flow = quadratic_flow(H.quadratic.matrix(t0), H.quadratic.vector(t0), h)
         z, S = z0, np.eye(dim)
@@ -436,14 +429,19 @@ def integrate(
             z_new = stepper(H, z, h)
             _check_overflow(z_new)
             if variational:
-                S = _variational_rk4_step(H, S, z, z_new, t, h)
+                # both midpoint stages take z at the average of the step
+                # endpoints, which is order-consistent with euler and verlet
+                A0 = J @ H.hessian(z, t)
+                Am = J @ H.hessian(0.5 * (z + z_new), t + 0.5 * h)
+                A1 = J @ H.hessian(z_new, t + h)
+                S = _variational_rk4_step(S, h, A0, Am, Am, A1)
                 matrices[k] = S
             z = z_new
             points[k] = z
     elif method == "rk4":
         z, S = z0, np.eye(dim)
         for k in range(1, steps + 1):
-            z, S = _rk4_state_step(H, z, S if variational else None, times[k - 1], h, variational)
+            z, S = _rk4_state_step(H, J, z, S if variational else None, times[k - 1], h)
             _check_overflow(z)
             points[k] = z
             if variational:
@@ -473,7 +471,7 @@ def flow_map(H: Hamiltonian, z, t_from: float, t_to: float, steps: int | None = 
     if steps is None:
         steps = _auto_steps(t_to - t_from)
     if method == "exact":
-        if H.quadratic is None or not H.autonomous:
+        if not has_exact_flow(H):
             raise InvalidMatrix("exact flow requires an autonomous quadratic Hamiltonian")
         aff = quadratic_flow(H.quadratic.matrix(0.0), H.quadratic.vector(0.0), t_to - t_from)
         return aff(z)
@@ -487,7 +485,7 @@ def _auto_steps(span: float) -> int:
 
 def _inverse_flow_point(H: Hamiltonian, z, t: float, steps: int | None = None) -> np.ndarray:
     """(f_t)^{-1}(z), exact for autonomous quadratic H, else backward integration."""
-    if H.quadratic is not None and H.autonomous:
+    if has_exact_flow(H):
         aff = quadratic_flow(H.quadratic.matrix(0.0), H.quadratic.vector(0.0), -t)
         return aff(z)
     return flow_map(H, z, t, 0.0, steps=steps)
@@ -658,8 +656,7 @@ def composed_hamiltonian(H: Hamiltonian, K: Hamiltonian, steps: int | None = Non
 def invert_hamiltonian(H: Hamiltonian, t: float, z, steps: int | None = None) -> float:
     """Value of Hbar(z, t) = -H(f_t^H(z), t); the flow of Hbar inverts f_t^H."""
     z = as_phase_vector(z, H.n)
-    method = "exact" if (H.quadratic is not None and H.autonomous) else "rk4"
-    fwd = flow_map(H, z, 0.0, t, steps=steps, method=method)
+    fwd = flow_map(H, z, 0.0, t, steps=steps, method=auto_method(H, symplectic=False))
     return float(-H.value(fwd, t))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc
@@ -62,7 +63,7 @@ class GaborSystem:
     def n(self) -> int:
         return self.window.n
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         if isinstance(self.lattice, Lattice):
             return lattice_points(self.lattice)
@@ -432,6 +433,17 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
 # Matched-pair identities (symplectic covariance, translations, rescaling)
 # ---------------------------------------------------------------------------
 
+def matched_pair(mapped: GaborSystem, psi, sys: GaborSystem, matched, return_terms: bool):
+    """Frame terms of the mapped system at psi against those of the original
+    system at the matched state: per-point arrays when return_terms is set,
+    else the two frame sums."""
+    t1 = frame_terms(mapped, psi)
+    t2 = frame_terms(sys, matched)
+    if return_terms:
+        return t1, t2
+    return float(np.sum(t1)), float(np.sum(t2))
+
+
 def covariance_check(sys: GaborSystem, S, psi, return_terms: bool = False):
     """Frame sum of (S.phi-window, S.Lattice) at psi against the frame sum of
     the original system at the matched state S^{-1}psi.  Exact identity."""
@@ -441,12 +453,7 @@ def covariance_check(sys: GaborSystem, S, psi, return_terms: bool = False):
         raise InvalidMatrix("covariance check requires a Gaussian window")
     pts = sys.points
     mapped = GaborSystem(metaplectic_apply(S, window), pts @ S.T, sys.hbar)
-    matched = metaplectic_apply(np.linalg.inv(S), psi)
-    t1 = frame_terms(mapped, psi)
-    t2 = frame_terms(sys, matched)
-    if return_terms:
-        return t1, t2
-    return float(np.sum(t1)), float(np.sum(t2))
+    return matched_pair(mapped, psi, sys, metaplectic_apply(np.linalg.inv(S), psi), return_terms)
 
 
 def translation_check(sys: GaborSystem, z0, z1, psi, return_terms: bool = False):
@@ -457,12 +464,8 @@ def translation_check(sys: GaborSystem, z0, z1, psi, return_terms: bool = False)
     z1 = as_phase_vector(z1, sys.n)
     pts = sys.points
     shifted_sys = GaborSystem(heisenberg_weyl_apply(z0, window), pts + z1, sys.hbar)
-    matched = heisenberg_weyl_apply(-(z0 + z1), psi)
-    t1 = frame_terms(shifted_sys, psi)
-    t2 = frame_terms(sys, matched)
-    if return_terms:
-        return t1, t2
-    return float(np.sum(t1)), float(np.sum(t2))
+    return matched_pair(shifted_sys, psi, sys, heisenberg_weyl_apply(-(z0 + z1), psi),
+                        return_terms)
 
 
 def rescaling_check(sys: GaborSystem, hbar_new: float, psi, return_terms: bool = False):
@@ -480,9 +483,4 @@ def rescaling_check(sys: GaborSystem, hbar_new: float, psi, return_terms: bool =
     else:
         scaled = sys.points * mu
     rescaled_sys = GaborSystem(rescale_window(window, hbar_new), scaled, hbar_new)
-    matched = rescale_window(psi, sys.hbar)
-    t1 = frame_terms(rescaled_sys, psi)
-    t2 = frame_terms(sys, matched)
-    if return_terms:
-        return t1, t2
-    return float(np.sum(t1)), float(np.sum(t2))
+    return matched_pair(rescaled_sys, psi, sys, rescale_window(psi, sys.hbar), return_terms)

@@ -14,7 +14,7 @@ tests and by non-Gaussian test states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,10 +114,6 @@ def mixture_norm(psi: GaussianMixture) -> float:
     )
     val = np.real(c @ gram @ c.conj())
     return float(np.sqrt(max(val, 0.0)))
-
-
-def normalized_mixture(psi: GaussianMixture) -> GaussianMixture:
-    return GaussianMixture(psi.coefficients / mixture_norm(psi), psi.components)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +327,6 @@ class SampledWindow:
 
 def sampled_norm(w: SampledWindow) -> float:
     return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.weight))
-
-
-def normalized_window(w: SampledWindow) -> SampledWindow:
-    return replace(w, values=w.values / sampled_norm(w))
 
 
 def sampled_inner_product(w1: SampledWindow, w2: SampledWindow) -> complex:

@@ -264,7 +264,6 @@ class Lattice:
     generator: np.ndarray
     radius: float
     shift: np.ndarray | None = None
-    separable: tuple | None = None
     point_cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
@@ -298,7 +297,7 @@ def separable_lattice(alpha, beta, radius: float, point_cap: int = DEFAULT_POINT
     if np.any(alpha <= 0) or np.any(beta <= 0):
         raise InvalidMatrix("alpha and beta entries must be positive")
     gen = np.diag(np.concatenate([alpha, beta]))
-    return Lattice(gen, radius, separable=(tuple(alpha), tuple(beta)), point_cap=point_cap)
+    return Lattice(gen, radius, point_cap=point_cap)
 
 
 def lattice_points(lat: Lattice) -> np.ndarray:

@@ -68,6 +68,13 @@ def test_integrate_csv_round_trip(capsys):
     assert final[2] == pytest.approx(-np.sin(1.0), abs=1e-10)
 
 
+def test_integrate_auto_picks_verlet_for_separable(capsys):
+    code, out, _ = run_cli(capsys, "integrate", "--hamiltonian", "anharmonic",
+                           "--z0", "1,0", "--t", "0.1", "--steps", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["method"] == "verlet"
+
+
 def test_deform_summary(capsys):
     code, out, _ = run_cli(capsys, "deform", "--hamiltonian", "free",
                            "--window-center", "0,1", "--t", "0.5",

@@ -84,6 +84,19 @@ def test_nonlinear_divergence_reported_not_hidden():
     assert gap(0.2, 2.0) < gap(0.2, 4.0)
 
 
+def test_auto_method_matches_rk4_for_separable():
+    sys = GaborSystem(GaussianState(1j * np.eye(1), [0.3, 0.2], 0.0, HBAR),
+                      separable_lattice([1.2], [1.2], 3.0), HBAR)
+    H = builtin_hamiltonian("anharmonic")
+    auto = weak_deform(sys, H, 0.4, DeformationConfig(steps=32))
+    rk4 = weak_deform(sys, H, 0.4, DeformationConfig(steps=32, method="rk4"))
+    assert np.array_equal(auto.window.M, rk4.window.M)
+    assert np.array_equal(auto.lattice, rk4.lattice)
+    assert np.array_equal(auto.linear_flow, rk4.linear_flow)
+    assert np.array_equal(auto.trajectory_end, rk4.trajectory_end)
+    assert auto.action_phase == rk4.action_phase
+
+
 def test_requires_gaussian_window():
     window = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
     sys = GaborSystem(window, np.array([[0.0, 0.0]]), HBAR)

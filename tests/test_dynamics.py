@@ -4,9 +4,11 @@ import pytest
 from gaborflow.dynamics import (
     Hamiltonian,
     SeparableParts,
+    auto_method,
     builtin_hamiltonian,
     compose_hamiltonians,
     composed_hamiltonian,
+    default_steps,
     finite_difference_jacobian,
     flow_map,
     groupoid_check,
@@ -16,7 +18,6 @@ from gaborflow.dynamics import (
     integrate,
     inverted_hamiltonian,
     invert_hamiltonian,
-    literal_second_order_step,
     modified_hamiltonian,
     modified_hamiltonian_value,
     quadratic_flow,
@@ -126,12 +127,22 @@ def test_integrators_require_separable():
         symplectic_euler_step(nonsep, [1.0, 0.0], 0.1)
 
 
-def test_literal_second_order_step_differs():
-    # the printed scheme is not consistent; it is exposed without a contract
-    z = np.array([1.0, 0.5])
-    lit = literal_second_order_step(harmonic(), z, 0.1)
-    ver = verlet_step(harmonic(), z, 0.1)
-    assert not np.allclose(lit, ver)
+@pytest.mark.parametrize("name, symplectic, expected", [
+    ("harmonic", True, "exact"),
+    ("harmonic", False, "exact"),
+    ("anharmonic", True, "verlet"),
+    ("anharmonic", False, "rk4"),
+    ("driven", True, "rk4"),
+])
+def test_auto_method(name, symplectic, expected):
+    assert auto_method(builtin_hamiltonian(name), symplectic) == expected
+
+
+def test_default_steps():
+    assert default_steps(0.0) == 256
+    assert default_steps(0.1) == 256
+    assert default_steps(-2.0) == 1024
+    assert default_steps(1.001) == 513
 
 
 def _order_ratio(method: str, steps: int) -> float:

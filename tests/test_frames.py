@@ -160,6 +160,20 @@ def test_state_norm_types(rng):
 # Frame bounds
 # ---------------------------------------------------------------------------
 
+def test_lattice_enumerated_once_per_system(monkeypatch):
+    import gaborflow.frames as frames
+
+    calls = []
+
+    def counting(lat):
+        calls.append(lat)
+        return lattice_points(lat)
+
+    monkeypatch.setattr(frames, "lattice_points", counting)
+    frame_bounds(standard_system(radius=4.0), EstimationConfig(family_size=8))
+    assert len(calls) == 1
+
+
 def test_frame_bounds_goldens():
     report = frame_bounds(standard_system(), EstimationConfig())
     assert report.a_est == pytest.approx(GOLDEN_A, rel=1e-6)
