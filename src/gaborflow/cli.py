@@ -25,7 +25,7 @@ from .config import (
     parse_float_list,
     parse_complex_list,
 )
-from .deformation import DeformationConfig, deformed_system, invariance_check, weak_deform
+from .deformation import DeformationConfig, deform_sweep, invariance_check, weak_deform
 from .dynamics import (
     auto_method,
     default_steps,
@@ -194,41 +194,43 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """A non-empty grid of finite values from start:stop:count or a comma list."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise GaborflowError(f"grid spec {spec!r} must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
-    return np.asarray(parse_float_list(spec))
+        grid = np.linspace(start, stop, count)
+    else:
+        grid = np.asarray(parse_float_list(spec))
+    if grid.size == 0:
+        raise GaborflowError(f"grid spec {spec!r} is empty")
+    if not np.all(np.isfinite(grid)):
+        raise GaborflowError(f"grid spec {spec!r} must be finite")
+    return grid
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    if (args.ab_grid is None) == (args.t_grid is None):
+        raise GaborflowError("sweep takes exactly one of --ab-grid and --t-grid")
     est = estimation_config(cfg)
-    if args.ab_grid:
+    if args.ab_grid is not None:
         grid = _parse_grid(args.ab_grid)
+        if not np.all(grid > 0):
+            raise GaborflowError("alpha*beta grid values must be positive")
         window = build_window(cfg)
         radius = cfg.radius if cfg.radius is not None else default_radius(cfg.hbar)
-
-        def one(ab):
+        results = []
+        for ab in grid:
             side = float(np.sqrt(ab))
             lat = separable_lattice([side] * cfg.dimension, [side] * cfg.dimension, radius)
-            report = frame_bounds(GaborSystem(window, lat, cfg.hbar), est)
-            return float(ab), report
-
+            results.append((float(ab), frame_bounds(GaborSystem(window, lat, cfg.hbar), est)))
         label = "alpha_beta"
     else:
         grid = _parse_grid(args.t_grid)
-        sys_ = build_system(cfg)
-        H = build_hamiltonian(cfg)
-        dcfg = _deform_config(cfg)
-
-        def one(t):
-            result = weak_deform(sys_, H, float(t), dcfg)
-            return float(t), frame_bounds(deformed_system(sys_, result), est)
-
+        results = deform_sweep(build_system(cfg), build_hamiltonian(cfg), grid,
+                               _deform_config(cfg), est)
         label = "t"
-    results = [one(g) for g in grid]
     payload = {
         "grid_label": label,
         "rows": [

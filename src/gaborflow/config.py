@@ -46,7 +46,13 @@ class RunConfig:
     frame_floor: float = 1e-3
 
     def validate(self) -> "RunConfig":
-        if self.hbar <= 0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, (float, complex)) and not np.isfinite(v) for v in entries):
+                raise ConfigError(f.name, "must be finite")
+        # positivity is tested as `not v > 0` throughout, which NaN also fails
+        if not self.hbar > 0:
             raise ConfigError("hbar", "must be positive")
         if self.dimension < 1:
             raise ConfigError("dimension", "must be >= 1")
@@ -56,30 +62,28 @@ class RunConfig:
             if vec is not None:
                 if len(vec) not in (1, n):
                     raise ConfigError(name, f"needs 1 or {n} entries")
-                if any(v <= 0 for v in vec):
+                if any(not v > 0 for v in vec):
                     raise ConfigError(name, "entries must be positive")
         if self.generator is not None and len(self.generator) != (2 * n) ** 2:
             raise ConfigError("generator", f"needs {(2 * n) ** 2} entries (flattened 2n x 2n)")
-        if self.radius is not None and self.radius <= 0:
+        if self.radius is not None and not self.radius > 0:
             raise ConfigError("radius", "must be positive")
         if self.window_m is not None:
             if len(self.window_m) not in (1, n):
                 raise ConfigError("window_m", f"needs 1 or {n} diagonal entries")
-            if any(complex(v).imag <= 0 for v in self.window_m):
+            if any(not complex(v).imag > 0 for v in self.window_m):
                 raise ConfigError("window_m", "imaginary parts must be positive")
         if self.window_center is not None and len(self.window_center) != 2 * n:
             raise ConfigError("window_center", f"needs {2 * n} entries")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps", "must be >= 1")
-        if not np.isfinite(self.t):
-            raise ConfigError("t", "must be finite")
         if self.grid_points < 2:
             raise ConfigError("grid_points", "must be >= 2")
-        if self.grid_extent <= 0:
+        if not self.grid_extent > 0:
             raise ConfigError("grid_extent", "must be positive")
         if self.family_size < 1:
             raise ConfigError("family_size", "must be >= 1")
-        if self.frame_floor <= 0:
+        if not self.frame_floor > 0:
             raise ConfigError("frame_floor", "must be positive")
         return self
 

@@ -9,6 +9,7 @@ standard J, i.e. dx/dt = dH/dp and dp/dt = -dH/dx.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,17 +22,6 @@ from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standa
 OVERFLOW_GUARD = 1e8
 FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
-
-
-def fd_gradient(fn: Callable, z: np.ndarray, t: float, step: float = FD_STEP) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(z))))
-    out = np.zeros(z.size)
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        out[i] = (fn(z + e, t) - fn(z - e, t)) / (2 * h)
-    return out
 
 
 def fd_hessian(fn: Callable, z: np.ndarray, t: float, step: float = FD_HESSIAN_STEP) -> np.ndarray:
@@ -65,6 +55,11 @@ def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = FD_STE
     return np.array(cols).T
 
 
+def fd_gradient(fn: Callable, z: np.ndarray, t: float, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of fn(., t): the single row of its Jacobian."""
+    return finite_difference_jacobian(lambda w: [fn(w, t)], z, step)[0]
+
+
 @dataclass(frozen=True)
 class SeparableParts:
     """H(x, p) = U(p) + V(x) with gradients (and optional Hessians)."""
@@ -83,7 +78,6 @@ class QuadraticParts:
 
     matrix: Callable
     vector: Callable
-    autonomous: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +109,8 @@ def hamiltonian_from_callables(
 
 
 def quadratic_hamiltonian(M, m=None, name="quadratic") -> Hamiltonian:
-    """Autonomous quadratic H(z) = z.Mz/2 + m.z."""
+    """Autonomous quadratic H(z) = z.Mz/2 + m.z, separable when the x-p block
+    of M vanishes."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     dim = M.shape[0]
     if dim % 2 != 0 or M.shape[1] != dim:
@@ -129,9 +124,27 @@ def quadratic_hamiltonian(M, m=None, name="quadratic") -> Hamiltonian:
         value=lambda z, t: 0.5 * float(z @ M @ z) + float(m @ z),
         gradient=lambda z, t: M @ z + m,
         hessian=lambda z, t: M,
-        quadratic=QuadraticParts(lambda t: M, lambda t: m, autonomous=True),
+        separable=_quadratic_separable_parts(M, m),
+        quadratic=QuadraticParts(lambda t: M, lambda t: m),
         autonomous=True,
         name=name,
+    )
+
+
+def _quadratic_separable_parts(M: np.ndarray, m: np.ndarray) -> SeparableParts | None:
+    """U(p) = p.Mpp p/2 + mp.p and V(x) = x.Mxx x/2 + mx.x, or None when the
+    x-p block of M couples positions and momenta."""
+    n = M.shape[0] // 2
+    if np.any(M[:n, n:] != 0.0):
+        return None
+    Mxx, Mpp, mx, mp = M[:n, :n], M[n:, n:], m[:n], m[n:]
+    return SeparableParts(
+        u=lambda p: 0.5 * float(p @ Mpp @ p) + float(mp @ p),
+        du=lambda p: Mpp @ p + mp,
+        v=lambda x: 0.5 * float(x @ Mxx @ x) + float(mx @ x),
+        dv=lambda x: Mxx @ x + mx,
+        d2u=lambda p: Mpp,
+        d2v=lambda x: Mxx,
     )
 
 
@@ -146,7 +159,7 @@ def time_dependent_quadratic(n: int, matrix_fn: Callable, vector_fn=None, name="
         value=value,
         gradient=lambda z, t: matrix_fn(t) @ z + vector_fn(t),
         hessian=lambda z, t: matrix_fn(t),
-        quadratic=QuadraticParts(matrix_fn, vector_fn, autonomous=False),
+        quadratic=QuadraticParts(matrix_fn, vector_fn),
         autonomous=False,
         name=name,
     )
@@ -177,46 +190,16 @@ def separable_hamiltonian(n: int, u, du, v, dv, d2u=None, d2v=None, name="separa
 def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian:
     """The built-in test family: harmonic, free, shear, anharmonic, driven."""
     if name == "harmonic":
-        H = quadratic_hamiltonian(np.eye(2 * n), name="harmonic")
-        parts = SeparableParts(
-            u=lambda p: 0.5 * float(p @ p),
-            du=lambda p: np.asarray(p, dtype=float),
-            v=lambda x: 0.5 * float(x @ x),
-            dv=lambda x: np.asarray(x, dtype=float),
-            d2u=lambda p: np.eye(n),
-            d2v=lambda x: np.eye(n),
-        )
-        return Hamiltonian(n, H.value, H.gradient, H.hessian, separable=parts,
-                           quadratic=H.quadratic, name="harmonic")
+        return quadratic_hamiltonian(np.eye(2 * n), name="harmonic")
     if name == "free":
         M = np.zeros((2 * n, 2 * n))
         M[n:, n:] = np.eye(n)
-        H = quadratic_hamiltonian(M, name="free")
-        parts = SeparableParts(
-            u=lambda p: 0.5 * float(p @ p),
-            du=lambda p: np.asarray(p, dtype=float),
-            v=lambda x: 0.0,
-            dv=lambda x: np.zeros(n),
-            d2u=lambda p: np.eye(n),
-            d2v=lambda x: np.zeros((n, n)),
-        )
-        return Hamiltonian(n, H.value, H.gradient, H.hessian, separable=parts,
-                           quadratic=H.quadratic, name="free")
+        return quadratic_hamiltonian(M, name="free")
     if name == "shear":
         P = np.eye(n) if shear_matrix is None else np.atleast_2d(np.asarray(shear_matrix, dtype=float))
         M = np.zeros((2 * n, 2 * n))
         M[:n, :n] = P
-        H = quadratic_hamiltonian(M, name="shear")
-        parts = SeparableParts(
-            u=lambda p: 0.0,
-            du=lambda p: np.zeros(n),
-            v=lambda x: 0.5 * float(x @ P @ x),
-            dv=lambda x: P @ np.asarray(x, dtype=float),
-            d2u=lambda p: np.zeros((n, n)),
-            d2v=lambda x: P,
-        )
-        return Hamiltonian(n, H.value, H.gradient, H.hessian, separable=parts,
-                           quadratic=H.quadratic, name="shear")
+        return quadratic_hamiltonian(M, name="shear")
     if name == "anharmonic":
         if n != 1:
             raise DimensionMismatch("anharmonic oscillator is one-dimensional")
@@ -324,14 +307,18 @@ def default_steps(t: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled flow data: points z_t, linearized flow S_t, action gamma_t."""
+    """Sampled flow data: points z_t, linearized flow S_t, action gamma_t.
+
+    The action is computed from H on first read, so callers that only need
+    the points never evaluate H on the time nodes.
+    """
 
     times: np.ndarray
     points: np.ndarray
     matrices: np.ndarray | None
-    action: np.ndarray
     method: str
     dt: float
+    hamiltonian: Hamiltonian
 
     @property
     def final_point(self) -> np.ndarray:
@@ -343,13 +330,28 @@ class Trajectory:
             raise InvalidMatrix("trajectory was integrated without the variational flow")
         return self.matrices[-1]
 
+    @cached_property
+    def action(self) -> np.ndarray:
+        """Symmetrized action gamma_t by cumulative Simpson on the time nodes."""
+        H = self.hamiltonian
+        n = H.n
+        integrand = np.zeros(self.times.size)
+        for k, (zk, tk) in enumerate(zip(self.points, self.times)):
+            vk = H.velocity(zk, tk)
+            sig = zk[n:] @ vk[:n] - vk[n:] @ zk[:n]
+            integrand[k] = 0.5 * sig - H.value(zk, tk)
+        if integrand.size == 2:
+            return np.array([0.0, 0.5 * self.dt * (integrand[0] + integrand[1])])
+        return cumulative_simpson(integrand, dx=self.dt, initial=0.0)
+
     @property
     def final_action(self) -> float:
         return float(self.action[-1])
 
 
 def _check_overflow(z):
-    if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > OVERFLOW_GUARD:
+    # one reduction: NaN fails the comparison and inf exceeds the guard
+    if not np.abs(z).max() <= OVERFLOW_GUARD:
         raise DivergenceError("trajectory exceeded the overflow guard")
 
 
@@ -380,6 +382,39 @@ def _rk4_state_step(H: Hamiltonian, J, z, S, t, h):
     return z_new, _variational_rk4_step(S, h, *(J @ H.hessian(zz, tt) for zz, tt in stages))
 
 
+def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
+    """The one-step map (z, S, t) -> (z', S') of a method with step h; S is
+    None when the variational flow is not carried."""
+    J = standard_j(H.n)
+    if method == "exact":
+        if not has_exact_flow(H):
+            raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
+        flow = quadratic_flow(H.quadratic.matrix(t0), H.quadratic.vector(t0), h)
+
+        def step(z, S, t):
+            return flow.linear @ z + flow.shift, None if S is None else flow.linear @ S
+    elif method in ("euler", "verlet"):
+        stepper = symplectic_euler_step if method == "euler" else verlet_step
+
+        def step(z, S, t):
+            z_new = stepper(H, z, h)
+            if S is None:
+                return z_new, None
+            _check_overflow(z_new)  # before the Hessians see a diverged point
+            # both midpoint stages take z at the average of the step
+            # endpoints, which is order-consistent with euler and verlet
+            A0 = J @ H.hessian(z, t)
+            Am = J @ H.hessian(0.5 * (z + z_new), t + 0.5 * h)
+            A1 = J @ H.hessian(z_new, t + h)
+            return z_new, _variational_rk4_step(S, h, A0, Am, Am, A1)
+    elif method == "rk4":
+        def step(z, S, t):
+            return _rk4_state_step(H, J, z, S, t, h)
+    else:
+        raise InvalidMatrix(f"unknown method {method!r}")
+    return step
+
+
 def integrate(
     H: Hamiltonian,
     z0,
@@ -393,14 +428,14 @@ def integrate(
 
     Methods: "euler" and "verlet" (symplectic, separable H only), "rk4"
     (non-symplectic reference, any H), "exact" (autonomous quadratic H only).
-    The linearized flow S_t is carried by RK4 on the variational equation and
-    the symmetrized action gamma_t by cumulative Simpson on the same nodes.
+    The linearized flow S_t is carried by RK4 on the variational equation.
+    The symmetrized action gamma_t, by cumulative Simpson on the same nodes,
+    is computed on the first read of Trajectory.action.
     """
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
     z0 = as_phase_vector(z0, H.n)
     dim = 2 * H.n
-    J = standard_j(H.n)
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)
     points = np.zeros((steps + 1, dim))
@@ -409,86 +444,31 @@ def integrate(
     if variational:
         matrices[0] = np.eye(dim)
 
-    if method == "exact":
-        if not has_exact_flow(H):
-            raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
-        step_flow = quadratic_flow(H.quadratic.matrix(t0), H.quadratic.vector(t0), h)
-        z, S = z0, np.eye(dim)
-        for k in range(1, steps + 1):
-            z = step_flow.linear @ z + step_flow.shift
-            _check_overflow(z)
-            points[k] = z
-            if variational:
-                S = step_flow.linear @ S
-                matrices[k] = S
-    elif method in ("euler", "verlet"):
-        stepper = symplectic_euler_step if method == "euler" else verlet_step
-        z, S = z0, np.eye(dim)
-        for k in range(1, steps + 1):
-            t = times[k - 1]
-            z_new = stepper(H, z, h)
-            _check_overflow(z_new)
-            if variational:
-                # both midpoint stages take z at the average of the step
-                # endpoints, which is order-consistent with euler and verlet
-                A0 = J @ H.hessian(z, t)
-                Am = J @ H.hessian(0.5 * (z + z_new), t + 0.5 * h)
-                A1 = J @ H.hessian(z_new, t + h)
-                S = _variational_rk4_step(S, h, A0, Am, Am, A1)
-                matrices[k] = S
-            z = z_new
-            points[k] = z
-    elif method == "rk4":
-        z, S = z0, np.eye(dim)
-        for k in range(1, steps + 1):
-            z, S = _rk4_state_step(H, J, z, S if variational else None, times[k - 1], h)
-            _check_overflow(z)
-            points[k] = z
-            if variational:
-                matrices[k] = S
-    else:
-        raise InvalidMatrix(f"unknown method {method!r}")
-
-    integrand = np.zeros(steps + 1)
-    for k in range(steps + 1):
-        zk = points[k]
-        vk = H.velocity(zk, times[k])
-        n = H.n
-        sig = zk[n:] @ vk[:n] - vk[n:] @ zk[:n]
-        integrand[k] = 0.5 * sig - H.value(zk, times[k])
-    if steps == 1:
-        action = np.array([0.0, 0.5 * h * (integrand[0] + integrand[1])])
-    else:
-        action = cumulative_simpson(integrand, dx=h, initial=0.0)
-    return Trajectory(times, points, matrices, action, method, h)
+    step = _step_map(H, method, t0, h)
+    z, S = z0, (np.eye(dim) if variational else None)
+    for k in range(1, steps + 1):
+        z, S = step(z, S, times[k - 1])
+        _check_overflow(z)
+        points[k] = z
+        if variational:
+            matrices[k] = S
+    return Trajectory(times, points, matrices, method, h, H)
 
 
 def flow_map(H: Hamiltonian, z, t_from: float, t_to: float, steps: int | None = None,
              method: str = "rk4") -> np.ndarray:
-    """The time-dependent flow f_{t_to, t_from} applied to z."""
+    """The time-dependent flow f_{t_to, t_from} applied to z, in
+    default_steps(t_to - t_from) steps when none are given."""
     if abs(t_to - t_from) < 1e-300:
         return as_phase_vector(z, H.n).copy()
-    if steps is None:
-        steps = _auto_steps(t_to - t_from)
     if method == "exact":
         if not has_exact_flow(H):
             raise InvalidMatrix("exact flow requires an autonomous quadratic Hamiltonian")
         aff = quadratic_flow(H.quadratic.matrix(0.0), H.quadratic.vector(0.0), t_to - t_from)
         return aff(z)
+    steps = default_steps(t_to - t_from) if steps is None else steps
     traj = integrate(H, z, t_to - t_from, steps, method=method, t0=t_from, variational=False)
     return traj.final_point
-
-
-def _auto_steps(span: float) -> int:
-    return max(64, int(np.ceil(abs(span) * 256)))
-
-
-def _inverse_flow_point(H: Hamiltonian, z, t: float, steps: int | None = None) -> np.ndarray:
-    """(f_t)^{-1}(z), exact for autonomous quadratic H, else backward integration."""
-    if has_exact_flow(H):
-        aff = quadratic_flow(H.quadratic.matrix(0.0), H.quadratic.vector(0.0), -t)
-        return aff(z)
-    return flow_map(H, z, t, 0.0, steps=steps)
 
 
 def groupoid_check(H: Hamiltonian, t: float, t1: float, t2: float, z,
@@ -643,7 +623,8 @@ def compose_hamiltonians(H: Hamiltonian, K: Hamiltonian, t: float, z,
     """Value of (H#K)(z, t) = H(z, t) + K((f_t^H)^{-1}(z), t); the flow of H#K
     is f_t^H o f_t^K."""
     z = as_phase_vector(z, H.n)
-    return float(H.value(z, t) + K.value(_inverse_flow_point(H, z, t, steps), t))
+    back = flow_map(H, z, t, 0.0, steps, method=auto_method(H, symplectic=False))
+    return float(H.value(z, t) + K.value(back, t))
 
 
 def composed_hamiltonian(H: Hamiltonian, K: Hamiltonian, steps: int | None = None) -> Hamiltonian:

@@ -125,7 +125,7 @@ def gaussian_frame_criterion(alpha, beta, hbar: float) -> np.ndarray:
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if alpha.shape != beta.shape:
         raise DimensionMismatch("alpha and beta must have equal length")
-    if np.any(alpha <= 0) or np.any(beta <= 0):
+    if not (np.all(alpha > 0) and np.all(beta > 0)):
         raise InvalidMatrix("alpha and beta must be positive")
     return alpha * beta < 2.0 * np.pi * hbar
 
@@ -152,32 +152,7 @@ def _sampled_window_shift_values(phi: GaussianState, shifts: np.ndarray,
 
 def frame_terms(sys: GaborSystem, psi) -> np.ndarray:
     """Per-lattice-point terms |<psi | T(z) phi>|^2 in enumeration order."""
-    pts = sys.points
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    window = sys.window
-    if isinstance(window, GaussianState):
-        if isinstance(psi, (GaussianState, GaussianMixture)):
-            vals = overlaps_with_shifts(psi, window, pts)
-            return np.abs(vals) ** 2
-        if isinstance(psi, SampledWindow):
-            if psi.n != 1:
-                raise DimensionMismatch("sampled test states are one-dimensional")
-            shifted = _sampled_window_shift_values(window, pts, psi.axis)
-            vals = shifted.conj() @ psi.values * psi.weight
-            return np.abs(vals) ** 2
-        raise DimensionMismatch(f"unsupported test state type {type(psi).__name__}")
-    if isinstance(window, SampledWindow):
-        if isinstance(psi, (GaussianState, GaussianMixture)):
-            psi = sample_state(psi, window.extent, window.npoints)
-        if psi.values.shape != window.values.shape:
-            raise DimensionMismatch("test state grid differs from window grid")
-        out = np.zeros(pts.shape[0])
-        for i, z in enumerate(pts):
-            shifted = _shift_sampled(z, window)
-            out[i] = np.abs(np.sum(psi.values * np.conj(shifted.values)) * psi.weight) ** 2
-        return out
-    raise DimensionMismatch(f"unsupported window type {type(window).__name__}")
+    return np.abs(_frame_vectors(sys, [psi])[0]) ** 2
 
 
 def frame_sum(sys: GaborSystem, psi) -> float:
@@ -329,26 +304,48 @@ def _gram_matrix(sys: GaborSystem) -> np.ndarray:
     return (W @ W.conj().T) * window.weight
 
 
+def _on_window_grid(psi, window: SampledWindow) -> SampledWindow:
+    """A test state as samples on the grid of a sampled window."""
+    if isinstance(psi, (GaussianState, GaussianMixture)):
+        psi = sample_state(psi, window.extent, window.npoints)
+    elif not isinstance(psi, SampledWindow):
+        raise DimensionMismatch(f"unsupported test state type {type(psi).__name__}")
+    if psi.values.shape != window.values.shape:
+        raise DimensionMismatch("test state grid differs from window grid")
+    return psi
+
+
 def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
-    """Matrix m[j, p] = <psi_j | T(z_p) phi>."""
+    """Matrix m[j, p] = <psi_j | T(z_p) phi>.
+
+    A Gaussian window takes Gaussian test states (closed-form overlaps) or
+    one-dimensional sampled ones on a shared grid; a sampled window takes
+    either, Gaussian states being sampled onto its grid.
+    """
     pts = sys.points
     window = sys.window
-    if isinstance(window, GaussianState) and all(
-        isinstance(s, (GaussianState, GaussianMixture)) for s in family
-    ):
+    if isinstance(window, SampledWindow):
+        family = [_on_window_grid(s, window) for s in family]
+        out = np.zeros((len(family), pts.shape[0]), dtype=complex)
+        for p, z in enumerate(pts):
+            shifted = np.conj(_shift_sampled(z, window).values)
+            for j, s in enumerate(family):
+                out[j, p] = np.sum(s.values * shifted) * s.weight
+        return out
+    if not isinstance(window, GaussianState):
+        raise DimensionMismatch(f"unsupported window type {type(window).__name__}")
+    if all(isinstance(s, (GaussianState, GaussianMixture)) for s in family):
         return np.array([overlaps_with_shifts(s, window, pts) for s in family])
-    if isinstance(window, GaussianState):
-        grid = family[0]
-        shifted = _sampled_window_shift_values(window, pts, grid.axis)
-        vals = np.array([s.values for s in family])
-        return vals @ shifted.conj().T * grid.weight
-    rows = []
     for s in family:
-        rows.append(np.array([
-            np.sum(s.values * np.conj(_shift_sampled(z, window).values)) * s.weight
-            for z in pts
-        ]))
-    return np.array(rows)
+        if not isinstance(s, SampledWindow):
+            raise DimensionMismatch(f"unsupported test state type {type(s).__name__}; "
+                                    "a test family is all Gaussian or all sampled")
+        if s.n != 1:
+            raise DimensionMismatch("sampled test states are one-dimensional")
+    grid = family[0]
+    shifted = _sampled_window_shift_values(window, pts, grid.axis)
+    vals = np.array([s.values for s in family])
+    return vals @ shifted.conj().T * grid.weight
 
 
 def _family_gram(family) -> np.ndarray:

@@ -270,10 +270,12 @@ class Lattice:
         gen = np.atleast_2d(np.asarray(self.generator, dtype=float))
         if gen.shape[0] != gen.shape[1] or gen.shape[0] % 2 != 0:
             raise DimensionMismatch(f"generator must be 2n x 2n, got {gen.shape}")
+        if not np.all(np.isfinite(gen)):
+            raise InvalidMatrix("lattice generator must be finite")
         if abs(np.linalg.det(gen)) < 1e-14:
             raise InvalidMatrix("lattice generator must be invertible")
-        if self.radius < 0:
-            raise InvalidMatrix("truncation radius must be >= 0")
+        if not (np.isfinite(self.radius) and self.radius >= 0):
+            raise InvalidMatrix("truncation radius must be finite and >= 0")
         shift = (
             np.zeros(gen.shape[0])
             if self.shift is None
@@ -294,7 +296,7 @@ def separable_lattice(alpha, beta, radius: float, point_cap: int = DEFAULT_POINT
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if alpha.size != beta.size:
         raise DimensionMismatch("alpha and beta must have equal length")
-    if np.any(alpha <= 0) or np.any(beta <= 0):
+    if not (np.all(alpha > 0) and np.all(beta > 0)):
         raise InvalidMatrix("alpha and beta entries must be positive")
     gen = np.diag(np.concatenate([alpha, beta]))
     return Lattice(gen, radius, point_cap=point_cap)

@@ -104,6 +104,28 @@ def test_sweep_t_grid(capsys):
     assert all(row["is_frame"] for row in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep",),
+    ("sweep", "--ab-grid", "0.5", "--t-grid", "0:1:2"),
+    ("sweep", "--ab-grid", "0.5:1:0"),
+    ("sweep", "--t-grid", "0:1:0"),
+    ("sweep", "--t-grid", "1:0:3", "--radius", "4"),
+    ("sweep", "--ab-grid=-1"),
+    ("sweep", "--ab-grid", "nan"),
+    ("frame-check", "--alpha", "nan"),
+    ("frame-check", "--radius", "nan"),
+    ("frame-check", "--radius", "inf"),
+    ("frame-check", "--window-m", "nan+1j"),
+    ("criterion", "--alpha", "nan"),
+])
+def test_rejected_input_exits_1_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_path_hamiltonian_rotation(capsys):
     code, out, _ = run_cli(capsys, "path-hamiltonian", "--path-name", "rotation",
                            "--t", "0.5")

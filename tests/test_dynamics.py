@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,26 @@ def test_integrators_require_separable():
         symplectic_euler_step(nonsep, [1.0, 0.0], 0.1)
 
 
+def test_separable_quadratic_runs_verlet_at_second_order():
+    # U and V come from the diagonal blocks of M, so verlet applies
+    M = np.diag([0.5, 2.0])
+    H = quadratic_hamiltonian(M)
+    z0 = np.array([0.8, -0.3])
+    exact = quadratic_flow(M, t=1.0)(z0)
+    errs = []
+    for steps in (100, 200):
+        z = z0
+        for _ in range(steps):
+            z = verlet_step(H, z, 1.0 / steps)
+        errs.append(np.linalg.norm(z - exact))
+    assert errs[0] < 1e-3
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+
+def test_coupled_quadratic_is_not_separable():
+    assert quadratic_hamiltonian([[1.0, 0.3], [0.3, 1.0]]).separable is None
+
+
 @pytest.mark.parametrize("name, symplectic, expected", [
     ("harmonic", True, "exact"),
     ("harmonic", False, "exact"),
@@ -143,6 +165,31 @@ def test_default_steps():
     assert default_steps(0.1) == 256
     assert default_steps(-2.0) == 1024
     assert default_steps(1.001) == 513
+
+
+def test_flow_map_uses_default_steps():
+    H = builtin_hamiltonian("anharmonic")
+    z = np.array([0.6, -0.2])
+    for t_from, t_to in ((0.0, 0.3), (0.7, -0.5)):
+        assert np.array_equal(flow_map(H, z, t_from, t_to),
+                              flow_map(H, z, t_from, t_to, steps=default_steps(t_to - t_from)))
+
+
+def test_flow_map_never_evaluates_h():
+    # the action, the only reader of H.value, is not computed for flow_map
+    H = builtin_hamiltonian("anharmonic")
+    calls = []
+
+    def value(z, t):
+        calls.append(t)
+        return H.value(z, t)
+
+    counting = dataclasses.replace(H, value=value)
+    for method in ("verlet", "rk4"):
+        flow_map(counting, [0.5, 0.2], 0.0, 0.4, steps=32, method=method)
+    assert calls == []
+    integrate(counting, [0.5, 0.2], 0.4, 32).action
+    assert len(calls) == 33
 
 
 def _order_ratio(method: str, steps: int) -> float:

@@ -16,6 +16,7 @@ from gaborflow.frames import (
     residual_tail_estimate,
     state_norm,
     translation_check,
+    _frame_vectors,
     _sampled_window_shift_values,
 )
 from gaborflow.gaussians import (
@@ -148,6 +149,18 @@ def test_frame_sum_mixture(rng):
     direct = frame_sum(sys, mix)
     quad = frame_sum(sys, sample_state(mix, 10.0, 1024))
     assert direct == pytest.approx(quad, abs=1e-6)
+
+
+def test_frame_terms_rejects_unsupported_test_states():
+    window = standard_gaussian(1, HBAR)
+    sys = GaborSystem(window, lattice_points(separable_lattice([1.0], [1.0], 2.0)), HBAR)
+    sampled = sample_state(window, 10.0, 256)
+    with pytest.raises(DimensionMismatch):
+        frame_terms(sys, "psi")
+    with pytest.raises(DimensionMismatch):
+        _frame_vectors(sys, [sampled, window])
+    with pytest.raises(DimensionMismatch):
+        frame_terms(GaborSystem(sampled, sys.points, HBAR), sample_state(window, 10.0, 128))
 
 
 def test_state_norm_types(rng):

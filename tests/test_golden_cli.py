@@ -2,10 +2,13 @@
 plus stderr for the error cases, compared against files in tests/golden/.
 
 The goldens pin pure code moves: a refactor that claims to leave behaviour
-unchanged must leave every byte here unchanged.  Re-record them only for an
-intended change of output, with
+unchanged must leave every byte here unchanged.  Re-record a case only for an
+intended change of its output, by name:
 
-    python tests/test_golden_cli.py
+    python tests/test_golden_cli.py NAME [NAME ...]
+
+Only the named cases are rewritten; every other golden and status entry is
+left as it is, so one intended change cannot silently re-record the rest.
 """
 
 from __future__ import annotations
@@ -81,11 +84,16 @@ def run_case(argv) -> tuple[int, bytes, str]:
     return code, out.getvalue().encode(), err.getvalue()
 
 
-def record() -> None:
+def record(names) -> None:
+    unknown = sorted(set(names) - set(CASES))
+    if not names or unknown:
+        sys.exit(f"usage: python tests/test_golden_cli.py NAME [NAME ...]\n"
+                 f"unknown names: {', '.join(unknown) or '-'}\n"
+                 f"cases: {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
-    status = {}
-    for name, argv in CASES.items():
-        code, out, err = run_case(argv)
+    status = json.loads(STATUS.read_text()) if STATUS.exists() else {}
+    for name in names:
+        code, out, err = run_case(CASES[name])
         (GOLDEN / f"{name}.out").write_bytes(out)
         status[name] = {"code": code, "stderr": err if code == 1 else None}
         print(f"{name}: exit {code}, {len(out)} bytes")
@@ -108,4 +116,4 @@ def test_every_golden_has_a_case():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    record()
+    record(sys.argv[1:])

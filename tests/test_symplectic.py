@@ -236,6 +236,18 @@ def test_lattice_point_cap():
         lattice_points(separable_lattice([0.01], [0.01], 10.0, point_cap=100))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Lattice(np.eye(2), np.inf),
+    lambda: Lattice(np.eye(2), np.nan),
+    lambda: Lattice([[np.nan, 0.0], [0.0, 1.0]], 1.0),
+    lambda: separable_lattice([np.nan], [1.0], 1.0),
+    lambda: separable_lattice([1.0], [-1.0], 1.0),
+])
+def test_lattice_rejects_non_finite_or_non_positive_input(make):
+    with pytest.raises(InvalidMatrix):
+        make()
+
+
 def test_lattice_map_planck_identity():
     hbar = 1.0 / (2.0 * np.pi)
     lat = separable_lattice([0.5], [0.5], 3.0)
