@@ -16,6 +16,7 @@ from gaborflow.frames import (
     residual_tail_estimate,
     state_norm,
     translation_check,
+    _family_gram,
     _frame_vectors,
     _sampled_window_shift_values,
 )
@@ -23,6 +24,7 @@ from gaborflow.gaussians import (
     GaussianMixture,
     GaussianState,
     heisenberg_weyl_apply,
+    inner_product,
     sample_state,
     standard_gaussian,
 )
@@ -260,6 +262,12 @@ def test_test_vectors_method():
 def test_unknown_method_rejected():
     with pytest.raises(InvalidMatrix):
         frame_bounds(standard_system(), EstimationConfig(method="bogus"))
+
+
+def test_family_gram_n2_matches_elementwise_inner_products():
+    family = build_test_family(2, HBAR, EstimationConfig(family_size=12))
+    ref = np.array([[inner_product(a, b) for b in family] for a in family])
+    assert np.max(np.abs(_family_gram(family) - ref)) <= 1e-12
 
 
 def test_residual_estimate_is_small_at_defaults():

@@ -258,6 +258,41 @@ def test_inner_product_n2_against_quadrature(rng):
     assert inner_product(g1, g2) == pytest.approx(quad, abs=1e-6)
 
 
+def random_siegel_matrix(rng, n):
+    """A full complex symmetric matrix with positive-definite imaginary part."""
+    X = rng.normal(0.0, 0.3, (n, n))
+    Y = rng.normal(0.0, 0.3, (n, n))
+    return 0.5 * (X + X.T) + 1j * (Y @ Y.T + 0.7 * np.eye(n))
+
+
+def random_mixture(rng, n, num):
+    """num components, each with its own matrix, center and phase."""
+    comps = tuple(
+        GaussianState(random_siegel_matrix(rng, n), rng.normal(0.0, 0.7, 2 * n), rng.normal(), HBAR)
+        for _ in range(num)
+    )
+    return GaussianMixture(rng.normal(size=num) + 1j * rng.normal(size=num), comps)
+
+
+@pytest.mark.parametrize("n, npoints", [(1, 2048), (2, 256)])
+def test_mixture_inner_product_against_quadrature(rng, n, npoints):
+    a, b = random_mixture(rng, n, 3), random_mixture(rng, n, 2)
+    wa, wb = sample_state(a, 8.0, npoints), sample_state(b, 8.0, npoints)
+    assert inner_product(a, b) == pytest.approx(sampled_inner_product(wa, wb), abs=1e-9)
+    assert inner_product(a, a) == pytest.approx(mixture_norm(a) ** 2, abs=1e-12)
+    assert mixture_norm(a) == pytest.approx(sampled_norm(wa), abs=1e-9)
+
+
+def test_mixture_overlaps_with_shifts_against_quadrature(rng):
+    psi = random_mixture(rng, 1, 3)
+    phi = GaussianState(random_siegel_matrix(rng, 1), rng.normal(0.0, 0.5, 2), rng.normal(), HBAR)
+    shifts = rng.uniform(-1.5, 1.5, (6, 2))
+    w = sample_state(psi, 10.0, 2048)
+    quad = [sampled_inner_product(w, sample_state(heisenberg_weyl_apply(z, phi), 10.0, 2048))
+            for z in shifts]
+    assert np.max(np.abs(overlaps_with_shifts(psi, phi, shifts) - quad)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Rescaling
 # ---------------------------------------------------------------------------
