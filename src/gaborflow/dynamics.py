@@ -435,6 +435,7 @@ def integrate(
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
     z0 = as_phase_vector(z0, H.n)
+    _check_overflow(z0)  # before the first step sees a diverged point
     dim = 2 * H.n
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)

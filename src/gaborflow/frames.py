@@ -25,15 +25,15 @@ from .gaussians import (
     SampledWindow,
     evaluate_state,
     heisenberg_weyl_apply,
-    inner_product,
     metaplectic_apply,
     mixture_norm,
-    overlaps_with_shifts,
     rescale_window,
     sample_state,
     sampled_norm,
     shifted_gram,
+    _shift_overlaps,
     _shift_sampled,
+    _state_gram,
 )
 from .symplectic import (
     Lattice,
@@ -88,8 +88,7 @@ class EstimationConfig:
     states; family_size test states are generated deterministically from the
     seed (prefix-stable: smaller families are prefixes of larger ones).
     mode_degree bounds the oscillator-mode space scanned for deficiency
-    witnesses (None: as large as fits the central region); witness_count of
-    the family slots are filled with the scanned minimizers.
+    witnesses (None: as large as fits the central region).
     """
 
     grid_extent: float = 10.0
@@ -97,9 +96,7 @@ class EstimationConfig:
     family_size: int = 64
     seed: int = 0
     frame_floor: float = 1e-3
-    method: str = "eig"
     mode_degree: int | None = None
-    witness_count: int = 8
 
 
 @dataclass(frozen=True)
@@ -162,16 +159,6 @@ def frame_sum(sys: GaborSystem, psi) -> float:
     under re-enumeration of the same point set.
     """
     return float(np.sum(np.sort(frame_terms(sys, psi))))
-
-
-def state_norm(psi) -> float:
-    if isinstance(psi, GaussianState):
-        return 1.0
-    if isinstance(psi, GaussianMixture):
-        return mixture_norm(psi)
-    if isinstance(psi, SampledWindow):
-        return sampled_norm(psi)
-    raise DimensionMismatch(f"unsupported state type {type(psi).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +243,13 @@ def build_test_family(n: int, hbar: float, cfg: EstimationConfig, witnesses=()):
 
 def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
     """Scan the oscillator-mode space that fits the central region and return
-    the states minimizing the frame Rayleigh quotient there.
+    the eight states minimizing the frame Rayleigh quotient there.
 
     These witnesses sharpen the lower-bound estimate near the critical
     density, where the near-deficient directions are high-order mode
     combinations that a small random family misses.
     """
-    if sys.n != 1 or cfg.witness_count <= 0:
+    if sys.n != 1:
         return []
     degree = cfg.mode_degree if cfg.mode_degree is not None else _auto_mode_degree(cfg, sys.hbar)
     step = 2.0 * cfg.grid_extent / cfg.grid_points
@@ -279,7 +266,7 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
     A = (m @ m.conj().T).real
     # modes are orthonormal up to grid quadrature error; no whitening needed
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    count = min(cfg.witness_count, len(family))
+    count = min(8, len(family))
     out = []
     for j in range(count):
         values = (modes.T @ V[:, j]).astype(complex)
@@ -292,15 +279,18 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
 # Frame bounds
 # ---------------------------------------------------------------------------
 
+def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
+    """Samples of T(z) window on its grid, one flattened row per point z."""
+    rows = [_shift_sampled(z, window).values.ravel() for z in pts]
+    return np.array(rows).reshape(len(pts), window.values.size)
+
+
 def _gram_matrix(sys: GaborSystem) -> np.ndarray:
     pts = sys.points
     window = sys.window
     if isinstance(window, GaussianState):
         return shifted_gram(window, pts)
-    rows = []
-    for z in pts:
-        rows.append(_shift_sampled(z, window).values.ravel())
-    W = np.array(rows)
+    W = _shifted_samples(window, pts)
     return (W @ W.conj().T) * window.weight
 
 
@@ -325,17 +315,12 @@ def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
     pts = sys.points
     window = sys.window
     if isinstance(window, SampledWindow):
-        family = [_on_window_grid(s, window) for s in family]
-        out = np.zeros((len(family), pts.shape[0]), dtype=complex)
-        for p, z in enumerate(pts):
-            shifted = np.conj(_shift_sampled(z, window).values)
-            for j, s in enumerate(family):
-                out[j, p] = np.sum(s.values * shifted) * s.weight
-        return out
+        vals = np.array([_on_window_grid(s, window).values.ravel() for s in family])
+        return vals @ _shifted_samples(window, pts).conj().T * window.weight
     if not isinstance(window, GaussianState):
         raise DimensionMismatch(f"unsupported window type {type(window).__name__}")
     if all(isinstance(s, (GaussianState, GaussianMixture)) for s in family):
-        return np.array([overlaps_with_shifts(s, window, pts) for s in family])
+        return _shift_overlaps(family, window, pts)
     for s in family:
         if not isinstance(s, SampledWindow):
             raise DimensionMismatch(f"unsupported test state type {type(s).__name__}; "
@@ -352,12 +337,7 @@ def _family_gram(family) -> np.ndarray:
     if isinstance(family[0], SampledWindow):
         vals = np.array([s.values.ravel() for s in family])
         return (vals @ vals.conj().T) * family[0].weight
-    K = len(family)
-    out = np.zeros((K, K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            out[i, j] = inner_product(family[i], family[j])
-    return out
+    return _state_gram(family, family)
 
 
 def residual_tail_estimate(sys: GaborSystem) -> float:
@@ -381,38 +361,29 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
-    """Estimate frame bounds of a truncated Gabor system.
+    """Estimate frame bounds of a truncated Gabor system (reported as method
+    "eig").
 
-    method "eig": upper bound from the largest Gram eigenvalue; lower bound
-    from the minimal Rayleigh quotient of the frame form over the span of the
-    test family (whitened generalized eigenvalue problem).
-    method "test-vectors": both bounds from the per-state ratios
-    frame_sum(psi)/||psi||^2 without span minimization.
+    The upper bound is the largest eigenvalue of the Gram matrix of the
+    truncated system.  The lower bound is the minimal Rayleigh quotient of the
+    frame form over the span of the test family (whitened generalized
+    eigenvalue problem).
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
         raise InvalidMatrix("test family is empty")
     witnesses = deficiency_witnesses(sys, cfg)
     family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
-    if len(family) == 0:
-        raise InvalidMatrix("test family is empty")
     m = _frame_vectors(sys, family)
     A = m @ m.conj().T
     G = _family_gram(family)
-    if cfg.method == "test-vectors":
-        ratios = np.real(np.diag(A)) / np.real(np.diag(G))
-        a_est = float(np.min(ratios))
-        b_est = float(np.max(ratios))
-    elif cfg.method == "eig":
-        gram = _gram_matrix(sys)
-        b_est = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
-        w, V = np.linalg.eigh(G)
-        keep = w > 1e-8 * max(float(w[-1]), 1e-300)
-        T = V[:, keep] / np.sqrt(w[keep])
-        compressed = T.conj().T @ A @ T
-        a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
-    else:
-        raise InvalidMatrix(f"unknown estimation method {cfg.method!r}")
+    gram = _gram_matrix(sys)
+    b_est = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
+    w, V = np.linalg.eigh(G)
+    keep = w > 1e-8 * max(float(w[-1]), 1e-300)
+    T = V[:, keep] / np.sqrt(w[keep])
+    compressed = T.conj().T @ A @ T
+    a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
     a_est = min(a_est, b_est)
     ratio = float("inf") if a_est == 0 else b_est / a_est
     return FrameReport(
@@ -420,7 +391,7 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         b_est=b_est,
         ratio=ratio,
         is_frame=bool(a_est > cfg.frame_floor * b_est),
-        method=cfg.method,
+        method="eig",
         truncation=(sys.truncation_radius, cfg.grid_extent, cfg.grid_points),
         residual_estimate=residual_tail_estimate(sys),
     )

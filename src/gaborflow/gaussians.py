@@ -7,14 +7,18 @@ Heisenberg-Weyl shift
 
     T(z0) f(x) = exp(i (p0.x - p0.x0/2) / hbar) f(x - x0).
 
-Inner products of such windows have a closed complex-Gaussian form; uniform
-grids (SampledWindow) provide the independent quadrature route used by the
-tests and by non-Gaussian test states.
+Internally a Gaussian state is a flat component stack: coefficients (K,),
+matrices (K, n, n), centers (K, 2n) and phases (K,), with K = 1 for a
+GaussianState; mixtures hold GaussianState components only.  Every
+closed-form overlap goes through _overlap_core on component stacks,
+broadcast over both sides.  Uniform grids (SampledWindow) provide the
+independent quadrature route used by the tests and by non-Gaussian states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .symplectic import (
     as_phase_vector,
     blocks,
     check_symplectic,
-    symplectic_form,
 )
 
 SIEGEL_CONDITION_CAP = 1e12
@@ -48,6 +51,30 @@ def check_siegel(M) -> np.ndarray:
     if np.min(np.linalg.eigvalsh(M.imag)) <= 0:
         raise InvalidMatrix("imaginary part must be positive definite")
     return M
+
+
+class _Stack(NamedTuple):
+    """K Gaussian components: coefficients (K,), matrices (K, n, n), centers
+    (K, 2n) and phases (K,)."""
+
+    coefficients: np.ndarray
+    M: np.ndarray
+    centers: np.ndarray
+    phases: np.ndarray
+
+    def column(self) -> "_Stack":
+        """The stack along a new leading axis, to broadcast against a row stack."""
+        return _Stack(self.coefficients, self.M[:, None], self.centers[:, None],
+                      self.phases[:, None])
+
+
+def _stack_states(states) -> tuple[_Stack, np.ndarray]:
+    """One flat stack of the components of all states, and the state-by-
+    component coefficient block B, so that <states_j | f> = B @ <components | f>."""
+    stacks = [g._stack for g in states]
+    stack = _Stack(*map(np.concatenate, zip(*stacks)))
+    owner = np.repeat(np.arange(len(stacks)), [len(s.coefficients) for s in stacks])
+    return stack, (owner == np.arange(len(stacks))[:, None]) * stack.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +95,8 @@ class GaussianState:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "phase", float(self.phase))
         object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "_stack", _Stack(np.ones(1, dtype=complex), M[None],
+                                                  center[None], np.array([self.phase])))
 
     @property
     def n(self) -> int:
@@ -76,7 +105,7 @@ class GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """A finite linear combination of GaussianState components."""
+    """A finite linear combination of GaussianState components (flat)."""
 
     coefficients: np.ndarray
     components: tuple
@@ -86,12 +115,15 @@ class GaussianMixture:
         comps = tuple(self.components)
         if coeff.size != len(comps) or coeff.size == 0:
             raise DimensionMismatch("one coefficient per component required")
+        if not all(isinstance(g, GaussianState) for g in comps):
+            raise DimensionMismatch("mixture components must be GaussianState instances")
         n, hbar = comps[0].n, comps[0].hbar
-        for g in comps:
-            if g.n != n or abs(g.hbar - hbar) > 1e-15:
-                raise DimensionMismatch("mixture components must share n and hbar")
+        if any(g.n != n or abs(g.hbar - hbar) > 1e-15 for g in comps):
+            raise DimensionMismatch("mixture components must share n and hbar")
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "components", comps)
+        stack = _stack_states(comps)[0]._replace(coefficients=coeff)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def n(self) -> int:
@@ -101,6 +133,10 @@ class GaussianMixture:
     def hbar(self) -> float:
         return self.components[0].hbar
 
+    def _map(self, f) -> "GaussianMixture":
+        """The mixture of f(component) with the same coefficients."""
+        return GaussianMixture(self.coefficients, tuple(map(f, self.components)))
+
 
 def standard_gaussian(n: int, hbar: float) -> GaussianState:
     """The standard centered Gaussian (M = iI, center 0, phase 0)."""
@@ -108,12 +144,7 @@ def standard_gaussian(n: int, hbar: float) -> GaussianState:
 
 
 def mixture_norm(psi: GaussianMixture) -> float:
-    c = psi.coefficients
-    gram = np.array(
-        [[inner_product(gi, gj) for gj in psi.components] for gi in psi.components]
-    )
-    val = np.real(c @ gram @ c.conj())
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.sqrt(max(inner_product(psi, psi).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +169,7 @@ def metaplectic_apply(S, g):
     """Transport a Gaussian along a symplectic matrix: M -> action(S)M,
     center -> S center.  The global phase is carried unchanged."""
     if isinstance(g, GaussianMixture):
-        return GaussianMixture(
-            g.coefficients, tuple(metaplectic_apply(S, comp) for comp in g.components)
-        )
+        return g._map(lambda comp: metaplectic_apply(S, comp))
     S = check_symplectic(S)
     return GaussianState(siegel_action(S, g.M), S @ g.center, g.phase, g.hbar)
 
@@ -153,14 +182,11 @@ def heisenberg_weyl_apply(z0, g):
     nearest grid multiple (the residual is recorded on the window).
     """
     if isinstance(g, GaussianMixture):
-        return GaussianMixture(
-            g.coefficients, tuple(heisenberg_weyl_apply(z0, comp) for comp in g.components)
-        )
+        return g._map(lambda comp: heisenberg_weyl_apply(z0, comp))
     if isinstance(g, SampledWindow):
         return _shift_sampled(z0, g)
-    z0 = as_phase_vector(z0, g.n)
-    phase = g.phase + 0.5 * symplectic_form(z0, g.center)
-    return GaussianState(g.M, g.center + z0, phase, g.hbar)
+    centers, phases = _shifted(g, as_phase_vector(z0, g.n))
+    return GaussianState(g.M, centers[0], phases[0], g.hbar)
 
 
 def rescale_window(g, hbar_new: float):
@@ -172,9 +198,7 @@ def rescale_window(g, hbar_new: float):
     if hbar_new <= 0:
         raise InvalidMatrix("hbar must be positive")
     if isinstance(g, GaussianMixture):
-        return GaussianMixture(
-            g.coefficients, tuple(rescale_window(comp, hbar_new) for comp in g.components)
-        )
+        return g._map(lambda comp: rescale_window(comp, hbar_new))
     mu = np.sqrt(hbar_new / g.hbar)
     return GaussianState(g.M, mu * g.center, mu * mu * g.phase, hbar_new)
 
@@ -183,24 +207,24 @@ def rescale_window(g, hbar_new: float):
 # Closed-form inner products
 # ---------------------------------------------------------------------------
 
-def _normalization(M: np.ndarray, hbar: float) -> float:
-    n = M.shape[0]
-    return float(
-        (np.linalg.det(M.imag).real / (np.pi * hbar) ** n) ** 0.25
-    )
+def _normalization(M: np.ndarray, hbar: float) -> np.ndarray:
+    n = M.shape[-1]
+    return (np.linalg.det(M.imag) / (np.pi * hbar) ** n) ** 0.25
 
 
-def _det_power(A: np.ndarray, power: float) -> complex:
+def _det_power(A: np.ndarray, power: float) -> np.ndarray:
     """det(A)^power via principal-branch eigenvalue logs (eigenvalues must
     avoid the negative real axis; holds when the Hermitian part of A is PD)."""
     eig = np.linalg.eigvals(A)
-    return complex(np.exp(power * np.sum(np.log(eig))))
+    return np.exp(power * np.sum(np.log(eig), axis=-1))
 
 
-def _overlap_core(g1: GaussianState, M2, Z2, gamma2, hbar: float):
-    """<g1 | g(M2, z2, gamma2)> for batched centers Z2 (..., 2n) and phases."""
-    n = g1.n
-    M1 = g1.M
+def _overlap_core(left: _Stack, M2, Z2, gamma2, hbar: float):
+    """<g(M1, z1, gamma1) | g(M2, z2, gamma2)>, the left side read from a
+    stack, broadcast over the leading axes of matrices (..., n, n), centers
+    (..., 2n) and phases (...); matrix terms use the matrix axes only."""
+    M1 = left.M
+    n = M1.shape[-1]
     M2c = np.conj(M2)
     A = M1 - M2c
     Ainv = np.linalg.inv(A)
@@ -210,36 +234,55 @@ def _overlap_core(g1: GaussianState, M2, Z2, gamma2, hbar: float):
         * (2.0 * np.pi * hbar) ** (n / 2.0)
         * _det_power(-1j * A, -0.5)
     )
-    x1, p1 = g1.center[:n], g1.center[n:]
+    X1, P1 = left.centers[..., :n], left.centers[..., n:]
     Z2 = np.asarray(Z2, dtype=float)
     X2, P2 = Z2[..., :n], Z2[..., n:]
-    b = -(M1 @ x1) + X2 @ M2c.T + (p1 - P2)
+    b = (-np.einsum("...ij,...j->...i", M1, X1) + np.einsum("...ij,...j->...i", M2c, X2)
+         + (P1 - P2))
     c = (
-        0.5 * (x1 @ M1 @ x1)
-        - 0.5 * np.einsum("...i,ij,...j", X2, M2c, X2)
-        - 0.5 * (p1 @ x1)
-        + 0.5 * np.einsum("...i,...i", P2, X2)
-        + (g1.phase - gamma2)
+        0.5 * np.einsum("...i,...ij,...j->...", X1, M1, X1)
+        - 0.5 * np.einsum("...i,...ij,...j->...", X2, M2c, X2)
+        - 0.5 * np.einsum("...i,...i->...", P1, X1)
+        + 0.5 * np.einsum("...i,...i->...", P2, X2)
+        + (left.phases - gamma2)
     )
-    quad = 0.5 * np.einsum("...i,ij,...j", b, Ainv, b)
+    quad = 0.5 * np.einsum("...i,...ij,...j->...", b, Ainv, b)
     return pref * np.exp(1j / hbar * (c - quad))
+
+
+def _state_gram(states1, states2) -> np.ndarray:
+    """<states1_i | states2_j> of Gaussian states and mixtures in one kernel
+    call: B1 K B2^H, with K the overlaps of all their components."""
+    s, B1 = _stack_states(states1)
+    t, B2 = _stack_states(states2)
+    K = _overlap_core(s.column(), t.M, t.centers, t.phases, states1[0].hbar)
+    return B1 @ K @ B2.conj().T
 
 
 def inner_product(g1, g2) -> complex:
     """L2 inner product (g1|g2) = integral g1 conj(g2), closed form."""
-    if isinstance(g1, GaussianMixture) or isinstance(g2, GaussianMixture):
-        a = g1 if isinstance(g1, GaussianMixture) else GaussianMixture([1.0], (g1,))
-        b = g2 if isinstance(g2, GaussianMixture) else GaussianMixture([1.0], (g2,))
-        total = 0.0 + 0.0j
-        for ci, gi in zip(a.coefficients, a.components):
-            for cj, gj in zip(b.coefficients, b.components):
-                total += ci * np.conj(cj) * inner_product(gi, gj)
-        return complex(total)
     if g1.n != g2.n:
         raise DimensionMismatch("states of different dimension")
     if abs(g1.hbar - g2.hbar) > 1e-15:
         raise DimensionMismatch("states with different hbar")
-    return complex(_overlap_core(g1, g2.M, g2.center, g2.phase, g1.hbar))
+    return complex(_state_gram([g1], [g2])[0, 0])
+
+
+def _shifted(phi: GaussianState, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Centers c + z and phases gamma + sigma(z, c)/2 of T(z) phi, per shift row z."""
+    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    if shifts.shape[1] != 2 * phi.n:
+        raise DimensionMismatch("shift rows must have length 2n")
+    n = phi.n
+    sig = shifts[:, n:] @ phi.center[:n] - phi.center[n:] @ shifts[:, :n].T
+    return phi.center + shifts, phi.phase + 0.5 * sig
+
+
+def _shift_overlaps(states, phi: GaussianState, shifts) -> np.ndarray:
+    """<states_j | T(z_p) phi> for all states and shift rows, in one kernel call."""
+    stack, B = _stack_states(states)
+    centers, gammas = _shifted(phi, shifts)
+    return B @ _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)
 
 
 def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
@@ -247,34 +290,19 @@ def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
 
     psi may be a GaussianState or a GaussianMixture; phi must be Gaussian.
     """
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    if shifts.shape[1] != 2 * phi.n:
-        raise DimensionMismatch("shift rows must have length 2n")
-    # T(z) phi has center c + z and phase advanced by sigma(z, c)/2.
-    n = phi.n
-    centers = phi.center + shifts
-    sig = shifts[:, n:] @ phi.center[:n] - phi.center[n:] @ shifts[:, :n].T
-    gammas = phi.phase + 0.5 * sig
-    if isinstance(psi, GaussianMixture):
-        out = np.zeros(shifts.shape[0], dtype=complex)
-        for c, comp in zip(psi.coefficients, psi.components):
-            out += c * _overlap_core(comp, phi.M, centers, gammas, phi.hbar)
-        return out
-    return _overlap_core(psi, phi.M, centers, gammas, phi.hbar)
+    return _shift_overlaps([psi], phi, shifts)[0]
 
 
 def shifted_gram(phi: GaussianState, shifts) -> np.ndarray:
-    """Gram matrix G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts."""
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    num = shifts.shape[0]
-    n = phi.n
-    centers = phi.center + shifts
-    sig = shifts[:, n:] @ phi.center[:n] - phi.center[n:] @ shifts[:, :n].T
-    gammas = phi.phase + 0.5 * sig
-    out = np.zeros((num, num), dtype=complex)
-    for i in range(num):
-        gi = GaussianState(phi.M, centers[i], gammas[i], phi.hbar)
-        out[i] = _overlap_core(gi, phi.M, centers, gammas, phi.hbar)
+    """Gram matrix G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts.
+
+    Filled row by row in place: a one-shot broadcast would hold several
+    N x N complex temporaries at once."""
+    centers, gammas = _shifted(phi, shifts)
+    out = np.empty((centers.shape[0], centers.shape[0]), dtype=complex)
+    for i in range(centers.shape[0]):
+        row = _Stack(1.0, phi.M, centers[i], gammas[i])
+        out[i] = _overlap_core(row, phi.M, centers, gammas, phi.hbar)
     return out
 
 
@@ -341,10 +369,6 @@ def evaluate_state(g, x) -> np.ndarray:
 
     x has shape (...,) for n=1 or (..., n) in general.
     """
-    if isinstance(g, GaussianMixture):
-        return sum(
-            c * evaluate_state(comp, x) for c, comp in zip(g.coefficients, g.components)
-        )
     n, hbar = g.n, g.hbar
     x = np.asarray(x, dtype=float)
     if n == 1:
@@ -353,14 +377,14 @@ def evaluate_state(g, x) -> np.ndarray:
         if x.shape[-1] != n:
             raise DimensionMismatch(f"points must have last axis {n}")
         pts = x
-    x0, p0 = g.center[:n], g.center[n:]
-    dx = pts - x0
-    quad = np.einsum("...i,ij,...j", dx, g.M, dx)
-    lin = pts @ p0 - 0.5 * (p0 @ x0)
-    return (
-        _normalization(g.M, hbar)
-        * np.exp(1j / hbar * (g.phase + lin + 0.5 * quad))
-    )
+    s = g._stack
+    x0, p0 = s.centers[:, :n], s.centers[:, n:]
+    # component axis last: dx has shape (..., K, n)
+    dx = pts[..., None, :] - x0
+    quad = np.einsum("...ki,kij,...kj->...k", dx, s.M, dx)
+    lin = pts @ p0.T - 0.5 * np.einsum("ki,ki->k", p0, x0)
+    values = _normalization(s.M, hbar) * np.exp(1j / hbar * (s.phases + lin + 0.5 * quad))
+    return np.sum(s.coefficients * values, axis=-1)
 
 
 def sample_state(g, extent: float, npoints: int) -> SampledWindow:

@@ -32,6 +32,21 @@ def random_symplectic(rng, n=1, factors=3):
     return out
 
 
+def counting_calls(monkeypatch, name):
+    """Wrap gaussians.<name> so every call is recorded in the returned list."""
+    import gaborflow.gaussians as gaussians
+
+    calls = []
+    fn = getattr(gaussians, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(gaussians, name, counting)
+    return calls
+
+
 def random_rotation_like(rng):
     return rotation(rng.uniform(0.0, 2.0 * np.pi))
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ def test_rejected_input_exits_1_with_one_error_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_diverging_initial_point_prints_only_the_error_line(capsys):
+    # a numpy overflow warning would be raised here instead of reaching stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "integrate", "--hamiltonian", "anharmonic",
+                                 "--z0", "1e120,0", "--t", "10", "--steps", "10",
+                                 "--method", "verlet")
+    assert code == 1
+    assert out == ""
+    assert err == "error: trajectory exceeded the overflow guard\n"
 
 
 def test_path_hamiltonian_rotation(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,16 @@ def test_divergence_guard():
     )
     with pytest.raises(DivergenceError):
         integrate(H, [2.0, 0.0], 50.0, 200, method="euler", variational=False)
+
+
+@pytest.mark.parametrize("method", ["verlet", "rk4"])
+def test_initial_point_checked_before_first_step(method):
+    # with warnings as errors, an overflow inside the first step would raise a
+    # RuntimeWarning ahead of the guard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            integrate(builtin_hamiltonian("anharmonic"), [1e120, 0.0], 10.0, 10, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gaborflow.frames import (
     hermite_functions,
     rescaling_check,
     residual_tail_estimate,
-    state_norm,
     translation_check,
     _family_gram,
     _frame_vectors,
@@ -25,7 +24,9 @@ from gaborflow.gaussians import (
     GaussianState,
     heisenberg_weyl_apply,
     inner_product,
+    mixture_norm,
     sample_state,
+    sampled_norm,
     standard_gaussian,
 )
 from gaborflow.symplectic import (
@@ -36,7 +37,7 @@ from gaborflow.symplectic import (
     standard_j,
 )
 
-from conftest import HBAR, random_symplectic
+from conftest import HBAR, counting_calls, random_symplectic
 
 # goldens computed at first build by dense-eigenvalue brute force on the
 # quadrature grid (cross-checked below at coarser tolerance)
@@ -166,9 +167,9 @@ def test_frame_terms_rejects_unsupported_test_states():
 
 
 def test_state_norm_types(rng):
-    assert state_norm(standard_gaussian(1, HBAR)) == 1.0
     mix = GaussianMixture([2.0], (standard_gaussian(1, HBAR),))
-    assert state_norm(mix) == pytest.approx(2.0, abs=1e-12)
+    assert mixture_norm(mix) == pytest.approx(2.0, abs=1e-12)
+    assert sampled_norm(sample_state(mix, 10.0, 1024)) == pytest.approx(2.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +252,21 @@ def test_radius_growth_never_lowers_upper_bound():
     assert b_large >= b_small - 1e-12
 
 
-def test_test_vectors_method():
-    report = frame_bounds(standard_system(), EstimationConfig(method="test-vectors"))
-    assert report.method == "test-vectors"
-    assert 0.0 < report.a_est <= report.b_est
-    # per-state ratios are coarser than the span minimum but stay in band
-    assert report.b_est <= GOLDEN_B + 1e-9
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(InvalidMatrix):
-        frame_bounds(standard_system(), EstimationConfig(method="bogus"))
-
-
 def test_family_gram_n2_matches_elementwise_inner_products():
     family = build_test_family(2, HBAR, EstimationConfig(family_size=12))
     ref = np.array([[inner_product(a, b) for b in family] for a in family])
     assert np.max(np.abs(_family_gram(family) - ref)) <= 1e-12
+
+
+def test_gaussian_family_makes_one_kernel_call(monkeypatch):
+    calls = counting_calls(monkeypatch, "_overlap_core")
+    family = build_test_family(2, HBAR, EstimationConfig(family_size=12))
+    sys = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
+                      HBAR)
+    for run in (lambda: _family_gram(family), lambda: _frame_vectors(sys, family)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_residual_estimate_is_small_at_defaults():
@@ -285,14 +284,6 @@ def test_family_prefix_stability():
     fam_large = build_test_family(1, HBAR, EstimationConfig(family_size=20))
     for a, b in zip(fam_small, fam_large):
         assert np.array_equal(a.values, b.values)
-
-
-def test_bounds_n2_test_vectors(rng):
-    window = standard_gaussian(2, HBAR)
-    sys = GaborSystem(window, separable_lattice([0.7, 0.7], [0.7, 0.7], 3.0), HBAR)
-    report = frame_bounds(sys, EstimationConfig(family_size=12, method="test-vectors"))
-    assert report.a_est > 0
-    assert report.b_est >= report.a_est
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from gaborflow.errors import (
     DimensionMismatch,
+    GaborflowError,
     GridDomainError,
     InvalidMatrix,
     NumericalDegeneracy,
@@ -26,6 +27,7 @@ from gaborflow.gaussians import (
     sample_state,
     sampled_inner_product,
     sampled_norm,
+    shifted_gram,
     siegel_action,
     standard_gaussian,
     stft,
@@ -39,7 +41,7 @@ from gaborflow.symplectic import (
     symplectic_form,
 )
 
-from conftest import HBAR, random_symplectic
+from conftest import HBAR, counting_calls, random_symplectic
 
 
 def random_gaussian(rng, n=1, hbar=HBAR):
@@ -291,6 +293,36 @@ def test_mixture_overlaps_with_shifts_against_quadrature(rng):
     quad = [sampled_inner_product(w, sample_state(heisenberg_weyl_apply(z, phi), 10.0, 2048))
             for z in shifts]
     assert np.max(np.abs(overlaps_with_shifts(psi, phi, shifts) - quad)) < 1e-9
+
+
+def test_mixture_overlaps_make_one_kernel_call(rng, monkeypatch):
+    calls = counting_calls(monkeypatch, "_overlap_core")
+    a, b = random_mixture(rng, 2, 3), random_mixture(rng, 2, 2)
+    phi = random_gaussian(rng, n=2)
+    for run in (lambda: inner_product(a, b), lambda: inner_product(phi, a),
+                lambda: mixture_norm(a),
+                lambda: overlaps_with_shifts(a, phi, rng.normal(size=(5, 4)))):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_shifted_gram_builds_no_states(rng, monkeypatch):
+    phi = random_gaussian(rng)
+    shifts = rng.normal(size=(7, 2))
+    rows = [overlaps_with_shifts(heisenberg_weyl_apply(z, phi), phi, shifts) for z in shifts]
+    calls = counting_calls(monkeypatch, "check_siegel")
+    G = shifted_gram(phi, shifts)
+    assert calls == []
+    assert np.max(np.abs(G - np.array(rows))) < 1e-12
+
+
+def test_mixture_components_must_be_flat(rng):
+    inner = GaussianMixture([1.0, 0.5], (random_gaussian(rng), random_gaussian(rng)))
+    with pytest.raises(GaborflowError):
+        GaussianMixture([1.0], (inner,))
+    with pytest.raises(GaborflowError):
+        GaussianMixture([1.0, 1.0], (random_gaussian(rng), inner))
 
 
 # ---------------------------------------------------------------------------
