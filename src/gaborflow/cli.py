@@ -173,7 +173,7 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     z0 = parse_float_list(args.z0)
     method = auto_method(H, symplectic=True) if cfg.method == "auto" else cfg.method
     steps = default_steps(cfg.t) if cfg.steps is None else cfg.steps
-    traj = integrate(H, z0, cfg.t, steps, method=method)
+    traj = integrate(H, z0, cfg.t, steps, method=method, variational=args.dump_matrices)
     payload = {
         "method": method,
         "steps": steps,

@@ -5,7 +5,7 @@ The deformation transports the window by the metaplectic lift of the
 linearized flow along the trajectory of the window's own center, advances the
 global phase by the symmetrized action, and moves the lattice either by the
 induced affine map (the reading under which the invariance identity is exact)
-or by the full nonlinear flow applied pointwise.
+or by the full nonlinear flow, applied to the whole lattice as one batch.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
     Window: matrix transported through the Siegel action of the linearized
     flow, center along the trajectory of the window center, phase advanced by
     the symmetrized action.  Lattice: affine nearby-orbit map
-    z -> z_t + S_t (z - z_c), or the exact flow pointwise.
+    z -> z_t + S_t (z - z_c), or the exact flow of all points in one batch.
     """
     cfg = cfg or DeformationConfig()
     window = sys.window
@@ -69,7 +69,7 @@ def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
     traj = integrate(H, zc, t, steps, method=method)
     S = traj.final_matrix
     zt = traj.final_point
-    gamma = traj.final_action
+    gamma = float(traj.final_action)
     new_window = GaussianState(
         siegel_action(S, window.M), zt, window.phase + gamma, window.hbar
     )
@@ -77,7 +77,7 @@ def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
     if cfg.lattice_mode == "affine":
         new_pts = zt + (pts - zc) @ S.T
     else:
-        new_pts = np.array([flow_map(H, z, 0.0, t, steps=steps, method=method) for z in pts])
+        new_pts = flow_map(H, pts, 0.0, t, steps=steps, method=method)
     return DeformationResult(
         window=new_window,
         lattice=new_pts,

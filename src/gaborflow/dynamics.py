@@ -24,40 +24,60 @@ FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
 
 
-def fd_hessian(fn: Callable, z: np.ndarray, t: float, step: float = FD_HESSIAN_STEP) -> np.ndarray:
+def _points(z, n: int) -> np.ndarray:
+    """z as phase points: an array whose last axis has length 2n."""
     z = np.asarray(z, dtype=float)
-    m = z.size
-    h = step * max(1.0, float(np.max(np.abs(z))))
-    out = np.zeros((m, m))
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        out[i, i] = (fn(z + ei, t) - 2 * fn(z, t) + fn(z - ei, t)) / h**2
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h
-            val = (
-                fn(z + ei + ej, t) - fn(z + ei - ej, t) - fn(z - ei + ej, t) + fn(z - ei - ej, t)
-            ) / (4 * h**2)
-            out[i, j] = out[j, i] = val
-    return out
+    if z.ndim == 0 or z.shape[-1] != 2 * n:
+        raise DimensionMismatch(f"expected phase points with last axis {2 * n}, got shape {z.shape}")
+    return z
+
+
+def _coordinate(z, i: int):
+    """z[..., i], as a numpy scalar for a single point.  Powers of numpy
+    scalars round as libm pow does; powers of arrays, even 0-d ones, take
+    numpy's SIMD loop, which can differ in the last bit."""
+    return z[..., i][()]
+
+
+# Row-wise a.b, z.Mz and Az over a batch.  The matmul forms round every row
+# as the 1-D products a @ b, z @ M @ z and A @ z do, so a batch and its
+# single points agree bit for bit.
+
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _quad(z, M):
+    return (z[..., None, :] @ M @ z[..., None])[..., 0, 0]
+
+
+def _matvec(A, z):
+    return (A @ z[..., None])[..., 0]
+
+
+def fd_gradient(fn: Callable, z, t: float, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of fn(., t) at each point of a (..., m)
+    batch; for a vector-valued fn, its Jacobian."""
+    z = np.asarray(z, dtype=float)
+    h = step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
+    cols = [np.asarray(fn(z + h * e, t)) - fn(z - h * e, t) for e in np.eye(z.shape[-1])]
+    return np.stack(cols, axis=-1) / (2 * h)
 
 
 def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of a map R^m -> R^m."""
+    return fd_gradient(lambda w, t: fn(w), z, 0.0, step)
+
+
+def fd_hessian(fn: Callable, z, t: float, step: float = FD_HESSIAN_STEP) -> np.ndarray:
+    """Central-difference Hessian of fn(., t) at each point of a (..., m)
+    batch: the symmetrized Jacobian of its central-difference gradient."""
     z = np.asarray(z, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(z))))
-    cols = []
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        cols.append((np.asarray(fn(z + e)) - np.asarray(fn(z - e))) / (2 * h))
-    return np.array(cols).T
-
-
-def fd_gradient(fn: Callable, z: np.ndarray, t: float, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of fn(., t): the single row of its Jacobian."""
-    return finite_difference_jacobian(lambda w: [fn(w, t)], z, step)[0]
+    h = step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
+    rows = [fd_gradient(fn, z + h * e, t, step) - fd_gradient(fn, z - h * e, t, step)
+            for e in np.eye(z.shape[-1])]
+    jac = np.stack(rows, axis=-2) / (2 * h[..., None])
+    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -82,7 +102,13 @@ class QuadraticParts:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """A Hamiltonian with value, gradient, and Hessian access."""
+    """A Hamiltonian with value, gradient, and Hessian access.
+
+    Each callable takes phase points z of shape (..., 2n), indexed as
+    z[..., i], and a scalar time t, and returns shape (...), (..., 2n) and
+    (..., 2n, 2n) (or a shape that broadcasts to it); a single (2n,) point
+    gives a scalar, a vector and a matrix.
+    """
 
     n: int
     value: Callable
@@ -97,7 +123,7 @@ class Hamiltonian:
         """Right-hand side J grad H of the equations of motion."""
         g = self.gradient(z, t)
         n = self.n
-        return np.concatenate([g[n:], -g[:n]])
+        return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
 
 def hamiltonian_from_callables(
@@ -106,6 +132,18 @@ def hamiltonian_from_callables(
     gradient = gradient or (lambda z, t: fd_gradient(value, z, t))
     hessian = hessian or (lambda z, t: fd_hessian(value, z, t))
     return Hamiltonian(n, value, gradient, hessian, autonomous=autonomous, name=name)
+
+
+def _quadratic(n: int, matrix_fn: Callable, vector_fn: Callable, **fields) -> Hamiltonian:
+    """H(z, t) = z.M(t)z/2 + m(t).z."""
+    return Hamiltonian(
+        n,
+        value=lambda z, t: 0.5 * _quad(z, matrix_fn(t)) + _dot(vector_fn(t), z),
+        gradient=lambda z, t: _matvec(matrix_fn(t), z) + vector_fn(t),
+        hessian=lambda z, t: matrix_fn(t),
+        quadratic=QuadraticParts(matrix_fn, vector_fn),
+        **fields,
+    )
 
 
 def quadratic_hamiltonian(M, m=None, name="quadratic") -> Hamiltonian:
@@ -119,16 +157,8 @@ def quadratic_hamiltonian(M, m=None, name="quadratic") -> Hamiltonian:
         raise InvalidMatrix("M must be symmetric")
     M = 0.5 * (M + M.T)
     m = np.zeros(dim) if m is None else as_phase_vector(m, dim // 2)
-    return Hamiltonian(
-        dim // 2,
-        value=lambda z, t: 0.5 * float(z @ M @ z) + float(m @ z),
-        gradient=lambda z, t: M @ z + m,
-        hessian=lambda z, t: M,
-        separable=_quadratic_separable_parts(M, m),
-        quadratic=QuadraticParts(lambda t: M, lambda t: m),
-        autonomous=True,
-        name=name,
-    )
+    return _quadratic(dim // 2, lambda t: M, lambda t: m,
+                      separable=_quadratic_separable_parts(M, m), name=name)
 
 
 def _quadratic_separable_parts(M: np.ndarray, m: np.ndarray) -> SeparableParts | None:
@@ -139,10 +169,10 @@ def _quadratic_separable_parts(M: np.ndarray, m: np.ndarray) -> SeparableParts |
         return None
     Mxx, Mpp, mx, mp = M[:n, :n], M[n:, n:], m[:n], m[n:]
     return SeparableParts(
-        u=lambda p: 0.5 * float(p @ Mpp @ p) + float(mp @ p),
-        du=lambda p: Mpp @ p + mp,
-        v=lambda x: 0.5 * float(x @ Mxx @ x) + float(mx @ x),
-        dv=lambda x: Mxx @ x + mx,
+        u=lambda p: 0.5 * _quad(p, Mpp) + _dot(mp, p),
+        du=lambda p: _matvec(Mpp, p) + mp,
+        v=lambda x: 0.5 * _quad(x, Mxx) + _dot(mx, x),
+        dv=lambda x: _matvec(Mxx, x) + mx,
         d2u=lambda p: Mpp,
         d2v=lambda x: Mxx,
     )
@@ -150,39 +180,28 @@ def _quadratic_separable_parts(M: np.ndarray, m: np.ndarray) -> SeparableParts |
 
 def time_dependent_quadratic(n: int, matrix_fn: Callable, vector_fn=None, name="quadratic") -> Hamiltonian:
     vector_fn = vector_fn or (lambda t: np.zeros(2 * n))
-
-    def value(z, t):
-        return 0.5 * float(z @ matrix_fn(t) @ z) + float(vector_fn(t) @ z)
-
-    return Hamiltonian(
-        n,
-        value=value,
-        gradient=lambda z, t: matrix_fn(t) @ z + vector_fn(t),
-        hessian=lambda z, t: matrix_fn(t),
-        quadratic=QuadraticParts(matrix_fn, vector_fn),
-        autonomous=False,
-        name=name,
-    )
+    return _quadratic(n, matrix_fn, vector_fn, autonomous=False, name=name)
 
 
 def separable_hamiltonian(n: int, u, du, v, dv, d2u=None, d2v=None, name="separable") -> Hamiltonian:
+    """H = U(p) + V(x); U, V and their derivatives take (..., n) arrays."""
     parts = SeparableParts(u, du, v, dv, d2u, d2v)
 
     def value(z, t):
-        return float(u(z[n:]) + v(z[:n]))
+        return u(z[..., n:]) + v(z[..., :n])
 
     def gradient(z, t):
-        return np.concatenate([np.atleast_1d(dv(z[:n])), np.atleast_1d(du(z[n:]))])
+        return np.concatenate([dv(z[..., :n]), du(z[..., n:])], axis=-1)
 
     if d2u is not None and d2v is not None:
         def hessian(z, t):
-            out = np.zeros((2 * n, 2 * n))
-            out[:n, :n] = np.atleast_2d(d2v(z[:n]))
-            out[n:, n:] = np.atleast_2d(d2u(z[n:]))
+            out = np.zeros(z.shape + (2 * n,))
+            out[..., :n, :n] = d2v(z[..., :n])
+            out[..., n:, n:] = d2u(z[..., n:])
             return out
     else:
         def hessian(z, t):
-            return fd_hessian(value, np.asarray(z, dtype=float), t)
+            return fd_hessian(value, z, t)
 
     return Hamiltonian(n, value, gradient, hessian, separable=parts, name=name)
 
@@ -205,12 +224,12 @@ def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian
             raise DimensionMismatch("anharmonic oscillator is one-dimensional")
         return separable_hamiltonian(
             1,
-            u=lambda p: 0.5 * float(p @ p),
-            du=lambda p: np.asarray(p, dtype=float),
-            v=lambda x: 0.25 * float(x[0] ** 4),
-            dv=lambda x: np.array([x[0] ** 3]),
+            u=lambda p: 0.5 * _dot(p, p),
+            du=lambda p: p,
+            v=lambda x: 0.25 * _coordinate(x, 0) ** 4,
+            dv=lambda x: (_coordinate(x, 0) ** 3)[..., None],
             d2u=lambda p: np.eye(1),
-            d2v=lambda x: np.array([[3.0 * x[0] ** 2]]),
+            d2v=lambda x: (3.0 * _coordinate(x, 0) ** 2)[..., None, None],
             name="anharmonic",
         )
     if name == "driven":
@@ -262,22 +281,22 @@ def _separable(H: Hamiltonian) -> SeparableParts:
 def symplectic_euler_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """First-order kick-drift step: p1 = p - V'(x) dt, x1 = x + U'(p1) dt."""
     sep = _separable(H)
-    z = as_phase_vector(z, H.n)
+    z = _points(z, H.n)
     n = H.n
-    p1 = z[n:] - np.atleast_1d(sep.dv(z[:n])) * dt
-    x1 = z[:n] + np.atleast_1d(sep.du(p1)) * dt
-    return np.concatenate([x1, p1])
+    p1 = z[..., n:] - sep.dv(z[..., :n]) * dt
+    x1 = z[..., :n] + sep.du(p1) * dt
+    return np.concatenate([x1, p1], axis=-1)
 
 
 def verlet_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """Second-order position-Verlet step."""
     sep = _separable(H)
-    z = as_phase_vector(z, H.n)
+    z = _points(z, H.n)
     n = H.n
-    xh = z[:n] + 0.5 * dt * np.atleast_1d(sep.du(z[n:]))
-    p1 = z[n:] - dt * np.atleast_1d(sep.dv(xh))
-    x1 = xh + 0.5 * dt * np.atleast_1d(sep.du(p1))
-    return np.concatenate([x1, p1])
+    xh = z[..., :n] + 0.5 * dt * sep.du(z[..., n:])
+    p1 = z[..., n:] - dt * sep.dv(xh)
+    x1 = xh + 0.5 * dt * sep.du(p1)
+    return np.concatenate([x1, p1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +328,10 @@ def default_steps(t: float) -> int:
 class Trajectory:
     """Sampled flow data: points z_t, linearized flow S_t, action gamma_t.
 
-    The action is computed from H on first read, so callers that only need
-    the points never evaluate H on the time nodes.
+    The leading axis runs over the time nodes; the rest is the shape of the
+    initial points, so points is (steps+1, ..., 2n) and matrices is
+    (steps+1, ..., 2n, 2n).  The action is computed from H on first read, so
+    callers that only need the points never evaluate H on the time nodes.
     """
 
     times: np.ndarray
@@ -335,18 +356,16 @@ class Trajectory:
         """Symmetrized action gamma_t by cumulative Simpson on the time nodes."""
         H = self.hamiltonian
         n = H.n
-        integrand = np.zeros(self.times.size)
+        integrand = np.zeros(self.points.shape[:-1])
         for k, (zk, tk) in enumerate(zip(self.points, self.times)):
             vk = H.velocity(zk, tk)
-            sig = zk[n:] @ vk[:n] - vk[n:] @ zk[:n]
+            sig = _dot(zk[..., n:], vk[..., :n]) - _dot(vk[..., n:], zk[..., :n])
             integrand[k] = 0.5 * sig - H.value(zk, tk)
-        if integrand.size == 2:
-            return np.array([0.0, 0.5 * self.dt * (integrand[0] + integrand[1])])
-        return cumulative_simpson(integrand, dx=self.dt, initial=0.0)
+        return cumulative_simpson(integrand, dx=self.dt, axis=0, initial=0.0)
 
     @property
-    def final_action(self) -> float:
-        return float(self.action[-1])
+    def final_action(self):
+        return self.action[-1]
 
 
 def _check_overflow(z):
@@ -392,7 +411,7 @@ def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
         flow = quadratic_flow(H.quadratic.matrix(t0), H.quadratic.vector(t0), h)
 
         def step(z, S, t):
-            return flow.linear @ z + flow.shift, None if S is None else flow.linear @ S
+            return _matvec(flow.linear, z) + flow.shift, None if S is None else flow.linear @ S
     elif method in ("euler", "verlet"):
         stepper = symplectic_euler_step if method == "euler" else verlet_step
 
@@ -424,7 +443,8 @@ def integrate(
     t0: float = 0.0,
     variational: bool = True,
 ) -> Trajectory:
-    """Integrate the flow from t0 to t0 + t_final in the given number of steps.
+    """Integrate the flow from t0 to t0 + t_final in the given number of steps,
+    for one (2n,) point or a (..., 2n) batch of points in one loop.
 
     Methods: "euler" and "verlet" (symplectic, separable H only), "rk4"
     (non-symplectic reference, any H), "exact" (autonomous quadratic H only).
@@ -434,19 +454,20 @@ def integrate(
     """
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
-    z0 = as_phase_vector(z0, H.n)
+    z0 = _points(z0, H.n)
     _check_overflow(z0)  # before the first step sees a diverged point
     dim = 2 * H.n
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)
-    points = np.zeros((steps + 1, dim))
+    points = np.zeros((steps + 1,) + z0.shape)
     points[0] = z0
-    matrices = np.zeros((steps + 1, dim, dim)) if variational else None
+    S = np.broadcast_to(np.eye(dim), z0.shape + (dim,)) if variational else None
+    matrices = np.zeros((steps + 1,) + S.shape) if variational else None
     if variational:
-        matrices[0] = np.eye(dim)
+        matrices[0] = S
 
     step = _step_map(H, method, t0, h)
-    z, S = z0, (np.eye(dim) if variational else None)
+    z = z0
     for k in range(1, steps + 1):
         z, S = step(z, S, times[k - 1])
         _check_overflow(z)
@@ -458,16 +479,15 @@ def integrate(
 
 def flow_map(H: Hamiltonian, z, t_from: float, t_to: float, steps: int | None = None,
              method: str = "rk4") -> np.ndarray:
-    """The time-dependent flow f_{t_to, t_from} applied to z, in
-    default_steps(t_to - t_from) steps when none are given."""
+    """The time-dependent flow f_{t_to, t_from} applied to a point or a
+    (..., 2n) batch z, in one exact step or default_steps(t_to - t_from)
+    steps when none are given."""
     if abs(t_to - t_from) < 1e-300:
-        return as_phase_vector(z, H.n).copy()
+        return _points(z, H.n).copy()
     if method == "exact":
-        if not has_exact_flow(H):
-            raise InvalidMatrix("exact flow requires an autonomous quadratic Hamiltonian")
-        aff = quadratic_flow(H.quadratic.matrix(0.0), H.quadratic.vector(0.0), t_to - t_from)
-        return aff(z)
-    steps = default_steps(t_to - t_from) if steps is None else steps
+        steps = 1
+    elif steps is None:
+        steps = default_steps(t_to - t_from)
     traj = integrate(H, z, t_to - t_from, steps, method=method, t0=t_from, variational=False)
     return traj.final_point
 
@@ -495,11 +515,7 @@ def suspended_flow(H: Hamiltonian, t: float, state, steps: int | None = None,
                    method: str = "rk4"):
     """Extended phase-space map (z', t') -> (f_{t+t',t'}(z'), t+t')."""
     z, t_prime = state
-    z = as_phase_vector(z, H.n)
-    if abs(t) < 1e-300:
-        return z.copy(), t_prime
-    z_new = flow_map(H, z, t_prime, t_prime + t, steps=steps, method=method)
-    return z_new, t_prime + t
+    return flow_map(H, z, t_prime, t_prime + t, steps=steps, method=method), t_prime + t
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +639,9 @@ def compose_hamiltonians(H: Hamiltonian, K: Hamiltonian, t: float, z,
                          steps: int | None = None) -> float:
     """Value of (H#K)(z, t) = H(z, t) + K((f_t^H)^{-1}(z), t); the flow of H#K
     is f_t^H o f_t^K."""
-    z = as_phase_vector(z, H.n)
+    z = _points(z, H.n)
     back = flow_map(H, z, t, 0.0, steps, method=auto_method(H, symplectic=False))
-    return float(H.value(z, t) + K.value(back, t))
+    return H.value(z, t) + K.value(back, t)
 
 
 def composed_hamiltonian(H: Hamiltonian, K: Hamiltonian, steps: int | None = None) -> Hamiltonian:
@@ -637,9 +653,8 @@ def composed_hamiltonian(H: Hamiltonian, K: Hamiltonian, steps: int | None = Non
 
 def invert_hamiltonian(H: Hamiltonian, t: float, z, steps: int | None = None) -> float:
     """Value of Hbar(z, t) = -H(f_t^H(z), t); the flow of Hbar inverts f_t^H."""
-    z = as_phase_vector(z, H.n)
     fwd = flow_map(H, z, 0.0, t, steps=steps, method=auto_method(H, symplectic=False))
-    return float(-H.value(fwd, t))
+    return -H.value(fwd, t)
 
 
 def inverted_hamiltonian(H: Hamiltonian, steps: int | None = None) -> Hamiltonian:
@@ -652,25 +667,24 @@ def inverted_hamiltonian(H: Hamiltonian, steps: int | None = None) -> Hamiltonia
 def modified_hamiltonian_value(sep: SeparableParts, x, p, t: float) -> float:
     """Backward-error Hamiltonian of the first-order step:
     K(x, p, t) = U(p) + V(x - U'(p) t)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return float(sep.u(p) + sep.v(x - np.atleast_1d(sep.du(p)) * t))
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return sep.u(p) + sep.v(x - sep.du(p) * t)
 
 
 def modified_hamiltonian(sep: SeparableParts, n: int) -> Hamiltonian:
     """The backward-error Hamiltonian as an integrable Hamiltonian object."""
 
     def value(z, t):
-        return modified_hamiltonian_value(sep, z[:n], z[n:], t)
+        return modified_hamiltonian_value(sep, z[..., :n], z[..., n:], t)
 
     if sep.d2u is not None:
         def gradient(z, t):
-            x, p = z[:n], z[n:]
-            y = x - np.atleast_1d(sep.du(p)) * t
-            gv = np.atleast_1d(sep.dv(y))
-            gu = np.atleast_1d(sep.du(p))
-            d2u = np.atleast_2d(sep.d2u(p))
-            return np.concatenate([gv, gu - t * (d2u.T @ gv)])
+            x, p = z[..., :n], z[..., n:]
+            gu = sep.du(p)
+            gv = sep.dv(x - gu * t)
+            return np.concatenate([gv, gu - t * _matvec(np.swapaxes(sep.d2u(p), -1, -2), gv)],
+                                  axis=-1)
     else:
         gradient = None
 

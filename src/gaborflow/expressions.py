@@ -1,22 +1,26 @@
-"""Hamiltonian expression parser and forward-mode second-order derivatives.
+"""Hamiltonian expression parser, symbolic derivatives and compiled evaluation.
 
 Grammar: standard precedence with right-associative '^' binding tighter than
 unary minus, then '*' '/', then '+' '-'; parentheses; variables x1..xn,
 p1..pn and t; functions sin, cos, exp, sqrt.  Errors carry byte offsets and
 the expected-token set.
 
-Evaluation runs on dual numbers that carry the value, the gradient with
-respect to z = (x, p), and the full Hessian, so derivatives are exact to
-rounding for the supported operations.
+The gradient with respect to z = (x, p) and the upper triangle of the
+Hessian are differentiated symbolically once, and the value and every
+derivative are compiled to numpy closures over a (..., 2n) batch of points,
+so derivatives are exact to rounding for the supported operations.  A domain
+error or a non-finite intermediate raises EvalDomainError with the span of the
+source node it comes from.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Hamiltonian
+from .dynamics import Hamiltonian, _coordinate
 from .errors import GaborflowError
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -259,162 +263,192 @@ def to_source(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Second-order forward-mode duals
+# Symbolic derivatives
 # ---------------------------------------------------------------------------
 
-class Dual:
-    """Value with gradient and Hessian with respect to z."""
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad, hess):
-        self.val = float(val)
-        self.grad = grad
-        self.hess = hess
-
-    @classmethod
-    def constant(cls, value: float, dim: int) -> "Dual":
-        return cls(value, np.zeros(dim), np.zeros((dim, dim)))
-
-    @classmethod
-    def seed(cls, value: float, index: int, dim: int) -> "Dual":
-        grad = np.zeros(dim)
-        grad[index] = 1.0
-        return cls(value, grad, np.zeros((dim, dim)))
-
-    def __add__(self, other):
-        return Dual(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-
-    def __sub__(self, other):
-        return Dual(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.grad, -self.hess)
-
-    def __mul__(self, other):
-        outer = np.outer(self.grad, other.grad)
-        return Dual(
-            self.val * other.val,
-            self.val * other.grad + other.val * self.grad,
-            self.val * other.hess + other.val * self.hess + outer + outer.T,
-        )
-
-    def chain(self, f, fp, fpp):
-        """Apply a scalar function with derivatives fp, fpp at self.val."""
-        outer = np.outer(self.grad, self.grad)
-        return Dual(f, fp * self.grad, fp * self.hess + fpp * outer)
+_ZERO, _ONE = Const(0.0), Const(1.0)
 
 
-def _dual_div(a: Dual, b: Dual, span) -> Dual:
-    if b.val == 0.0:
-        raise EvalDomainError("division by zero", span)
-    val = a.val / b.val
-    grad = (a.grad - val * b.grad) / b.val
-    cross = np.outer(grad, b.grad)
-    hess = (a.hess - cross - cross.T - val * b.hess) / b.val
-    return Dual(val, grad, hess)
+def _is(node, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
 
 
-def _dual_pow(a: Dual, b: Dual, b_node, span) -> Dual:
-    is_const_exp = isinstance(b_node, Const) or (
-        isinstance(b_node, Unary) and b_node.op == "neg" and isinstance(b_node.arg, Const)
-    )
-    if is_const_exp and float(b.val).is_integer():
-        k = b.val
-        if k == 0.0:
-            return Dual.constant(1.0, a.grad.size)
-        if a.val == 0.0 and k < 0:
-            raise EvalDomainError("zero raised to a negative power", span)
-        f = a.val**k
-        fp = k * a.val ** (k - 1) if a.val != 0.0 or k >= 1 else 0.0
-        fpp = k * (k - 1) * a.val ** (k - 2) if a.val != 0.0 or k >= 2 else 0.0
-        return a.chain(f, fp, fpp)
-    if a.val <= 0.0:
-        raise EvalDomainError("non-integer power requires a positive base", span)
-    # a^b = exp(b log a)
-    log_a = a.chain(np.log(a.val), 1.0 / a.val, -1.0 / a.val**2)
-    return (b * log_a).chain(*_exp_derivs(b.val * np.log(a.val)))
+def _node(op: str, a, b, span):
+    """The derived node a op b (or -a for op "neg") with exact zeros and ones
+    folded away, so a derivative keeps only the terms that depend on z.  It
+    keeps the span of its source node."""
+    if op == "neg" or (op == "-" and _is(a, 0.0)):
+        arg = a if op == "neg" else b
+        return _ZERO if _is(arg, 0.0) else Unary("neg", arg, span)
+    if (op in "*/" and _is(a, 0.0)) or (op == "*" and _is(b, 0.0)):
+        return _ZERO
+    if (op in "+-" and _is(b, 0.0)) or (op == "*" and _is(b, 1.0)):
+        return a
+    if (op == "+" and _is(a, 0.0)) or (op == "*" and _is(a, 1.0)):
+        return b
+    return Binary(op, a, b, span)
 
 
-def _exp_derivs(x: float):
-    e = np.exp(x)
-    return e, e, e
+def _integer_exponent(node: Binary) -> float | None:
+    """k when node is a^k with k a literal integer, possibly negated."""
+    b = node.right
+    if isinstance(b, Unary) and b.op == "neg" and isinstance(b.arg, Const):
+        k = -b.arg.value
+    elif isinstance(b, Const):
+        k = b.value
+    else:
+        return None
+    return k if float(k).is_integer() else None
 
 
-def _eval_dual(node, z: np.ndarray, t: float, n: int) -> Dual:
-    dim = 2 * n
+def _exp_log(node: Binary):
+    """a^b for a non-integer or non-literal exponent, as exp(b log a).  The
+    internal "log" node raises the power's domain error at a <= 0."""
+    return Unary("exp", Binary("*", node.right, Unary("log", node.left, node.span), node.span),
+                 node.span)
+
+
+def _diff(node, k: int, n: int):
+    """The derivative of node with respect to z_k, z = (x, p), as an AST."""
     if isinstance(node, Const):
-        return Dual.constant(node.value, dim)
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.kind != "t" and _z_index(node, n) == k else _ZERO
+    span = node.span
+    if isinstance(node, Unary):
+        a = node.arg
+        if node.op == "neg":
+            return _node("neg", _diff(a, k, n), None, span)
+        fp = {
+            "sin": Unary("cos", a, span),
+            "cos": _node("neg", Unary("sin", a, span), None, span),
+            "exp": node,
+            "sqrt": _node("/", Const(0.5), node, span),
+            "log": _node("/", _ONE, a, span),
+        }[node.op]
+        return _node("*", fp, _diff(a, k, n), span)
+    a, b = node.left, node.right
+    if node.op == "^":
+        power = _integer_exponent(node)
+        if power is None:
+            return _diff(_exp_log(node), k, n)
+        if power == 0.0:
+            return _ZERO
+        a_km1 = _ONE if power == 1.0 else Binary("^", a, Const(power - 1.0), span)
+        return _node("*", _node("*", Const(power), a_km1, span), _diff(a, k, n), span)
+    da, db = _diff(a, k, n), _diff(b, k, n)
+    if node.op in "+-":
+        return _node(node.op, da, db, span)
+    if node.op == "*":
+        return _node("+", _node("*", a, db, span), _node("*", b, da, span), span)
+    # (a/b)' = (a' - (a/b) b') / b
+    return _node("/", _node("-", da, _node("*", node, db, span), span), b, span)
+
+
+def _z_index(node: Var, n: int) -> int:
+    return node.index if node.kind == "x" else n + node.index
+
+
+# ---------------------------------------------------------------------------
+# Compilation to numpy closures over a batch of points
+# ---------------------------------------------------------------------------
+
+# the arithmetic goes through the operators, so a single point takes numpy's
+# scalar paths and rounds as the per-point evaluation always has
+_EVALUATORS = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+               "sqrt": np.sqrt, "log": np.log, "+": operator.add, "-": operator.sub,
+               "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+# op -> (test of the arguments that fails the domain, message)
+_DOMAIN = {
+    "sqrt": (lambda a: a <= 0.0, "square root of a non-positive value"),
+    "log": (lambda a: a <= 0.0, "non-integer power requires a positive base"),
+    "/": (lambda a, b: b == 0.0, "division by zero"),
+    "^": (lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
+}
+
+
+def _compile(node, n: int):
+    """A closure (z, t) -> value of node at every point of z (..., 2n).
+
+    It runs under np.errstate(over="raise", invalid="raise"), so a
+    non-finite result raises at the node that produced it."""
+    if isinstance(node, Const):
+        value = np.float64(node.value)
+        return lambda z, t: value
     if isinstance(node, Var):
         if node.kind == "t":
-            return Dual.constant(t, dim)
-        index = node.index if node.kind == "x" else n + node.index
-        return Dual.seed(z[index], index, dim)
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return -_eval_dual(node.arg, z, t, n)
-        arg = _eval_dual(node.arg, z, t, n)
-        if node.op == "sin":
-            return arg.chain(np.sin(arg.val), np.cos(arg.val), -np.sin(arg.val))
-        if node.op == "cos":
-            return arg.chain(np.cos(arg.val), -np.sin(arg.val), -np.cos(arg.val))
-        if node.op == "exp":
-            return arg.chain(*_exp_derivs(arg.val))
-        if node.op == "sqrt":
-            if arg.val <= 0.0:
-                raise EvalDomainError("square root of a non-positive value", node.span)
-            r = np.sqrt(arg.val)
-            return arg.chain(r, 0.5 / r, -0.25 / (arg.val * r))
-        raise TypeError(f"unknown unary op {node.op!r}")
-    if isinstance(node, Binary):
-        left = _eval_dual(node.left, z, t, n)
-        if node.op == "^":
-            right = _eval_dual(node.right, z, t, n)
-            return _dual_pow(left, right, node.right, node.span)
-        right = _eval_dual(node.right, z, t, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return _dual_div(left, right, node.span)
-        raise TypeError(f"unknown binary op {node.op!r}")
-    raise TypeError(f"not an AST node: {node!r}")
+            return lambda z, t: t
+        index = _z_index(node, n)
+        return lambda z, t: _coordinate(z, index)
+    if isinstance(node, Binary) and node.op == "^" and _integer_exponent(node) is None:
+        return _compile(_exp_log(node), n)
+    op = _EVALUATORS[node.op]
+    bad, message = _DOMAIN.get(node.op, (None, ""))
+    children = (node.arg,) if isinstance(node, Unary) else (node.left, node.right)
+    args = [_compile(child, n) for child in children]
+    literal = node.right if isinstance(node, Binary) and isinstance(node.right, Const) else None
+    if bad is not None and literal is not None and not bad(0.0, literal.value):
+        bad = None  # a literal divisor or exponent that no left operand can fail
+    span = node.span
+
+    def evaluate(z, t):
+        values = [f(z, t) for f in args]
+        if bad is not None and bad(*values).any():
+            raise EvalDomainError(message, span)
+        try:
+            return op(*values)
+        except FloatingPointError as exc:
+            raise EvalDomainError(str(exc), span) from None
+
+    return evaluate
+
+
+def _compile_entries(entries, n: int):
+    """A callable (z, t) -> array of shape z.shape[:-1] + (2n,) * rank, with
+    entry index filled by its compiled AST and mirrored to the reversed
+    index, so a Hessian from its upper triangle is exactly symmetric."""
+    compiled = [((..., *index), (..., *index[::-1]), _compile(node, n)) for index, node in entries]
+    tail = (2 * n,) * len(entries[0][0])
+
+    def evaluate(z, t):
+        z = np.asarray(z, dtype=float)
+        t = np.float64(t)
+        out = np.empty(z.shape[:-1] + tail)
+        with np.errstate(over="raise", invalid="raise"):
+            for index, mirror, f in compiled:
+                out[index] = out[mirror] = f(z, t)
+        return out[()]
+
+    return evaluate
+
+
+def _compiled_hamiltonian(ast, n: int, **fields) -> Hamiltonian:
+    """Value, gradient and upper-triangle Hessian of an AST, differentiated
+    once and compiled to closures over (..., 2n) batches."""
+    grads = [_diff(ast, k, n) for k in range(2 * n)]
+    return Hamiltonian(
+        n,
+        value=_compile_entries([((), ast)], n),
+        gradient=_compile_entries([((k,), g) for k, g in enumerate(grads)], n),
+        hessian=_compile_entries([((i, j), _diff(grads[i], j, n))
+                                  for i in range(2 * n) for j in range(i, 2 * n)], n),
+        **fields,
+    )
 
 
 def eval_with_derivatives(ast, z, t: float, n: int):
-    """Evaluate an AST at z = (x, p) and time t.
+    """Evaluate an AST at z = (x, p) and time t, one point or a (..., 2n) batch.
 
     Returns (value, gradient, hessian) with derivatives taken with respect to
-    z; the Hessian is symmetric by construction.
+    z; the Hessian is symmetric by construction.  The AST is differentiated
+    and compiled on every call; expression_hamiltonian compiles it once.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    dual = _eval_dual(ast, z, t, n)
-    return dual.val, dual.grad, dual.hess
+    H = _compiled_hamiltonian(ast, n)
+    return H.value(z, t), H.gradient(z, t), H.hessian(z, t)
 
 
 def expression_hamiltonian(src: str, n: int) -> Hamiltonian:
     """Compile an expression into a Hamiltonian with exact derivatives."""
-    ast = parse_hamiltonian(src, n)
-
-    def walk(node, pred):
-        if pred(node):
-            return True
-        if isinstance(node, Unary):
-            return walk(node.arg, pred)
-        if isinstance(node, Binary):
-            return walk(node.left, pred) or walk(node.right, pred)
-        return False
-
-    time_dependent = walk(ast, lambda nd: isinstance(nd, Var) and nd.kind == "t")
-
-    return Hamiltonian(
-        n,
-        value=lambda z, t: _eval_dual(ast, np.asarray(z, dtype=float), t, n).val,
-        gradient=lambda z, t: _eval_dual(ast, np.asarray(z, dtype=float), t, n).grad,
-        hessian=lambda z, t: _eval_dual(ast, np.asarray(z, dtype=float), t, n).hess,
-        autonomous=not time_dependent,
-        name=src,
-    )
+    time_dependent = ("ident", "t") in [token[:2] for token in _tokenize(src)]
+    return _compiled_hamiltonian(parse_hamiltonian(src, n), n,
+                                 autonomous=not time_dependent, name=src)

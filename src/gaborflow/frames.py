@@ -31,8 +31,10 @@ from .gaussians import (
     sample_state,
     sampled_norm,
     shifted_gram,
+    _component_values,
     _shift_overlaps,
     _shift_sampled,
+    _shifted,
     _state_gram,
 )
 from .symplectic import (
@@ -130,22 +132,6 @@ def gaussian_frame_criterion(alpha, beta, hbar: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Frame sums
 # ---------------------------------------------------------------------------
-
-def _sampled_window_shift_values(phi: GaussianState, shifts: np.ndarray,
-                                 axis: np.ndarray) -> np.ndarray:
-    """Values of T(z) phi on a 1-D grid for every shift row, shape (P, N)."""
-    hbar = phi.hbar
-    M = complex(phi.M[0, 0])
-    cx, cp = phi.center[0], phi.center[1]
-    x2 = cx + shifts[:, 0]
-    p2 = cp + shifts[:, 1]
-    gam = phi.phase + 0.5 * (shifts[:, 1] * cx - cp * shifts[:, 0])
-    norm = (M.imag / (np.pi * hbar)) ** 0.25
-    dx = axis[None, :] - x2[:, None]
-    expo = gam[:, None] + p2[:, None] * axis[None, :] - 0.5 * (p2 * x2)[:, None] \
-        + 0.5 * M * dx**2
-    return norm * np.exp(1j / hbar * expo)
-
 
 def frame_terms(sys: GaborSystem, psi) -> np.ndarray:
     """Per-lattice-point terms |<psi | T(z) phi>|^2 in enumeration order."""
@@ -328,9 +314,11 @@ def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
         if s.n != 1:
             raise DimensionMismatch("sampled test states are one-dimensional")
     grid = family[0]
-    shifted = _sampled_window_shift_values(window, pts, grid.axis)
+    centers, phases = _shifted(window, pts)
+    M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
+    shifted = _component_values(M, centers, phases, window.hbar, grid.axis[:, None])
     vals = np.array([s.values for s in family])
-    return vals @ shifted.conj().T * grid.weight
+    return vals @ shifted.conj() * grid.weight
 
 
 def _family_gram(family) -> np.ndarray:

@@ -378,13 +378,24 @@ def evaluate_state(g, x) -> np.ndarray:
             raise DimensionMismatch(f"points must have last axis {n}")
         pts = x
     s = g._stack
-    x0, p0 = s.centers[:, :n], s.centers[:, n:]
+    return np.sum(s.coefficients * _component_values(s.M, s.centers, s.phases, hbar, pts), axis=-1)
+
+
+def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
+    """Values at pts (..., n) of the normalized Gaussian components with
+    matrices M (K, n, n), centers (K, 2n) and phases (K,); shape (..., K)."""
+    n = M.shape[-1]
+    x0, p0 = centers[:, :n], centers[:, n:]
     # component axis last: dx has shape (..., K, n)
     dx = pts[..., None, :] - x0
-    quad = np.einsum("...ki,kij,...kj->...k", dx, s.M, dx)
-    lin = pts @ p0.T - 0.5 * np.einsum("ki,ki->k", p0, x0)
-    values = _normalization(s.M, hbar) * np.exp(1j / hbar * (s.phases + lin + 0.5 * quad))
-    return np.sum(s.coefficients * values, axis=-1)
+    expo = np.einsum("...ki,kij,...kj->...k", dx, M, dx)
+    # in place, so the (points x components) temporaries stay few
+    expo *= 0.5
+    expo += phases + (pts @ p0.T - 0.5 * np.einsum("ki,ki->k", p0, x0))
+    expo *= 1j / hbar
+    np.exp(expo, out=expo)
+    expo *= _normalization(M, hbar)
+    return expo
 
 
 def sample_state(g, extent: float, npoints: int) -> SampledWindow:

@@ -139,6 +139,39 @@ def test_diverging_initial_point_prints_only_the_error_line(capsys):
     assert err == "error: trajectory exceeded the overflow guard\n"
 
 
+def test_expression_overflow_prints_one_error_line_with_span(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--hamiltonian", "p1^2/2 + x1^40",
+                             "--z0", "9e7,0", "--t", "1", "--steps", "2", "--method", "rk4")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: overflow") and err.endswith("in expression span 9..14\n")
+
+
+def test_integrate_carries_the_linear_flow_only_for_dump_matrices(capsys, monkeypatch):
+    import gaborflow.dynamics as dynamics
+
+    calls = []
+    step = dynamics._variational_rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_variational_rk4_step", counting)
+    argv = ("integrate", "--hamiltonian", "anharmonic", "--z0", "1,0", "--t", "1",
+            "--steps", "6", "--method", "verlet")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == []
+    code, dumped, _ = run_cli(capsys, *argv, "--dump-matrices")
+    assert code == 0
+    assert len(calls) == 6
+    plain, full = json.loads(out)["result"], json.loads(dumped)["result"]
+    assert "linear_flow" not in plain
+    assert full["points"] == plain["points"] and full["action"] == plain["action"]
+
+
 def test_path_hamiltonian_rotation(capsys):
     code, out, _ = run_cli(capsys, "path-hamiltonian", "--path-name", "rotation",
                            "--t", "0.5")

@@ -97,6 +97,26 @@ def test_auto_method_matches_rk4_for_separable():
     assert auto.action_phase == rk4.action_phase
 
 
+def test_exact_nonlinear_moves_the_lattice_in_one_flow_map_call(monkeypatch):
+    import gaborflow.deformation as deformation
+
+    calls = []
+    flow = deformation.flow_map
+
+    def counting(H, z, *args, **kwargs):
+        calls.append(np.shape(z))
+        return flow(H, z, *args, **kwargs)
+
+    monkeypatch.setattr(deformation, "flow_map", counting)
+    sys = standard_system(radius=3.0)
+    H = builtin_hamiltonian("anharmonic")
+    result = weak_deform(sys, H, 0.3, DeformationConfig(steps=16, lattice_mode="exact-nonlinear"))
+    assert calls == [sys.points.shape]
+    # numpy's SIMD power may round the batch's powers unlike libm pow
+    per_point = np.array([flow(H, z, 0.0, 0.3, steps=16) for z in sys.points])
+    np.testing.assert_allclose(result.lattice, per_point, rtol=1e-13, atol=1e-15)
+
+
 def test_requires_gaussian_window():
     window = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
     sys = GaborSystem(window, np.array([[0.0, 0.0]]), HBAR)

@@ -33,6 +33,7 @@ from gaborflow.dynamics import (
     verlet_step,
 )
 from gaborflow.errors import DivergenceError, InvalidMatrix
+from gaborflow.expressions import expression_hamiltonian
 from gaborflow.symplectic import is_symplectic, rotation, standard_j, symplectic_form
 
 
@@ -191,6 +192,67 @@ def test_flow_map_never_evaluates_h():
     assert calls == []
     integrate(counting, [0.5, 0.2], 0.4, 32).action
     assert len(calls) == 33
+
+
+# ---------------------------------------------------------------------------
+# Batches of phase points
+# ---------------------------------------------------------------------------
+
+BATCH_HAMILTONIANS = {
+    "harmonic": lambda: builtin_hamiltonian("harmonic"),
+    "coupled": lambda: quadratic_hamiltonian([[1.0, 0.3], [0.3, 0.7]]),
+    "anharmonic": lambda: builtin_hamiltonian("anharmonic"),
+    "driven": lambda: builtin_hamiltonian("driven"),
+    "expression": lambda: expression_hamiltonian(
+        "p1^2/2 + 0.7*x1^2/2 - 0.2*x1^3/3 + x1^4/4 + 0.1*sin(t)*x1", 1),
+    # finite-difference gradient and Hessian
+    "callables": lambda: hamiltonian_from_callables(
+        1, lambda z, t: 0.5 * (z[..., 0] * z[..., 0] + z[..., 1] * z[..., 1])
+        + 0.1 * z[..., 0] * z[..., 0] * z[..., 1]),
+}
+
+
+@pytest.mark.parametrize("variational", [False, True])
+@pytest.mark.parametrize("name, method", [
+    ("harmonic", "exact"), ("harmonic", "euler"), ("harmonic", "verlet"), ("harmonic", "rk4"),
+    ("coupled", "exact"), ("coupled", "rk4"),
+    ("anharmonic", "euler"), ("anharmonic", "verlet"), ("anharmonic", "rk4"),
+    ("driven", "rk4"), ("expression", "rk4"), ("callables", "rk4"),
+])
+def test_batch_integrate_equals_single_point_runs(name, method, variational):
+    H = BATCH_HAMILTONIANS[name]()
+    Z = np.random.default_rng(1).normal(0.0, 0.8, (3, 4, 2))
+    batch = integrate(H, Z, 0.6, 24, method=method, variational=variational)
+    singles = [integrate(H, z, 0.6, 24, method=method, variational=variational)
+               for z in Z.reshape(-1, 2)]
+    # a power of an array takes numpy's SIMD loop and a power of a single
+    # point's scalar takes libm pow, which can differ in the last bit; every
+    # other operation rounds the same on a batch and on its rows
+    tol = 1e-13 if name in ("anharmonic", "expression") else 0.0
+
+    def check(got, per_point):
+        expect = np.stack(per_point, axis=1).reshape(got.shape)
+        np.testing.assert_allclose(got, expect, rtol=tol, atol=tol * 1e-2)
+
+    assert batch.points.shape == (25, 3, 4, 2)
+    check(batch.points, [s.points for s in singles])
+    check(batch.action, [s.action for s in singles])
+    if variational:
+        assert batch.matrices.shape == (25, 3, 4, 2, 2)
+        check(batch.matrices, [s.matrices for s in singles])
+    else:
+        assert batch.matrices is None
+
+
+def test_batch_flow_map_and_single_point_shapes():
+    H = builtin_hamiltonian("driven")
+    Z = np.array([[0.5, 0.2], [-0.3, 0.7]])
+    out = flow_map(H, Z, 0.0, 0.4, steps=32)
+    assert out.shape == (2, 2)
+    assert np.array_equal(out[1], flow_map(H, Z[1], 0.0, 0.4, steps=32))
+    traj = integrate(H, Z[0], 0.4, 32, method="rk4")
+    assert traj.points.shape == (33, 2) and traj.matrices.shape == (33, 2, 2)
+    assert isinstance(traj.final_action, float)
 
 
 def _order_ratio(method: str, steps: int) -> float:

@@ -157,6 +157,37 @@ def test_integer_power_valid_at_negative_base():
     assert h[0, 0] == -12.0
 
 
+@pytest.mark.parametrize("row", [0, 2])
+def test_domain_error_in_any_batch_row(row):
+    H = expression_hamiltonian("p1 + sqrt(x1)", 1)
+    Z = np.array([[1.0, 0.0], [2.0, 0.5], [3.0, 1.0]])
+    Z[row, 0] = -1.0
+    for fn in (H.value, H.gradient, H.hessian):
+        with pytest.raises(EvalDomainError) as err:
+            fn(Z, 0.0)
+        assert err.value.span == (5, 13)
+
+
+@pytest.mark.parametrize("z", [[9e7, 0.0], [[0.5, 0.0], [9e7, 0.0]]])
+def test_overflow_raises_domain_error_with_span(z):
+    # an overflow raises at the node that overflowed, with no RuntimeWarning
+    H = expression_hamiltonian("p1^2/2 + x1^40", 1)
+    for fn in (H.value, H.gradient):
+        with pytest.raises(EvalDomainError, match="overflow") as err:
+            fn(np.array(z), 0.0)
+        assert err.value.span == (9, 14)
+
+
+def test_gradient_evaluates_no_hessian():
+    # only the Hessian entry, 2.4e308, overflows
+    H = expression_hamiltonian("2e307 * x1^4", 1)
+    z = np.array([1.0, 0.0])
+    assert H.value(z, 0.0) == 2e307
+    assert np.array_equal(H.gradient(z, 0.0), [8e307, 0.0])
+    with pytest.raises(EvalDomainError, match="overflow"):
+        H.hessian(z, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Round trips and derivative oracle
 # ---------------------------------------------------------------------------
@@ -203,6 +234,20 @@ def test_round_trip_property(seed):
     probe_rng = np.random.default_rng(seed + 1)
     probes = [(probe_rng.uniform(-1.0, 1.0, 4), 0.2)]
     assert _equivalent(src, printed, 2, probes)
+
+
+def test_compiled_batch_equals_per_row_calls(rng):
+    Z = rng.uniform(-1.0, 1.0, (2, 3, 4))
+    for src in expression_corpus(60, n=2, seed=5):
+        H = expression_hamiltonian(src, 2)
+        for name, tail in (("value", ()), ("gradient", (4,)), ("hessian", (4, 4))):
+            batch = getattr(H, name)(Z, 0.3)
+            assert batch.shape == (2, 3) + tail
+            rows = np.array([getattr(H, name)(z, 0.3) for z in Z.reshape(-1, 4)])
+            # numpy's SIMD power may round an array's powers unlike libm pow
+            np.testing.assert_allclose(batch.reshape(rows.shape), rows, rtol=1e-12, atol=1e-14)
+        hess = H.hessian(Z, 0.3)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
 
 
 def test_expression_hamiltonian_time_dependence_flag():

@@ -17,7 +17,6 @@ from gaborflow.frames import (
     translation_check,
     _family_gram,
     _frame_vectors,
-    _sampled_window_shift_values,
 )
 from gaborflow.gaussians import (
     GaussianMixture,
@@ -48,6 +47,12 @@ GOLDEN_B = 1.6980420678954562
 def standard_system(side=0.9, radius=8.0):
     window = standard_gaussian(1, HBAR)
     return GaborSystem(window, separable_lattice([side], [side], radius), HBAR)
+
+
+def shifted_window_samples(sys, L, N):
+    """T(z) phi on the grid of sample_state, one row per lattice point z."""
+    return np.array([sample_state(heisenberg_weyl_apply(z, sys.window), L, N).values
+                     for z in sys.points])
 
 
 def random_gaussian(rng, n=1, hbar=HBAR):
@@ -203,8 +208,7 @@ def test_upper_bound_against_dense_oracle():
     sys = standard_system()
     L, N = 10.0, 1024
     step = 2 * L / N
-    axis = -L + step * np.arange(N)
-    shifted = _sampled_window_shift_values(sys.window, sys.points, axis)
+    shifted = shifted_window_samples(sys, L, N)
     F = (shifted.conj().T @ shifted) * step**2
     dense_b = float(np.linalg.eigvalsh(F)[-1] / step)
     report = frame_bounds(sys, EstimationConfig())
@@ -219,7 +223,7 @@ def test_lower_bound_against_dense_mode_oracle():
     step = 2 * L / N
     axis = -L + step * np.arange(N)
     modes = hermite_functions(axis, HBAR, 78)
-    shifted = _sampled_window_shift_values(sys.window, sys.points, axis)
+    shifted = shifted_window_samples(sys, L, N)
     m = (modes @ shifted.conj().T) * step
     A = (m @ m.conj().T).real
     dense_a = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
