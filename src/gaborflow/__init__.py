@@ -8,6 +8,16 @@ checks.
 
 __version__ = "0.1.0"
 
+import os
+
+# An idle OpenBLAS worker spins for about 2^28 cycles (~0.1 s) before it
+# sleeps, from library load on and after every call, so a short gaborflow
+# process keeps a second core busy for its whole life and slows down whenever
+# that core is wanted elsewhere.  2^18 cycles still bridges the gaps between
+# the calls of one eigen-solve.  OpenBLAS reads this when it loads, so it holds
+# only if numpy is imported after gaborflow; a value set by the caller wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "18")
+
 from .symplectic import (
     AffineSymplectic,
     GeneratingFunctionData,

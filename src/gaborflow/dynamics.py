@@ -13,8 +13,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, DivergenceError, InvalidMatrix, InverseIterationError
 from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standard_j
@@ -254,6 +252,8 @@ def quadratic_flow(M, m=None, t: float = 1.0) -> AffineSymplectic:
     Computed as the exponential of the augmented matrix ((JM, Jm), (0, 0)),
     which stays valid when M is singular.
     """
+    from scipy.linalg import expm  # imported here, so only the exact flow loads scipy
+
     M = np.atleast_2d(np.asarray(M, dtype=float))
     dim = M.shape[0]
     n = dim // 2
@@ -353,7 +353,8 @@ class Trajectory:
 
     @cached_property
     def action(self) -> np.ndarray:
-        """Symmetrized action gamma_t by cumulative Simpson on the time nodes."""
+        """Symmetrized action gamma_t by cumulative Simpson on the time nodes,
+        reproducing scipy's equal-interval `cumulative_simpson` bit for bit."""
         H = self.hamiltonian
         n = H.n
         integrand = np.zeros(self.points.shape[:-1])
@@ -361,11 +362,29 @@ class Trajectory:
             vk = H.velocity(zk, tk)
             sig = _dot(zk[..., n:], vk[..., :n]) - _dot(vk[..., n:], zk[..., :n])
             integrand[k] = 0.5 * sig - H.value(zk, tk)
-        return cumulative_simpson(integrand, dx=self.dt, axis=0, initial=0.0)
+        return _cumulative_simpson(integrand, self.dt)
 
     @property
     def final_action(self):
         return self.action[-1]
+
+
+def _cumulative_simpson(y, dx: float) -> np.ndarray:
+    """Integral of y from node 0 to each node, along axis 0 on nodes dx apart:
+    scipy.integrate.cumulative_simpson(y, dx=dx, axis=0, initial=0.0),
+    operation for operation."""
+    if len(y) < 3:  # scipy falls back to the trapezoid rule
+        sub = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        def first_interval(f):  # Simpson over the first interval of each node triple
+            return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+        h1, h2 = first_interval(y), first_interval(y[::-1])[::-1]
+        sub = np.empty((len(y) - 1,) + y.shape[1:])
+        sub[:-1:2] = h1[::2]
+        sub[1::2] = h2[::2]
+        sub[-1] = h2[-1]
+    # scipy adds `initial` to the sums, which turns -0.0 into 0.0
+    return np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(sub, axis=0) + 0.0])
 
 
 def _check_overflow(z):
@@ -404,7 +423,6 @@ def _rk4_state_step(H: Hamiltonian, J, z, S, t, h):
 def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
     """The one-step map (z, S, t) -> (z', S') of a method with step h; S is
     None when the variational flow is not carried."""
-    J = standard_j(H.n)
     if method == "exact":
         if not has_exact_flow(H):
             raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
@@ -414,6 +432,7 @@ def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
             return _matvec(flow.linear, z) + flow.shift, None if S is None else flow.linear @ S
     elif method in ("euler", "verlet"):
         stepper = symplectic_euler_step if method == "euler" else verlet_step
+        J = standard_j(H.n)
 
         def step(z, S, t):
             z_new = stepper(H, z, h)
@@ -427,6 +446,8 @@ def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
             A1 = J @ H.hessian(z_new, t + h)
             return z_new, _variational_rk4_step(S, h, A0, Am, Am, A1)
     elif method == "rk4":
+        J = standard_j(H.n)
+
         def step(z, S, t):
             return _rk4_state_step(H, J, z, S, t, h)
     else:

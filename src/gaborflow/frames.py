@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc
 
+from ._blas import blas_threads
 from .errors import DimensionMismatch, InvalidMatrix, ResolutionError
 from .gaussians import (
     GaussianMixture,
@@ -328,6 +328,19 @@ def _family_gram(family) -> np.ndarray:
     return _state_gram(family, family)
 
 
+def _upper_gamma_q(n: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(n, x) for an integer n >= 1, in
+    closed form: e^-x sum_{k<n} x^k / k!, and 0 once e^-x underflows."""
+    weight = math.exp(-x)
+    if weight == 0.0:
+        return 0.0
+    term = total = 1.0
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return weight * total
+
+
 def residual_tail_estimate(sys: GaborSystem) -> float:
     """Order-of-magnitude bound on the frame-sum mass discarded by the radial
     truncation, from the Gaussian decay of the shift overlaps."""
@@ -345,7 +358,13 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
         pts = sys.points
         volume = np.pi**n * max(R, 1e-9) ** (2 * n) / math.factorial(n)
         density = pts.shape[0] / volume if pts.size else 0.0
-    return float(density * (2.0 * np.pi * s) ** n * gammaincc(n, R**2 / (2.0 * s)))
+    return float(density * (2.0 * np.pi * s) ** n * _upper_gamma_q(n, R**2 / (2.0 * s)))
+
+
+# Below this many lattice points the frame-bound solves run on one BLAS thread:
+# there a second thread saves at most a few percent of the call on an idle
+# 2-core host, and costs a third or more of it while the other core is busy.
+PARALLEL_BLAS_MIN_POINTS = 700
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
@@ -360,18 +379,19 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
         raise InvalidMatrix("test family is empty")
-    witnesses = deficiency_witnesses(sys, cfg)
-    family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
-    m = _frame_vectors(sys, family)
-    A = m @ m.conj().T
-    G = _family_gram(family)
-    gram = _gram_matrix(sys)
-    b_est = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
-    w, V = np.linalg.eigh(G)
-    keep = w > 1e-8 * max(float(w[-1]), 1e-300)
-    T = V[:, keep] / np.sqrt(w[keep])
-    compressed = T.conj().T @ A @ T
-    a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
+    with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
+        witnesses = deficiency_witnesses(sys, cfg)
+        family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
+        m = _frame_vectors(sys, family)
+        A = m @ m.conj().T
+        G = _family_gram(family)
+        gram = _gram_matrix(sys)
+        b_est = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
+        w, V = np.linalg.eigh(G)
+        keep = w > 1e-8 * max(float(w[-1]), 1e-300)
+        T = V[:, keep] / np.sqrt(w[keep])
+        compressed = T.conj().T @ A @ T
+        a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
     a_est = min(a_est, b_est)
     ratio = float("inf") if a_est == 0 else b_est / a_est
     return FrameReport(

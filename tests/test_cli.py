@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +230,69 @@ def test_expression_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "invariance", "--hamiltonian", "x1 +", "--t", "0.1")
     assert code == 1
     assert "offset" in err
+
+
+def child_env(**overrides) -> dict:
+    """Environment of a fresh interpreter that imports gaborflow from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **overrides, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from gaborflow.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_for_the_exact_quadratic_flow():
+    calls = [
+        ["criterion", "--alpha", "0.9", "--beta", "0.9"],
+        ["frame-check", "--alpha", "0.9", "--beta", "0.9"],
+        ["deform", "--hamiltonian", "anharmonic", "--t", "0.5", "--window-center=0.3,0.2"],
+        ["invariance", "--hamiltonian", "anharmonic", "--t", "0.5", "--trials", "2"],
+        ["integrate", "--hamiltonian", "anharmonic", "--z0", "1,0", "--method", "rk4",
+         "--steps", "8"],
+        ["integrate", "--hamiltonian", "harmonic", "--z0", "1,0", "--method", "exact",
+         "--steps", "4"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    report = json.loads(proc.stdout)
+    *scipy_free, (_, exact_code, exact_modules) = report
+    for label, code, modules in scipy_free:
+        assert code == 0, label
+        assert modules == [], label
+    assert exact_code == 0
+    assert "scipy.linalg" in exact_modules
+
+
+def test_frame_check_output_does_not_depend_on_the_blas_thread_count():
+    argv = [sys.executable, "-m", "gaborflow.cli", "frame-check", "--alpha", "0.9", "--beta", "0.9"]
+    outs = [subprocess.run(argv, capture_output=True, check=True,
+                           env=child_env(OPENBLAS_NUM_THREADS=str(k))).stdout for k in (1, 2)]
+    assert outs[0] == outs[1]
+
+
+def test_import_leaves_no_blas_worker_spinning():
+    """A fresh `import gaborflow.cli` uses no more CPU time than wall time; an
+    OpenBLAS worker spinning from library load on would add a second core's."""
+    env = child_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", "import gaborflow.cli"], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_utime + usage.ru_stime < wall + 0.03

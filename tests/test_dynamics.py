@@ -31,6 +31,7 @@ from gaborflow.dynamics import (
     symplectic_euler_step,
     time_dependent_quadratic,
     verlet_step,
+    _cumulative_simpson,
 )
 from gaborflow.errors import DivergenceError, InvalidMatrix
 from gaborflow.expressions import expression_hamiltonian
@@ -312,6 +313,15 @@ def test_action_phase_free_particle():
     # z_t = (x + t p, p), integrand = p^2/2 - p^2/2 ... evaluate directly:
     # sigma(z, zdot) = p * xdot - pdot * x = p^2, so integrand = p^2/2 - p^2/2 = 0
     assert abs(traj.final_action - 0.0) < 1e-10
+
+
+@pytest.mark.parametrize("nodes", [*range(2, 13), 129])
+def test_cumulative_simpson_equals_scipy_bit_for_bit(nodes, rng):
+    from scipy.integrate import cumulative_simpson
+
+    for y in (rng.normal(size=nodes), rng.normal(size=(nodes, 7))):
+        expected = cumulative_simpson(y, dx=0.013, axis=0, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(y, 0.013), expected)
 
 
 def test_variational_flow_matches_exact_quadratic():

@@ -17,6 +17,7 @@ from gaborflow.frames import (
     translation_check,
     _family_gram,
     _frame_vectors,
+    _upper_gamma_q,
 )
 from gaborflow.gaussians import (
     GaussianMixture,
@@ -195,6 +196,42 @@ def test_lattice_enumerated_once_per_system(monkeypatch):
     assert len(calls) == 1
 
 
+def test_frame_bounds_limits_blas_threads_below_the_size_threshold(monkeypatch):
+    import gaborflow.frames as frames
+
+    limits = []
+    real = frames.blas_threads
+
+    def recording(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(frames, "blas_threads", recording)
+    sys_ = standard_system(radius=4.0)
+    cfg = EstimationConfig(family_size=8)
+    frame_bounds(sys_, cfg)
+    monkeypatch.setattr(frames, "PARALLEL_BLAS_MIN_POINTS", len(sys_.points))
+    frame_bounds(sys_, cfg)
+    assert limits == [1, None]
+
+
+def test_blas_threads_sets_and_restores_the_openblas_count():
+    from gaborflow._blas import _openblas, blas_threads
+
+    funcs = _openblas()
+    if funcs is None:
+        pytest.skip("numpy is not linked to OpenBLAS")
+    get_threads = funcs[1]
+    before = get_threads()
+    with blas_threads(1):
+        assert get_threads() == 1
+        with blas_threads(None):
+            assert get_threads() == 1
+    assert get_threads() == before
+    with blas_threads(before + 1):
+        assert get_threads() == before
+
+
 def test_frame_bounds_goldens():
     report = frame_bounds(standard_system(), EstimationConfig())
     assert report.a_est == pytest.approx(GOLDEN_A, rel=1e-6)
@@ -275,6 +312,15 @@ def test_gaussian_family_makes_one_kernel_call(monkeypatch):
 
 def test_residual_estimate_is_small_at_defaults():
     assert residual_tail_estimate(standard_system()) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_upper_gamma_q_matches_scipy(n):
+    from scipy.special import gammaincc
+
+    xs = np.linspace(0.0, 200.0, 4001)[1:]
+    got = np.array([_upper_gamma_q(n, x) for x in xs])
+    np.testing.assert_allclose(got, gammaincc(n, xs), rtol=1e-13, atol=0.0)
 
 
 def test_report_fields_consistent():
