@@ -1,6 +1,7 @@
 """Hamiltonian functions, exact affine flows, symplectic integrators, the
-linearized (variational) flow, action phases, and reconstruction of
-Hamiltonians from symplectic paths and isotopies.
+linearized flow S_t (the derivative of the numerical flow, so symplectic to
+rounding for the exact, euler and verlet methods), action phases, and
+reconstruction of Hamiltonians from symplectic paths and isotopies.
 
 Sign conventions: the equations of motion are dz/dt = J grad H(z, t) with the
 standard J, i.e. dx/dt = dH/dp and dp/dt = -dH/dx.
@@ -59,7 +60,7 @@ def fd_gradient(fn: Callable, z, t: float, step: float = FD_STEP) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     h = step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
     cols = [np.asarray(fn(z + h * e, t)) - fn(z - h * e, t) for e in np.eye(z.shape[-1])]
-    return np.stack(cols, axis=-1) / (2 * h)
+    return np.stack(cols, axis=-1) / (2 * h[..., None] if cols[0].ndim == z.ndim else 2 * h)
 
 
 def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
@@ -70,24 +71,23 @@ def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = FD_STE
 def fd_hessian(fn: Callable, z, t: float, step: float = FD_HESSIAN_STEP) -> np.ndarray:
     """Central-difference Hessian of fn(., t) at each point of a (..., m)
     batch: the symmetrized Jacobian of its central-difference gradient."""
-    z = np.asarray(z, dtype=float)
-    h = step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
-    rows = [fd_gradient(fn, z + h * e, t, step) - fd_gradient(fn, z - h * e, t, step)
-            for e in np.eye(z.shape[-1])]
-    jac = np.stack(rows, axis=-2) / (2 * h[..., None])
-    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
+    return _symmetrized(fd_gradient(lambda w, s: fd_gradient(fn, w, s, step), z, t, step))
+
+
+def _symmetrized(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True)
 class SeparableParts:
-    """H(x, p) = U(p) + V(x) with gradients (and optional Hessians)."""
+    """H(x, p) = U(p) + V(x) with gradients and Hessians."""
 
     u: Callable
     du: Callable
     v: Callable
     dv: Callable
-    d2u: Callable | None = None
-    d2v: Callable | None = None
+    d2u: Callable
+    d2v: Callable
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,8 @@ def time_dependent_quadratic(n: int, matrix_fn: Callable, vector_fn=None, name="
 
 def separable_hamiltonian(n: int, u, du, v, dv, d2u=None, d2v=None, name="separable") -> Hamiltonian:
     """H = U(p) + V(x); U, V and their derivatives take (..., n) arrays."""
+    d2u = d2u or (lambda q: _symmetrized(finite_difference_jacobian(du, q)))
+    d2v = d2v or (lambda q: _symmetrized(finite_difference_jacobian(dv, q)))
     parts = SeparableParts(u, du, v, dv, d2u, d2v)
 
     def value(z, t):
@@ -191,15 +193,11 @@ def separable_hamiltonian(n: int, u, du, v, dv, d2u=None, d2v=None, name="separa
     def gradient(z, t):
         return np.concatenate([dv(z[..., :n]), du(z[..., n:])], axis=-1)
 
-    if d2u is not None and d2v is not None:
-        def hessian(z, t):
-            out = np.zeros(z.shape + (2 * n,))
-            out[..., :n, :n] = d2v(z[..., :n])
-            out[..., n:, n:] = d2u(z[..., n:])
-            return out
-    else:
-        def hessian(z, t):
-            return fd_hessian(value, z, t)
+    def hessian(z, t):
+        out = np.zeros(z.shape + (2 * n,))
+        out[..., :n, :n] = d2v(z[..., :n])
+        out[..., n:, n:] = d2u(z[..., n:])
+        return out
 
     return Hamiltonian(n, value, gradient, hessian, separable=parts, name=name)
 
@@ -272,31 +270,43 @@ def quadratic_flow(M, m=None, t: float = 1.0) -> AffineSymplectic:
 # One-step integrators (separable Hamiltonians)
 # ---------------------------------------------------------------------------
 
-def _separable(H: Hamiltonian) -> SeparableParts:
+# The kick ("k") and drift ("d") stages of each splitting, with their fractions of h
+_SPLITTINGS = {"euler": (("k", 1.0), ("d", 1.0)),
+               "verlet": (("d", 0.5), ("k", 1.0), ("d", 0.5))}
+
+
+def _split_step(H: Hamiltonian, method: str, z, h: float, S=None):
+    """One kick/drift step (z, S) -> (z', S') of a separable H; S is None when
+    the tangent map is not carried.  A kick p -= c V'(x) moves S by
+    Sp -= c V''(x) Sx, and a drift x += c U'(p) by Sx += c U''(p) Sp.  Each is
+    a symplectic shear, so S' = DPhi_h(z) S is symplectic to rounding at any h.
+    """
     if H.separable is None:
         raise InvalidMatrix("this integrator requires a separable Hamiltonian U(p) + V(x)")
-    return H.separable
+    sep, n = H.separable, H.n
+    z = _points(z, n)
+    x, p = z[..., :n], z[..., n:]
+    Sx, Sp = (None, None) if S is None else (S[..., :n, :], S[..., n:, :])
+    for stage, frac in _SPLITTINGS[method]:
+        c = frac * h
+        if stage == "k":
+            p = p - c * sep.dv(x)
+            Sp = None if S is None else Sp - c * (sep.d2v(x) @ Sx)
+        else:
+            x = x + c * sep.du(p)
+            Sx = None if S is None else Sx + c * (sep.d2u(p) @ Sp)
+    z_new = np.concatenate([x, p], axis=-1)
+    return z_new, None if S is None else np.concatenate([Sx, Sp], axis=-2)
 
 
 def symplectic_euler_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """First-order kick-drift step: p1 = p - V'(x) dt, x1 = x + U'(p1) dt."""
-    sep = _separable(H)
-    z = _points(z, H.n)
-    n = H.n
-    p1 = z[..., n:] - sep.dv(z[..., :n]) * dt
-    x1 = z[..., :n] + sep.du(p1) * dt
-    return np.concatenate([x1, p1], axis=-1)
+    return _split_step(H, "euler", z, dt)[0]
 
 
 def verlet_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
-    """Second-order position-Verlet step."""
-    sep = _separable(H)
-    z = _points(z, H.n)
-    n = H.n
-    xh = z[..., :n] + 0.5 * dt * sep.du(z[..., n:])
-    p1 = z[..., n:] - dt * sep.dv(xh)
-    x1 = xh + 0.5 * dt * sep.du(p1)
-    return np.concatenate([x1, p1], axis=-1)
+    """Second-order position-Verlet step (drift, kick, drift)."""
+    return _split_step(H, "verlet", z, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +338,8 @@ def default_steps(t: float) -> int:
 class Trajectory:
     """Sampled flow data: points z_t, linearized flow S_t, action gamma_t.
 
-    The leading axis runs over the time nodes; the rest is the shape of the
+    S_t is the derivative of the numerical flow that moved the points.  The
+    leading axis runs over the time nodes; the rest is the shape of the
     initial points, so points is (steps+1, ..., 2n) and matrices is
     (steps+1, ..., 2n, 2n).  The action is computed from H on first read, so
     callers that only need the points never evaluate H on the time nodes.
@@ -394,8 +405,8 @@ def _check_overflow(z):
 
 
 def _variational_rk4_step(S, h, A1, A2, A3, A4):
-    """One RK4 step of the variational equation dS/dt = A(t) S, given the
-    matrices A = J Hess H at the four RK4 stages."""
+    """RK4's tangent map applied to S: one RK4 step of dS/dt = A(t) S, given
+    A = J Hess H at the four RK4 stages.  Like RK4, it is not symplectic."""
     m1 = A1 @ S
     m2 = A2 @ (S + 0.5 * h * m1)
     m3 = A3 @ (S + 0.5 * h * m2)
@@ -430,21 +441,9 @@ def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
 
         def step(z, S, t):
             return _matvec(flow.linear, z) + flow.shift, None if S is None else flow.linear @ S
-    elif method in ("euler", "verlet"):
-        stepper = symplectic_euler_step if method == "euler" else verlet_step
-        J = standard_j(H.n)
-
+    elif method in _SPLITTINGS:
         def step(z, S, t):
-            z_new = stepper(H, z, h)
-            if S is None:
-                return z_new, None
-            _check_overflow(z_new)  # before the Hessians see a diverged point
-            # both midpoint stages take z at the average of the step
-            # endpoints, which is order-consistent with euler and verlet
-            A0 = J @ H.hessian(z, t)
-            Am = J @ H.hessian(0.5 * (z + z_new), t + 0.5 * h)
-            A1 = J @ H.hessian(z_new, t + h)
-            return z_new, _variational_rk4_step(S, h, A0, Am, Am, A1)
+            return _split_step(H, method, z, h, S)
     elif method == "rk4":
         J = standard_j(H.n)
 
@@ -469,7 +468,8 @@ def integrate(
 
     Methods: "euler" and "verlet" (symplectic, separable H only), "rk4"
     (non-symplectic reference, any H), "exact" (autonomous quadratic H only).
-    The linearized flow S_t is carried by RK4 on the variational equation.
+    With variational, S_t is carried by each step's derivative, so it is the
+    Jacobian of the computed z_t in z0: symplectic to rounding but for rk4.
     The symmetrized action gamma_t, by cumulative Simpson on the same nodes,
     is computed on the first read of Trajectory.action.
     """
@@ -699,15 +699,11 @@ def modified_hamiltonian(sep: SeparableParts, n: int) -> Hamiltonian:
     def value(z, t):
         return modified_hamiltonian_value(sep, z[..., :n], z[..., n:], t)
 
-    if sep.d2u is not None:
-        def gradient(z, t):
-            x, p = z[..., :n], z[..., n:]
-            gu = sep.du(p)
-            gv = sep.dv(x - gu * t)
-            return np.concatenate([gv, gu - t * _matvec(np.swapaxes(sep.d2u(p), -1, -2), gv)],
-                                  axis=-1)
-    else:
-        gradient = None
+    def gradient(z, t):
+        x, p = z[..., :n], z[..., n:]
+        gu = sep.du(p)
+        gv = sep.dv(x - gu * t)
+        return np.concatenate([gv, gu - t * _matvec(np.swapaxes(sep.d2u(p), -1, -2), gv)], axis=-1)
 
     return hamiltonian_from_callables(n, value, gradient=gradient, autonomous=False,
                                       name="modified")

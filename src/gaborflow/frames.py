@@ -32,6 +32,7 @@ from .gaussians import (
     sampled_norm,
     shifted_gram,
     _component_values,
+    _grid_axis,
     _shift_overlaps,
     _shift_sampled,
     _shifted,
@@ -202,8 +203,7 @@ def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
 
 def _realize_family_sampled(members, extent: float, npoints: int, hbar: float):
     """Realize family members as normalized sampled windows on the grid."""
-    step = 2.0 * extent / npoints
-    axis = -extent + step * np.arange(npoints)
+    axis = _grid_axis(extent, npoints)
     degrees = [m[1] for m in members if isinstance(m, tuple) and m[0] == "mode"]
     modes = hermite_functions(axis, hbar, max(degrees)) if degrees else None
     out = []
@@ -245,7 +245,7 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
             f"grid of {cfg.grid_points} points cannot resolve oscillator mode {degree}; "
             "increase grid_points or reduce mode_degree"
         )
-    axis = -cfg.grid_extent + step * np.arange(cfg.grid_points)
+    axis = _grid_axis(cfg.grid_extent, cfg.grid_points)
     modes = hermite_functions(axis, sys.hbar, degree)
     family = [SampledWindow(cfg.grid_extent, row.astype(complex), sys.hbar) for row in modes]
     m = _frame_vectors(sys, family)

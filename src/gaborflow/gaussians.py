@@ -346,11 +346,15 @@ class SampledWindow:
 
     @property
     def axis(self) -> np.ndarray:
-        return -self.extent + self.step * np.arange(self.npoints)
+        return _grid_axis(self.extent, self.npoints)
 
     @property
     def weight(self) -> float:
         return self.step ** self.n
+
+
+def _grid_axis(extent: float, npoints: int) -> np.ndarray:
+    return -extent + 2.0 * extent / npoints * np.arange(npoints)
 
 
 def sampled_norm(w: SampledWindow) -> float:
@@ -400,8 +404,7 @@ def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
 
 def sample_state(g, extent: float, npoints: int) -> SampledWindow:
     """Sample a Gaussian state or mixture on the uniform grid."""
-    step = 2.0 * extent / npoints
-    axis = -extent + step * np.arange(npoints)
+    axis = _grid_axis(extent, npoints)
     if g.n == 1:
         values = evaluate_state(g, axis)
     else:

@@ -342,12 +342,11 @@ def lattice_map(lat: Lattice, g):
 
     Affine input (AffineSymplectic, a 2n x 2n matrix, or a (matrix, shift)
     pair) yields a Lattice with transformed generator and shift.  A callable
-    z -> z' yields the explicit transformed point array, since the image of a
-    lattice under a nonlinear map is no longer a lattice.
+    z -> z' on (N, 2n) point batches yields the transformed point array,
+    since the image of a lattice under a nonlinear map is no longer a lattice.
     """
     if callable(g) and not isinstance(g, AffineSymplectic):
-        pts = lattice_points(lat)
-        return np.array([as_phase_vector(g(z)) for z in pts])
+        return np.asarray(g(lattice_points(lat)), dtype=float)
     if isinstance(g, AffineSymplectic):
         S, shift = g.linear, g.shift
     elif isinstance(g, tuple):

@@ -157,13 +157,14 @@ def test_integrate_carries_the_linear_flow_only_for_dump_matrices(capsys, monkey
     import gaborflow.dynamics as dynamics
 
     calls = []
-    step = dynamics._variational_rk4_step
+    step = dynamics._split_step
 
-    def counting(*args):
-        calls.append(1)
-        return step(*args)
+    def counting(H, method, z, h, S=None):
+        if S is not None:  # one tangent-map step
+            calls.append(1)
+        return step(H, method, z, h, S)
 
-    monkeypatch.setattr(dynamics, "_variational_rk4_step", counting)
+    monkeypatch.setattr(dynamics, "_split_step", counting)
     argv = ("integrate", "--hamiltonian", "anharmonic", "--z0", "1,0", "--t", "1",
             "--steps", "6", "--method", "verlet")
     code, out, _ = run_cli(capsys, *argv)

@@ -12,6 +12,7 @@ from gaborflow.dynamics import (
     compose_hamiltonians,
     composed_hamiltonian,
     default_steps,
+    fd_gradient,
     finite_difference_jacobian,
     flow_map,
     groupoid_check,
@@ -330,27 +331,82 @@ def test_variational_flow_matches_exact_quadratic():
     assert np.max(np.abs(traj.final_matrix - aff.linear)) < 1e-8
 
 
-def test_variational_flow_symplectic_along_trajectory(rng):
+@pytest.mark.parametrize("method", ["euler", "verlet"])
+@pytest.mark.parametrize("steps", [8, 64, 3000])
+def test_variational_flow_symplectic_along_trajectory(method, steps):
+    # S_t is the derivative of a symplectic step map, so it is symplectic to
+    # rounding even at coarse steps
     H = builtin_hamiltonian("anharmonic")
-    traj = integrate(H, [0.9, 0.4], 3.0, 3000, method="verlet")
-    for S in traj.matrices[:: len(traj.matrices) // 7]:
-        assert is_symplectic(S, 1e-6)
+    traj = integrate(H, [0.9, 0.4], 3.0, steps, method=method)
+    S, J = traj.matrices, standard_j(1)
+    assert np.max(np.abs(np.swapaxes(S, -1, -2) @ J @ S - J)) <= 1e-12
 
 
-def test_variational_flow_matches_fd_sensitivities():
+@pytest.mark.parametrize("method", ["euler", "verlet"])
+@pytest.mark.parametrize("steps", [8, 64, 3000])
+def test_variational_flow_matches_fd_sensitivities(method, steps):
+    # S_t is the Jacobian of the numerical flow at every step size
     H = builtin_hamiltonian("anharmonic")
     z0 = np.array([0.8, -0.1])
-    t, steps = 1.5, 3000
-    traj = integrate(H, z0, t, steps, method="verlet")
+    t = 1.5
+    traj = integrate(H, z0, t, steps, method=method)
     eps = 1e-6
     approx = np.zeros((2, 2))
     for i in range(2):
         e = np.zeros(2)
         e[i] = eps
-        plus = integrate(H, z0 + e, t, steps, method="verlet", variational=False).final_point
-        minus = integrate(H, z0 - e, t, steps, method="verlet", variational=False).final_point
+        plus = integrate(H, z0 + e, t, steps, method=method, variational=False).final_point
+        minus = integrate(H, z0 - e, t, steps, method=method, variational=False).final_point
         approx[:, i] = (plus - minus) / (2 * eps)
-    assert np.max(np.abs(traj.final_matrix - approx)) < 1e-5
+    assert np.max(np.abs(traj.final_matrix - approx)) < 1e-8
+
+
+def test_splitting_tangent_needs_no_full_hessian_and_no_rk4(monkeypatch):
+    import gaborflow.dynamics as dynamics
+
+    def fail(*args):
+        raise AssertionError("the splitting tangent map must not call this")
+
+    H = dataclasses.replace(builtin_hamiltonian("anharmonic"), hessian=fail)
+    monkeypatch.setattr(dynamics, "_variational_rk4_step", fail)
+    for method in ("euler", "verlet"):
+        traj = integrate(H, [1.0, 0.0], 1.0, 8, method=method)
+        assert traj.matrices.shape == (9, 2, 2)
+
+
+def test_separable_hessians_default_to_symmetric_jacobians_of_the_gradients():
+    def dv(x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([x1 * x2 ** 2 + np.cos(x1), x1 ** 2 * x2], axis=-1)
+
+    H = separable_hamiltonian(2, u=lambda p: 0.5 * np.sum(p * p, axis=-1), du=lambda p: p,
+                              v=lambda x: 0.5 * (x[..., 0] * x[..., 1]) ** 2 + np.sin(x[..., 0]),
+                              dv=dv)
+    X = np.random.default_rng(3).normal(size=(5, 2))
+    d2v = H.separable.d2v(X)
+    assert np.array_equal(d2v, np.swapaxes(d2v, -1, -2))
+    assert all(np.array_equal(d2v[i], H.separable.d2v(X[i])) for i in range(5))
+    x1, x2 = X[:, 0], X[:, 1]
+    exact = np.stack([np.stack([x2 ** 2 - np.sin(x1), 2 * x1 * x2], -1),
+                      np.stack([2 * x1 * x2, x1 ** 2], -1)], -2)
+    assert np.max(np.abs(d2v - exact)) < 1e-8
+    assert np.max(np.abs(H.separable.d2u(X) - np.eye(2))) < 1e-8
+    # the shears built from them keep S_t symplectic to rounding
+    S, J = integrate(H, [0.5, -0.3, 0.2, 0.4], 2.0, 16).matrices, standard_j(2)
+    assert np.max(np.abs(np.swapaxes(S, -1, -2) @ J @ S - J)) <= 1e-12
+
+
+def test_fd_gradient_jacobian_of_a_batch_equals_per_point_jacobians():
+    def g(z, t):
+        return np.stack([z[..., 0] ** 2 * z[..., 1], np.sin(z[..., 1]) + t], axis=-1)
+
+    Z = np.random.default_rng(4).normal(size=(3, 2))
+    jac = fd_gradient(g, Z, 0.5)
+    assert jac.shape == (3, 2, 2)
+    for i in range(3):
+        assert np.array_equal(jac[i], fd_gradient(g, Z[i], 0.5))
+        assert np.allclose(jac[i], [[2 * Z[i, 0] * Z[i, 1], Z[i, 0] ** 2],
+                                    [0.0, np.cos(Z[i, 1])]], atol=1e-8)
 
 
 def test_exact_flow_jacobian_symplectic():

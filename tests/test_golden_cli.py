@@ -70,6 +70,9 @@ CASES = {
                           "--format", "csv"],
     "error_siegel_symplectic": ["deform", "--hamiltonian", "anharmonic", "--t", "1.0",
                                 "--steps", "64", "--window-center=1.0,0.5"],
+    # the same coarse deform as error_siegel_symplectic, on verlet's symplectic S_t
+    "deform_verlet_coarse": ["deform", "--hamiltonian", "anharmonic", "--t", "1.0",
+                             "--steps", "64", "--window-center=1.0,0.5", "--method", "verlet"],
     "error_bad_method": ["integrate", "--hamiltonian", "anharmonic", "--z0", "1,0",
                          "--method", "leapfrog", "--steps", "4"],
 }

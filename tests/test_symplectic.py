@@ -272,9 +272,14 @@ def test_lattice_map_rotation_same_point_set():
 
 def test_lattice_map_nonlinear_returns_points():
     lat = separable_lattice([1.0], [1.0], 1.5)
-    out = lattice_map(lat, lambda z: z + np.array([z[1] ** 2, 0.0]))
+    def g(z):
+        return z + z[..., 1:] ** 2 * np.array([1.0, 0.0])
+
+    out = lattice_map(lat, g)
     assert isinstance(out, np.ndarray)
     assert out.shape == (9, 2)
+    # one call on the (N, 2n) batch gives the per-point images
+    assert np.array_equal(out, np.array([g(z) for z in lattice_points(lat)]))
 
 
 def test_lattice_map_affine_returns_lattice(rng):
