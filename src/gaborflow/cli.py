@@ -148,15 +148,16 @@ def cmd_deform(args, cfg: RunConfig) -> int:
 
 
 def cmd_invariance(args, cfg: RunConfig) -> int:
+    if args.trials < 1:
+        raise GaborflowError("--trials must be at least 1")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise GaborflowError("--tol must be finite and >= 0")
     sys_ = build_system(cfg)
     H = build_hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
-    deviations = []
-    dcfg = _deform_config(cfg)
-    for _ in range(args.trials):
-        psi = _random_test_state(rng, cfg.dimension, cfg.hbar)
-        s1, s2 = invariance_check(sys_, H, cfg.t, psi, dcfg)
-        deviations.append(abs(s1 - s2))
+    psis = [_random_test_state(rng, cfg.dimension, cfg.hbar) for _ in range(args.trials)]
+    t1, t2 = invariance_check(sys_, H, cfg.t, psis, _deform_config(cfg))
+    deviations = np.abs(t1.sum(-1) - t2.sum(-1)).tolist()
     payload = {
         "max_deviation": max(deviations),
         "tolerance": args.tol,

@@ -111,27 +111,27 @@ def matched_test_state(result: DeformationResult, psi):
     return heisenberg_weyl_apply(zc, out)
 
 
-def invariance_check(sys: GaborSystem, H: Hamiltonian, t: float, psi,
-                     cfg: DeformationConfig | None = None, return_terms: bool = False):
-    """Frame sum of the deformed system at psi against the frame sum of the
-    original system at the matched test state.  Exact identity in the affine
-    lattice mode."""
+def invariance_check(sys: GaborSystem, H: Hamiltonian, t: float, psis,
+                     cfg: DeformationConfig | None = None):
+    """Frame terms of the deformed system at each test state psi against those
+    of the original system at its matched test state, from one deformation.
+    Exact identity in the affine lattice mode."""
     cfg = cfg or DeformationConfig()
     if cfg.lattice_mode != "affine":
         raise InvalidMatrix("the invariance identity holds in the affine lattice mode")
     result = weak_deform(sys, H, t, cfg)
-    return matched_pair(deformed_system(sys, result), psi, sys,
-                        matched_test_state(result, psi), return_terms)
+    return matched_pair(deformed_system(sys, result), psis, sys,
+                        [matched_test_state(result, psi) for psi in psis])
 
 
-def gaussian_corollary_check(M, sys: GaborSystem, H: Hamiltonian, t: float, psi,
+def gaussian_corollary_check(M, sys: GaborSystem, H: Hamiltonian, t: float, psis,
                              cfg: DeformationConfig | None = None):
     """The invariance identity for an arbitrary Siegel-matrix Gaussian window
-    placed on the template system's lattice."""
+    placed on the template system's lattice, over a family of test states."""
     M = check_siegel(M)
     window = GaussianState(M, np.zeros(2 * M.shape[0]), 0.0, sys.hbar)
     general = GaborSystem(window, sys.lattice, sys.hbar)
-    return invariance_check(general, H, t, psi, cfg)
+    return invariance_check(general, H, t, psis, cfg)
 
 
 def deform_sweep(sys: GaborSystem, H: Hamiltonian, t_grid,

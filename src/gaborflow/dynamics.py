@@ -21,6 +21,10 @@ from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standa
 OVERFLOW_GUARD = 1e8
 FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
+# constant Hessians of the builtin family, shared by every evaluation
+_EYE1, _EYE2 = np.eye(1), np.eye(2)
+_EYE1.setflags(write=False)
+_EYE2.setflags(write=False)
 
 
 def _points(z, n: int) -> np.ndarray:
@@ -224,7 +228,7 @@ def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian
             du=lambda p: p,
             v=lambda x: 0.25 * _coordinate(x, 0) ** 4,
             dv=lambda x: (_coordinate(x, 0) ** 3)[..., None],
-            d2u=lambda p: np.eye(1),
+            d2u=lambda p: _EYE1,
             d2v=lambda x: (3.0 * _coordinate(x, 0) ** 2)[..., None, None],
             name="anharmonic",
         )
@@ -233,7 +237,7 @@ def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian
             raise DimensionMismatch("driven oscillator is one-dimensional")
         return time_dependent_quadratic(
             1,
-            matrix_fn=lambda t: np.eye(2),
+            matrix_fn=lambda t: _EYE2,
             vector_fn=lambda t: np.array([0.3 * np.sin(t), 0.0]),
             name="driven",
         )

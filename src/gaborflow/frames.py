@@ -134,9 +134,10 @@ def gaussian_frame_criterion(alpha, beta, hbar: float) -> np.ndarray:
 # Frame sums
 # ---------------------------------------------------------------------------
 
-def frame_terms(sys: GaborSystem, psi) -> np.ndarray:
-    """Per-lattice-point terms |<psi | T(z) phi>|^2 in enumeration order."""
-    return np.abs(_frame_vectors(sys, [psi])[0]) ** 2
+def frame_terms(sys: GaborSystem, family) -> np.ndarray:
+    """Terms |<psi_j | T(z_p) phi>|^2 of a test family, shape (states, points),
+    points in enumeration order; the row sums are the frame sums."""
+    return np.abs(_frame_vectors(sys, family)) ** 2
 
 
 def frame_sum(sys: GaborSystem, psi) -> float:
@@ -145,7 +146,7 @@ def frame_sum(sys: GaborSystem, psi) -> float:
     Terms are accumulated in sorted order, so the value is exactly invariant
     under re-enumeration of the same point set.
     """
-    return float(np.sum(np.sort(frame_terms(sys, psi))))
+    return float(np.sum(np.sort(frame_terms(sys, [psi])[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,8 @@ def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
     one-dimensional sampled ones on a shared grid; a sampled window takes
     either, Gaussian states being sampled onto its grid.
     """
+    if len(family) == 0:
+        raise InvalidMatrix("test family is empty")
     pts = sys.points
     window = sys.window
     if isinstance(window, SampledWindow):
@@ -409,48 +412,40 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
 # Matched-pair identities (symplectic covariance, translations, rescaling)
 # ---------------------------------------------------------------------------
 
-def matched_pair(mapped: GaborSystem, psi, sys: GaborSystem, matched, return_terms: bool):
-    """Frame terms of the mapped system at psi against those of the original
-    system at the matched state: per-point arrays when return_terms is set,
-    else the two frame sums."""
-    t1 = frame_terms(mapped, psi)
-    t2 = frame_terms(sys, matched)
-    if return_terms:
-        return t1, t2
-    return float(np.sum(t1)), float(np.sum(t2))
+def matched_pair(mapped: GaborSystem, psis, sys: GaborSystem, matched):
+    """Frame terms of the mapped system at psis against those of the original
+    system at the matched states: two (states, points) arrays."""
+    return frame_terms(mapped, psis), frame_terms(sys, matched)
 
 
-def covariance_check(sys: GaborSystem, S, psi, return_terms: bool = False):
-    """Frame sum of (S.phi-window, S.Lattice) at psi against the frame sum of
-    the original system at the matched state S^{-1}psi.  Exact identity."""
+def covariance_check(sys: GaborSystem, S, psis):
+    """(S.phi-window, S.Lattice) at each test state psi against the original
+    system at the matched state S^{-1}psi.  Exact identity."""
     S = check_symplectic(S)
     window = sys.window
     if not isinstance(window, GaussianState):
         raise InvalidMatrix("covariance check requires a Gaussian window")
-    pts = sys.points
-    mapped = GaborSystem(metaplectic_apply(S, window), pts @ S.T, sys.hbar)
-    return matched_pair(mapped, psi, sys, metaplectic_apply(np.linalg.inv(S), psi), return_terms)
+    mapped = GaborSystem(metaplectic_apply(S, window), sys.points @ S.T, sys.hbar)
+    S_inv = np.linalg.inv(S)
+    return matched_pair(mapped, psis, sys, [metaplectic_apply(S_inv, psi) for psi in psis])
 
 
-def translation_check(sys: GaborSystem, z0, z1, psi, return_terms: bool = False):
-    """Window shifted by z0 and lattice translated by z1 against the original
-    system at the matched state T(-z0-z1)psi.  Exact identity."""
-    window = sys.window
+def translation_check(sys: GaborSystem, z0, z1, psis):
+    """Window shifted by z0 and lattice translated by z1, at each test state
+    psi, against the original system at the matched state T(-z0-z1)psi."""
     z0 = as_phase_vector(z0, sys.n)
     z1 = as_phase_vector(z1, sys.n)
-    pts = sys.points
-    shifted_sys = GaborSystem(heisenberg_weyl_apply(z0, window), pts + z1, sys.hbar)
-    return matched_pair(shifted_sys, psi, sys, heisenberg_weyl_apply(-(z0 + z1), psi),
-                        return_terms)
+    shifted_sys = GaborSystem(heisenberg_weyl_apply(z0, sys.window), sys.points + z1, sys.hbar)
+    return matched_pair(shifted_sys, psis, sys,
+                        [heisenberg_weyl_apply(-(z0 + z1), psi) for psi in psis])
 
 
-def rescaling_check(sys: GaborSystem, hbar_new: float, psi, return_terms: bool = False):
+def rescaling_check(sys: GaborSystem, hbar_new: float, psis):
     """Planck-constant change: the system (dilated window, mu*Lattice) at
-    hbar_new against the original at the back-dilated test state, with
-    mu = sqrt(hbar_new/hbar).  Exact identity."""
+    hbar_new at each test state psi against the original at the back-dilated
+    state, with mu = sqrt(hbar_new/hbar).  Exact identity."""
     if hbar_new <= 0:
         raise InvalidMatrix("hbar must be positive")
-    window = sys.window
     mu = np.sqrt(hbar_new / sys.hbar)
     if isinstance(sys.lattice, Lattice):
         lat = sys.lattice
@@ -458,5 +453,5 @@ def rescaling_check(sys: GaborSystem, hbar_new: float, psi, return_terms: bool =
                          point_cap=lat.point_cap)
     else:
         scaled = sys.points * mu
-    rescaled_sys = GaborSystem(rescale_window(window, hbar_new), scaled, hbar_new)
-    return matched_pair(rescaled_sys, psi, sys, rescale_window(psi, sys.hbar), return_terms)
+    rescaled_sys = GaborSystem(rescale_window(sys.window, hbar_new), scaled, hbar_new)
+    return matched_pair(rescaled_sys, psis, sys, [rescale_window(psi, sys.hbar) for psi in psis])

@@ -282,7 +282,10 @@ def _shift_overlaps(states, phi: GaussianState, shifts) -> np.ndarray:
     """<states_j | T(z_p) phi> for all states and shift rows, in one kernel call."""
     stack, B = _stack_states(states)
     centers, gammas = _shifted(phi, shifts)
-    return B @ _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)
+    K = _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)
+    # numpy takes gemv for a one-row B, which rounds unlike gemm: a zero row
+    # keeps a state's overlaps the same in every family that holds it
+    return (np.pad(B, ((0, 1), (0, 0))) @ K)[:-1]
 
 
 def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:

@@ -132,6 +132,38 @@ def test_rejected_input_exits_1_with_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--trials=0", "--trials must be at least 1"),
+    ("--trials=-2", "--trials must be at least 1"),
+    ("--tol=nan", "--tol must be finite and >= 0"),
+    ("--tol=inf", "--tol must be finite and >= 0"),
+    ("--tol=-1e-8", "--tol must be finite and >= 0"),
+])
+def test_invariance_rejects_meaningless_trials_and_tolerance(capsys, flag, message):
+    code, out, err = run_cli(capsys, "invariance", "--hamiltonian", "anharmonic", flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_invariance_deforms_once_for_all_trials(capsys, monkeypatch):
+    import gaborflow.deformation as deformation
+
+    calls = []
+    deform = deformation.weak_deform
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return deform(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "weak_deform", counting)
+    code, out, _ = run_cli(capsys, "invariance", "--hamiltonian", "anharmonic",
+                           "--steps", "64", "--trials", "8")
+    assert code == 0
+    assert len(json.loads(out)["result"]["deviations"]) == 8
+    assert len(calls) == 1
+
+
 def test_diverging_initial_point_prints_only_the_error_line(capsys):
     # a numpy overflow warning would be raised here instead of reaching stderr
     with warnings.catch_warnings():

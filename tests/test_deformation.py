@@ -12,11 +12,18 @@ from gaborflow.deformation import (
 )
 from gaborflow.dynamics import builtin_hamiltonian, quadratic_hamiltonian
 from gaborflow.errors import InvalidMatrix
-from gaborflow.frames import EstimationConfig, GaborSystem, covariance_check, frame_sum
-from gaborflow.gaussians import GaussianState, sample_state, standard_gaussian
+from gaborflow.frames import (
+    EstimationConfig,
+    GaborSystem,
+    covariance_check,
+    frame_sum,
+    rescaling_check,
+    translation_check,
+)
+from gaborflow.gaussians import GaussianMixture, GaussianState, sample_state, standard_gaussian
 from gaborflow.symplectic import rotation, separable_lattice
 
-from conftest import HBAR
+from conftest import HBAR, random_symplectic
 
 
 def standard_system(side=0.9, radius=8.0):
@@ -24,9 +31,9 @@ def standard_system(side=0.9, radius=8.0):
                        separable_lattice([side], [side], radius), HBAR)
 
 
-def random_gaussian(rng, n=1):
+def random_gaussian(rng, n=1, hbar=HBAR):
     M = np.diag([complex(rng.normal(0.0, 0.4), np.exp(rng.normal(0.0, 0.4))) for _ in range(n)])
-    return GaussianState(M, rng.normal(0.0, 1.0, 2 * n), rng.normal(), HBAR)
+    return GaussianState(M, rng.normal(0.0, 1.0, 2 * n), rng.normal(), hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +151,26 @@ def test_group_compatibility_autonomous_quadratic():
 def test_invariance_at_time_zero(rng):
     sys = standard_system()
     psi = random_gaussian(rng)
-    s1, s2 = invariance_check(sys, builtin_hamiltonian("anharmonic"), 0.0, psi,
+    t1, t2 = invariance_check(sys, builtin_hamiltonian("anharmonic"), 0.0, [psi],
                               DeformationConfig(steps=16))
-    assert s1 == pytest.approx(s2, abs=1e-12)
+    assert t1.sum() == pytest.approx(t2.sum(), abs=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
 def test_invariance_anharmonic(rng, t):
     sys = standard_system()
     H = builtin_hamiltonian("anharmonic")
-    for _ in range(4):
-        s1, s2 = invariance_check(sys, H, t, random_gaussian(rng))
-        assert abs(s1 - s2) < 1e-8
+    t1, t2 = invariance_check(sys, H, t, [random_gaussian(rng) for _ in range(4)])
+    assert np.max(np.abs(t1.sum(-1) - t2.sum(-1))) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["harmonic", "free", "shear", "anharmonic", "driven"])
 def test_invariance_across_builtin_family(rng, name):
     sys = standard_system()
     H = builtin_hamiltonian(name)
-    s1, s2 = invariance_check(sys, H, 0.7, random_gaussian(rng),
+    t1, t2 = invariance_check(sys, H, 0.7, [random_gaussian(rng)],
                               DeformationConfig(steps=2000))
-    assert abs(s1 - s2) < 1e-8
+    assert abs(t1.sum() - t2.sum()) < 1e-8
 
 
 def test_invariance_translation_flow(rng):
@@ -173,23 +179,23 @@ def test_invariance_translation_flow(rng):
     sys = standard_system()
     H = quadratic_hamiltonian(np.zeros((2, 2)), m=[0.4, -0.3])
     for t in (0.5, 1.0):
-        s1, s2 = invariance_check(sys, H, t, random_gaussian(rng))
-        assert abs(s1 - s2) < 1e-9
+        t1, t2 = invariance_check(sys, H, t, [random_gaussian(rng)])
+        assert abs(t1.sum() - t2.sum()) < 1e-9
 
 
 def test_invariance_off_center_window(rng):
     window = GaussianState([[0.2 + 1.5j]], [0.7, -0.4], 0.1, HBAR)
     sys = GaborSystem(window, separable_lattice([0.9], [0.9], 8.0), HBAR)
     for H in (builtin_hamiltonian("harmonic"), builtin_hamiltonian("anharmonic")):
-        s1, s2 = invariance_check(sys, H, 0.6, random_gaussian(rng),
+        t1, t2 = invariance_check(sys, H, 0.6, [random_gaussian(rng)],
                                   DeformationConfig(steps=2000))
-        assert abs(s1 - s2) < 1e-8
+        assert abs(t1.sum() - t2.sum()) < 1e-8
 
 
 def test_invariance_terms_match_after_reindexing(rng):
     sys = standard_system()
-    t1, t2 = invariance_check(sys, builtin_hamiltonian("anharmonic"), 0.5,
-                              random_gaussian(rng), return_terms=True)
+    (t1,), (t2,) = invariance_check(sys, builtin_hamiltonian("anharmonic"), 0.5,
+                                    [random_gaussian(rng)])
     assert np.max(np.abs(np.sort(t1) - np.sort(t2))) < 1e-9
 
 
@@ -199,17 +205,17 @@ def test_invariance_quadratic_equals_covariance(rng):
     sys = standard_system()
     psi = random_gaussian(rng)
     t = 1.0
-    s1, s2 = invariance_check(sys, builtin_hamiltonian("harmonic"), t, psi)
-    c1, c2 = covariance_check(sys, rotation(t), psi)
-    assert abs(s1 - s2) < 1e-9
-    assert abs(c1 - c2) < 1e-9
-    assert s1 == pytest.approx(c1, rel=1e-9)
+    s1, s2 = invariance_check(sys, builtin_hamiltonian("harmonic"), t, [psi])
+    c1, c2 = covariance_check(sys, rotation(t), [psi])
+    assert abs(s1.sum() - s2.sum()) < 1e-9
+    assert abs(c1.sum() - c2.sum()) < 1e-9
+    assert s1.sum() == pytest.approx(c1.sum(), rel=1e-9)
 
 
 def test_invariance_rejects_nonlinear_mode(rng):
     sys = standard_system()
     with pytest.raises(InvalidMatrix):
-        invariance_check(sys, builtin_hamiltonian("harmonic"), 0.5, random_gaussian(rng),
+        invariance_check(sys, builtin_hamiltonian("harmonic"), 0.5, [random_gaussian(rng)],
                          DeformationConfig(lattice_mode="exact-nonlinear"))
 
 
@@ -232,17 +238,17 @@ def test_corollary_reduces_to_invariance(rng):
     sys = standard_system()
     psi = random_gaussian(rng)
     H = builtin_hamiltonian("anharmonic")
-    s1, s2 = gaussian_corollary_check(1j * np.eye(1), sys, H, 0.5, psi)
-    r1, r2 = invariance_check(sys, H, 0.5, psi)
-    assert s1 == pytest.approx(r1, rel=1e-12)
-    assert abs(s1 - s2) < 1e-8
+    s1, s2 = gaussian_corollary_check(1j * np.eye(1), sys, H, 0.5, [psi])
+    r1, r2 = invariance_check(sys, H, 0.5, [psi])
+    assert s1.sum() == pytest.approx(r1.sum(), rel=1e-12)
+    assert abs(s1.sum() - s2.sum()) < 1e-8
 
 
 def test_corollary_skew_window(rng):
     sys = standard_system()
-    s1, s2 = gaussian_corollary_check([[0.5 + 2.0j]], sys, builtin_hamiltonian("anharmonic"),
-                                      0.3, random_gaussian(rng))
-    assert abs(s1 - s2) < 1e-8
+    t1, t2 = gaussian_corollary_check([[0.5 + 2.0j]], sys, builtin_hamiltonian("anharmonic"),
+                                      0.3, [random_gaussian(rng)])
+    assert abs(t1.sum() - t2.sum()) < 1e-8
 
 
 def test_corollary_two_dimensional(rng):
@@ -250,8 +256,56 @@ def test_corollary_two_dimensional(rng):
     sys = GaborSystem(window, separable_lattice([0.8, 0.8], [0.8, 0.8], 2.5), HBAR)
     M = np.diag([0.5j, 3.0j]) + np.array([[0.0, 0.1], [0.1, 0.0]])
     H = quadratic_hamiltonian(np.eye(4))
-    s1, s2 = gaussian_corollary_check(M, sys, H, 0.6, random_gaussian(rng, n=2))
-    assert abs(s1 - s2) < 1e-8
+    t1, t2 = gaussian_corollary_check(M, sys, H, 0.6, [random_gaussian(rng, n=2)])
+    assert abs(t1.sum() - t2.sum()) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Test families: every matched-pair check takes a sequence of test states
+# ---------------------------------------------------------------------------
+
+CHECKS = ("covariance", "translation", "rescaling", "invariance", "corollary")
+
+
+def matched_pair_check(rng, check, n):
+    """One of the five matched-pair checks on an n-dimensional system, as a
+    function of the test family, and a three-state family for it whose middle
+    state is a two-component mixture."""
+    sys = GaborSystem(standard_gaussian(n, HBAR),
+                      separable_lattice([0.8] * n, [0.8] * n, 6.0 if n == 1 else 2.5), HBAR)
+    H = builtin_hamiltonian("anharmonic") if n == 1 else builtin_hamiltonian("harmonic", n=2)
+    S = random_symplectic(rng, n=n)
+    z0, z1 = rng.normal(size=2 * n), rng.normal(size=2 * n)
+    M = np.diag([0.5 + 2.0j, 3.0j][:n]) + 0.1 * (np.ones((n, n)) - np.eye(n))
+    hbar = 0.7 if check == "rescaling" else HBAR
+    run = {
+        "covariance": lambda psis: covariance_check(sys, S, psis),
+        "translation": lambda psis: translation_check(sys, z0, z1, psis),
+        "rescaling": lambda psis: rescaling_check(sys, hbar, psis),
+        "invariance": lambda psis: invariance_check(sys, H, 0.5, psis),
+        "corollary": lambda psis: gaussian_corollary_check(M, sys, H, 0.5, psis),
+    }[check]
+    mixture = GaussianMixture([0.6 + 0.2j, -0.5j],
+                              (random_gaussian(rng, n, hbar), random_gaussian(rng, n, hbar)))
+    return run, [random_gaussian(rng, n, hbar), mixture, random_gaussian(rng, n, hbar)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("check", CHECKS)
+def test_check_of_a_family_equals_the_checks_of_its_states(rng, check, n):
+    run, family = matched_pair_check(rng, check, n)
+    t1, t2 = run(family)
+    assert t1.shape == t2.shape and t1.shape[0] == 3
+    for j, psi in enumerate(family):
+        (s1,), (s2,) = run([psi])
+        assert np.array_equal(t1[j], s1) and np.array_equal(t2[j], s2)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_check_rejects_an_empty_family(rng, check):
+    run, _ = matched_pair_check(rng, check, 1)
+    with pytest.raises(InvalidMatrix, match="test family is empty"):
+        run([])
 
 
 # ---------------------------------------------------------------------------
