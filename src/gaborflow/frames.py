@@ -2,9 +2,12 @@
 criterion, and the matched-pair covariance checks.
 
 The upper bound is estimated from the largest eigenvalue of the Gram matrix
-of the (truncated) Gabor system.  The lower bound is the smallest Rayleigh
-quotient of the frame quadratic form over the span of a seeded family of
-centrally supported test states; restricting to central states keeps the
+of the (truncated) Gabor system.  When the points are centred (z -> -z maps
+the point set onto itself, as for every centred lattice) and the window is a
+Gaussian, the parity operator commutes with the Gram, which is then solved as
+its even and odd blocks from half its rows.  The lower bound is the smallest
+Rayleigh quotient of the frame quadratic form over the span of a seeded family
+of centrally supported test states; restricting to central states keeps the
 estimate meaningful although the truncated frame operator itself has finite
 rank.
 """
@@ -12,13 +15,14 @@ rank.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._blas import blas_threads
-from .errors import DimensionMismatch, InvalidMatrix, ResolutionError
+from .errors import DimensionMismatch, InvalidMatrix, ResolutionError, ResourceLimit
 from .gaussians import (
     GaussianMixture,
     GaussianState,
@@ -32,6 +36,7 @@ from .gaussians import (
     sampled_norm,
     shifted_gram,
     _component_values,
+    _gram_rows,
     _grid_axis,
     _shift_overlaps,
     _shift_sampled,
@@ -272,13 +277,58 @@ def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
     return np.array(rows).reshape(len(pts), window.values.size)
 
 
+def _parity_split(sys: GaborSystem) -> bool:
+    """Whether the Gram commutes with the flip i -> N-1-i of the point order.
+
+    It does for a Gaussian window on points with pts[::-1] == -pts exactly,
+    which every centred Lattice enumerates: the Gram of T(c)phi is D* G0 D,
+    with D the diagonal of phases exp(i sigma(z_i, c)/hbar) and G0 the Gram of
+    the window moved to the origin, and the parity operator fixes that window
+    and maps T(z) to T(-z).
+    """
+    pts = sys.points
+    return isinstance(sys.window, GaussianState) and np.array_equal(pts[::-1], -pts)
+
+
 def _gram_matrix(sys: GaborSystem) -> np.ndarray:
+    """Rows of the Gram G_ij = <T(z_i) phi | T(z_j) phi>: all N of them, or
+    under _parity_split the first ceil(N/2) rows of the Gram of the window
+    moved to the origin, which has the same spectrum."""
     pts = sys.points
     window = sys.window
+    if _parity_split(sys):
+        centred = GaussianState(window.M, np.zeros(2 * sys.n), 0.0, window.hbar)
+        return _gram_rows(centred, pts, pts.shape[0] - pts.shape[0] // 2)
     if isinstance(window, GaussianState):
         return shifted_gram(window, pts)
     W = _shifted_samples(window, pts)
     return (W @ W.conj().T) * window.weight
+
+
+def _largest_eigenvalue(rows: np.ndarray) -> float:
+    """Largest eigenvalue of the Gram whose rows _gram_matrix built.
+
+    A full Gram takes one dense solve.  Half the rows of a Gram G that commutes
+    with the flip J: i -> N-1-i split it into the block of the even vectors
+    (e_i + e_Ji)/sqrt2, bordered by e_h for the middle point of an odd N, and
+    the block of the odd vectors (e_i - e_Ji)/sqrt2; with h = N // 2 and
+    C_ij = G_i,Jj these are G[:h, :h] +- C plus the border.
+    """
+    N = rows.shape[1]
+    if N == 0:
+        return 0.0
+    if rows.shape[0] == N:
+        return float(np.max(np.linalg.eigvalsh(rows)))
+    h = N // 2
+    top = rows[:h, :h]
+    cross = rows[:h, N - h:][:, ::-1]
+    even = np.empty((N - h, N - h), dtype=complex)
+    even[:h, :h] = top + cross
+    if N % 2:
+        even[:h, h] = np.sqrt(2.0) * rows[:h, h]
+        even[h, :h] = np.sqrt(2.0) * rows[h, :h]
+        even[h, h] = rows[h, h]
+    return float(max(np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(top - cross)[-1]))
 
 
 def _on_window_grid(psi, window: SampledWindow) -> SampledWindow:
@@ -317,11 +367,34 @@ def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
         if s.n != 1:
             raise DimensionMismatch("sampled test states are one-dimensional")
     grid = family[0]
-    centers, phases = _shifted(window, pts)
-    M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
-    shifted = _component_values(M, centers, phases, window.hbar, grid.axis[:, None])
     vals = np.array([s.values for s in family])
-    return vals @ shifted.conj() * grid.weight
+    return vals @ _window_on_grid(sys, grid).conj() * grid.weight
+
+
+def _window_on_grid(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
+    """T(z_p) phi of the Gaussian window at the points of a one-dimensional
+    grid, shape (grid points, N); within _sampled_once(sys), computed once per
+    grid."""
+    held = vars(sys).get("_on_grid", {})
+    key = (grid.extent, grid.npoints)
+    if key not in held:
+        window = sys.window
+        centers, phases = _shifted(window, sys.points)
+        M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
+        held[key] = _component_values(M, centers, phases, window.hbar, grid.axis[:, None])
+    return held[key]
+
+
+@contextmanager
+def _sampled_once(sys: GaborSystem):
+    """Within the block the witness scan and the family product share one
+    sampled T(z_p) phi per grid, a (grid points, N) array; it is dropped on
+    exit, before the Gram is built."""
+    vars(sys)["_on_grid"] = {}
+    try:
+        yield
+    finally:
+        vars(sys).pop("_on_grid", None)
 
 
 def _family_gram(family) -> np.ndarray:
@@ -369,27 +442,54 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
 # 2-core host, and costs a third or more of it while the other core is busy.
 PARALLEL_BLAS_MIN_POINTS = 700
 
+# Bytes frame_bounds may allocate for its Gram rows, parity blocks and window
+# samples, checked before any of them is built.  The 1609 points of the
+# largest benchmark system (alpha*beta = 1/2, R = 16) need about 70 MB.
+FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
+
+
+def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig) -> int:
+    """Bytes of the largest arrays of frame_bounds: the Gram rows, the parity
+    blocks and the shifted window sampled on the grid."""
+    N = sys.points.shape[0]
+    if _parity_split(sys):
+        half = N // 2
+        rows, blocks = (N - half) * N, (N - half) ** 2 + half**2
+    else:
+        rows, blocks = N * N, 0
+    if isinstance(sys.window, SampledWindow):
+        samples = N * sys.window.values.size
+    else:
+        samples = N * cfg.grid_points if sys.n == 1 else 0
+    return 16 * (rows + blocks + samples)
+
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
     """Estimate frame bounds of a truncated Gabor system (reported as method
     "eig").
 
     The upper bound is the largest eigenvalue of the Gram matrix of the
-    truncated system.  The lower bound is the minimal Rayleigh quotient of the
-    frame form over the span of the test family (whitened generalized
-    eigenvalue problem).
+    truncated system, solved in parity blocks from half its rows whenever a
+    Gaussian window sits on centred points (see _parity_split).  The lower
+    bound is the minimal Rayleigh quotient of the frame form over the span of
+    the test family (whitened generalized eigenvalue problem).  Raises
+    ResourceLimit when the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
         raise InvalidMatrix("test family is empty")
+    need = _frame_bounds_bytes(sys, cfg)
+    if need > FRAME_BOUNDS_BYTE_BUDGET:
+        raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
+                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
     with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
-        witnesses = deficiency_witnesses(sys, cfg)
-        family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
-        m = _frame_vectors(sys, family)
+        with _sampled_once(sys):
+            witnesses = deficiency_witnesses(sys, cfg)
+            family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
+            m = _frame_vectors(sys, family)
         A = m @ m.conj().T
         G = _family_gram(family)
-        gram = _gram_matrix(sys)
-        b_est = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
+        b_est = _largest_eigenvalue(_gram_matrix(sys))
         w, V = np.linalg.eigh(G)
         keep = w > 1e-8 * max(float(w[-1]), 1e-300)
         T = V[:, keep] / np.sqrt(w[keep])

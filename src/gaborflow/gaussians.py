@@ -297,13 +297,19 @@ def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
 
 
 def shifted_gram(phi: GaussianState, shifts) -> np.ndarray:
-    """Gram matrix G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts.
+    """Gram matrix G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts."""
+    return _gram_rows(phi, shifts)
+
+
+def _gram_rows(phi: GaussianState, shifts, count: int | None = None) -> np.ndarray:
+    """The first `count` rows (all for None) of shifted_gram(phi, shifts).
 
     Filled row by row in place: a one-shot broadcast would hold several
     N x N complex temporaries at once."""
     centers, gammas = _shifted(phi, shifts)
-    out = np.empty((centers.shape[0], centers.shape[0]), dtype=complex)
-    for i in range(centers.shape[0]):
+    count = centers.shape[0] if count is None else count
+    out = np.empty((count, centers.shape[0]), dtype=complex)
+    for i in range(count):
         row = _Stack(1.0, phi.M, centers[i], gammas[i])
         out[i] = _overlap_core(row, phi.M, centers, gammas, phi.hbar)
     return out

@@ -52,6 +52,18 @@ def test_frame_check_exit_codes(capsys):
     assert code == 3
 
 
+def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
+    import gaborflow.frames as frames
+
+    # 241 points at the default radius need 4,879,776 bytes
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 4_000_000)
+    code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: frame bounds of 241 points need 4879776 bytes "
+                   "(budget 4000000); reduce radius\n")
+
+
 def test_invariance_command(capsys):
     code, out, _ = run_cli(capsys, "invariance", "--hamiltonian", "p1^2/2 + x1^4/4",
                            "--t", "0.5", "--alpha", "0.9", "--beta", "0.9",

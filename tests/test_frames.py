@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborflow.errors import DimensionMismatch, InvalidMatrix
+from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from gaborflow.frames import (
     EstimationConfig,
     GaborSystem,
@@ -16,7 +16,10 @@ from gaborflow.frames import (
     residual_tail_estimate,
     translation_check,
     _family_gram,
+    _frame_bounds_bytes,
     _frame_vectors,
+    _gram_matrix,
+    _largest_eigenvalue,
     _upper_gamma_q,
 )
 from gaborflow.gaussians import (
@@ -27,9 +30,11 @@ from gaborflow.gaussians import (
     mixture_norm,
     sample_state,
     sampled_norm,
+    shifted_gram,
     standard_gaussian,
 )
 from gaborflow.symplectic import (
+    Lattice,
     lattice_points,
     make_generator,
     rotation,
@@ -308,6 +313,130 @@ def test_gaussian_family_makes_one_kernel_call(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Parity split of the Gram, shared window samples, byte budget
+# ---------------------------------------------------------------------------
+
+SKEW_WINDOW = GaussianState(np.array([[0.3 + 1.2j]]), [1.0, 0.5], 0.7, HBAR)
+SHEARED = make_generator("shear", P=[[0.7]]) @ np.diag([0.8, 1.1])
+COUPLED = (make_generator("shear", n=2, P=[[0.4, 0.3], [0.3, -0.2]])
+           @ make_generator("dilation", L=[[1.2, 0.3], [0.0, 0.9]]) * 0.9)
+PAIRS = np.array([[0.4, -1.1], [1.3, 0.2], [-0.7, 0.9], [2.0, 1.5]])
+CENTRED_SYSTEMS = {
+    "separable": (standard_gaussian(1, HBAR), separable_lattice([0.9], [0.9], 6.0)),
+    "sheared": (standard_gaussian(1, HBAR), Lattice(SHEARED, 6.0)),
+    "sheared-skew-window": (SKEW_WINDOW, Lattice(SHEARED, 6.0)),
+    "separable-skew-window": (SKEW_WINDOW, separable_lattice([0.9], [0.9], 6.0)),
+    "n2-coupled": (GaussianState(np.array([[0.2 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.3 + 0.8j]]),
+                                 [0.3, -0.2, 0.5, 0.1], -0.4, HBAR),
+                   Lattice(COUPLED, 2.4)),
+    "even-no-origin": (SKEW_WINDOW, np.concatenate([PAIRS, -PAIRS[::-1]])),
+    "one-point": (SKEW_WINDOW, np.zeros((1, 2))),
+    "three-points": (SKEW_WINDOW, np.array([[-0.6, 0.4], [0.0, 0.0], [0.6, -0.4]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRED_SYSTEMS))
+def test_parity_split_matches_the_full_solve(name):
+    window, lattice = CENTRED_SYSTEMS[name]
+    sys = GaborSystem(window, lattice, HBAR)
+    N = len(sys.points)
+    rows = _gram_matrix(sys)
+    assert rows.shape == ((N + 1) // 2, N)
+    full = float(np.max(np.linalg.eigvalsh(shifted_gram(window, sys.points))))
+    assert _largest_eigenvalue(rows) == pytest.approx(full, rel=1e-13)
+
+
+def _record_eigvalsh(monkeypatch):
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("lattice", [
+    Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
+    np.array([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.9], [1.1, -0.2], [-0.5, -0.3]]),
+], ids=["shifted-lattice", "asymmetric-points"])
+def test_parity_split_falls_back_to_the_full_solve(monkeypatch, lattice):
+    sys = GaborSystem(standard_gaussian(1, HBAR), lattice, HBAR)
+    N = len(sys.points)
+    assert _gram_matrix(sys).shape == (N, N)
+    sizes = _record_eigvalsh(monkeypatch)
+    report = frame_bounds(sys, EstimationConfig(family_size=8))
+    assert N in sizes
+    full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
+    assert report.b_est == pytest.approx(float(np.max(full)), rel=1e-13)
+
+
+def test_parity_split_builds_half_the_rows_and_solves_half_size_blocks(monkeypatch):
+    import gaborflow.frames as frames
+
+    shapes = []
+    real = frames._gram_matrix
+
+    def recording(s):
+        rows = real(s)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(frames, "_gram_matrix", recording)
+    sys = standard_system()
+    N = len(sys.points)
+    sizes = _record_eigvalsh(monkeypatch)
+    frame_bounds(sys, EstimationConfig())
+    assert shapes == [((N + 1) // 2, N)]
+    assert max(sizes) <= (N + 1) // 2
+
+
+def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
+    import gaborflow.frames as frames
+
+    shapes = []
+    real = frames._component_values
+
+    def recording(*args):
+        out = real(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(frames, "_component_values", recording)
+    sys = standard_system(radius=4.0)
+    cfg = EstimationConfig(family_size=8)
+    frame_bounds(sys, cfg)
+    assert shapes.count((cfg.grid_points, len(sys.points))) == 1
+    assert "_on_grid" not in vars(sys)
+    # outside frame_bounds every product samples the window afresh
+    frame_terms(sys, build_test_family(1, HBAR, cfg))
+    assert shapes.count((cfg.grid_points, len(sys.points))) == 2
+
+
+def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
+    import gaborflow.frames as frames
+
+    sys = standard_system()
+    cfg = EstimationConfig()
+    N, half = len(sys.points), len(sys.points) // 2
+    need = 16 * ((N - half) * N + (N - half) ** 2 + half**2 + cfg.grid_points * N)
+    assert _frame_bounds_bytes(sys, cfg) == need
+    shifted = GaborSystem(sys.window, Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
+                          HBAR)
+    M = len(shifted.points)
+    assert _frame_bounds_bytes(shifted, cfg) == 16 * (M * M + cfg.grid_points * M)
+
+    built = []
+    monkeypatch.setattr(frames, "deficiency_witnesses", lambda *a: built.append(a))
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
+        frame_bounds(sys, cfg)
+    assert built == []
 
 
 def test_residual_estimate_is_small_at_defaults():
