@@ -63,6 +63,29 @@ def _report_dict(report) -> dict:
     }
 
 
+def _json_text(obj, level: int) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) nested `level` deep (str keys);
+    a finite float ndarray is formatted at once by a "%r" template of its shape."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f" or not np.isfinite(obj).all():
+            return _json_text(obj.tolist(), level)
+        text = "%r"
+        for depth in range(obj.ndim - 1, -1, -1):  # innermost axis first
+            text = _json_block("[]", [text] * obj.shape[depth], level + depth)
+        return text % tuple(obj.ravel().tolist())
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, level + 1)}" for k, v in sorted(obj.items())]
+        return _json_block("{}", items, level)
+    if isinstance(obj, (list, tuple)):
+        return _json_block("[]", [_json_text(v, level + 1) for v in obj], level)
+    return json.dumps(obj)
+
+
+def _json_block(ends: str, items: list, level: int) -> str:
+    pad = "\n" + "  " * level
+    return f"{ends[0]}{pad}  " + f",{pad}  ".join(items) + pad + ends[1] if items else ends
+
+
 def _write_output(payload: dict, rows, header, args, cfg: RunConfig):
     """Emit JSON (nested payload) or CSV (tabular rows) to --out or stdout."""
     if args.format == "csv":
@@ -71,11 +94,8 @@ def _write_output(payload: dict, rows, header, args, cfg: RunConfig):
             lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        doc = {
-            "meta": {"version": __version__, "seed": cfg.seed, "config_hash": config_hash(cfg)},
-            "result": payload,
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        meta = {"version": __version__, "seed": cfg.seed, "config_hash": config_hash(cfg)}
+        text = _json_text({"meta": meta, "result": payload}, 0) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -128,7 +148,7 @@ def cmd_deform(args, cfg: RunConfig) -> int:
     payload = {
         "t": cfg.t,
         "trajectory_end": result.trajectory_end.tolist(),
-        "linear_flow": result.linear_flow.tolist(),
+        "linear_flow": result.linear_flow,
         "action_phase": result.action_phase,
         "lattice_mode": result.lattice_mode,
         "lattice_size": int(result.lattice.shape[0]),
@@ -139,7 +159,7 @@ def cmd_deform(args, cfg: RunConfig) -> int:
         },
     }
     if args.dump_lattice:
-        payload["lattice_points"] = result.lattice.tolist()
+        payload["lattice_points"] = result.lattice
     zt = result.trajectory_end
     rows = [tuple(float(v) for v in zt) + (result.action_phase,)]
     header = tuple(f"z{i}" for i in range(zt.size)) + ("action_phase",)
@@ -178,18 +198,16 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     payload = {
         "method": method,
         "steps": steps,
-        "times": traj.times.tolist(),
-        "points": traj.points.tolist(),
-        "action": traj.action.tolist(),
+        "times": traj.times,
+        "points": traj.points,
+        "action": traj.action,
     }
     if args.dump_matrices:
-        payload["linear_flow"] = traj.matrices.tolist()
+        payload["linear_flow"] = traj.matrices
     dim = traj.points.shape[1]
     header = ("time",) + tuple(f"z{i}" for i in range(dim)) + ("action",)
-    rows = [
-        (float(traj.times[k]),) + tuple(float(v) for v in traj.points[k]) + (float(traj.action[k]),)
-        for k in range(traj.times.size)
-    ]
+    rows = (np.column_stack([traj.times, traj.points, traj.action])
+            if args.format == "csv" else ())
     _write_output(payload, rows, header, args, cfg)
     return EXIT_OK
 

@@ -369,11 +369,14 @@ class Trajectory:
     @cached_property
     def action(self) -> np.ndarray:
         """Symmetrized action gamma_t by cumulative Simpson on the time nodes,
-        reproducing scipy's equal-interval `cumulative_simpson` bit for bit."""
+        reproducing scipy's equal-interval `cumulative_simpson` bit for bit.  An
+        autonomous H is evaluated once on all nodes, any other once per node."""
         H = self.hamiltonian
         n = H.n
         integrand = np.zeros(self.points.shape[:-1])
-        for k, (zk, tk) in enumerate(zip(self.points, self.times)):
+        nodes = ([(..., (self.points, self.times[0]))] if H.autonomous
+                 else enumerate(zip(self.points, self.times)))
+        for k, (zk, tk) in nodes:
             vk = H.velocity(zk, tk)
             sig = _dot(zk[..., n:], vk[..., :n]) - _dot(vk[..., n:], zk[..., :n])
             integrand[k] = 0.5 * sig - H.value(zk, tk)

@@ -301,7 +301,7 @@ def _gram_matrix(sys: GaborSystem) -> np.ndarray:
         return _gram_rows(centred, pts, pts.shape[0] - pts.shape[0] // 2)
     if isinstance(window, GaussianState):
         return shifted_gram(window, pts)
-    W = _shifted_samples(window, pts)
+    W = _window_samples(sys)
     return (W @ W.conj().T) * window.weight
 
 
@@ -355,7 +355,7 @@ def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
     window = sys.window
     if isinstance(window, SampledWindow):
         vals = np.array([_on_window_grid(s, window).values.ravel() for s in family])
-        return vals @ _shifted_samples(window, pts).conj().T * window.weight
+        return vals @ _window_samples(sys).conj().T * window.weight
     if not isinstance(window, GaussianState):
         raise DimensionMismatch(f"unsupported window type {type(window).__name__}")
     if all(isinstance(s, (GaussianState, GaussianMixture)) for s in family):
@@ -375,7 +375,7 @@ def _window_on_grid(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
     """T(z_p) phi of the Gaussian window at the points of a one-dimensional
     grid, shape (grid points, N); within _sampled_once(sys), computed once per
     grid."""
-    held = vars(sys).get("_on_grid", {})
+    held = vars(sys).get("_held", {}).setdefault("on_grid", {})
     key = (grid.extent, grid.npoints)
     if key not in held:
         window = sys.window
@@ -385,16 +385,24 @@ def _window_on_grid(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
     return held[key]
 
 
+def _window_samples(sys: GaborSystem) -> np.ndarray:
+    """_shifted_samples of a sampled window; within _sampled_once(sys), once."""
+    held = vars(sys).get("_held", {})
+    if "shifted" not in held:
+        held["shifted"] = _shifted_samples(sys.window, sys.points)
+    return held["shifted"]
+
+
 @contextmanager
 def _sampled_once(sys: GaborSystem):
-    """Within the block the witness scan and the family product share one
-    sampled T(z_p) phi per grid, a (grid points, N) array; it is dropped on
-    exit, before the Gram is built."""
-    vars(sys)["_on_grid"] = {}
+    """Within the block the witness scan, the family product and the Gram
+    share the samples of T(z_p) phi: one array per grid for a Gaussian window,
+    one on its own grid for a sampled window.  They are dropped on exit."""
+    held = vars(sys)["_held"] = {}
     try:
-        yield
+        yield held
     finally:
-        vars(sys).pop("_on_grid", None)
+        vars(sys).pop("_held", None)
 
 
 def _family_gram(family) -> np.ndarray:
@@ -483,13 +491,14 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
                             f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
     with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
-        with _sampled_once(sys):
+        with _sampled_once(sys) as held:
             witnesses = deficiency_witnesses(sys, cfg)
             family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
             m = _frame_vectors(sys, family)
+            held.pop("on_grid", None)  # the Gram needs no Gaussian grid samples
+            b_est = _largest_eigenvalue(_gram_matrix(sys))
         A = m @ m.conj().T
         G = _family_gram(family)
-        b_est = _largest_eigenvalue(_gram_matrix(sys))
         w, V = np.linalg.eigh(G)
         keep = w > 1e-8 * max(float(w[-1]), 1e-300)
         T = V[:, keep] / np.sqrt(w[keep])

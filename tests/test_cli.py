@@ -6,10 +6,13 @@ import time
 import warnings
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
-from gaborflow.cli import main
+from gaborflow.cli import _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +243,63 @@ def test_reproducible_output(tmp_path, capsys):
     assert main(args + ["--out", str(a_path)]) == 0
     assert main(args + ["--out", str(b_path)]) == 0
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+def as_lists(obj):
+    """obj with every ndarray replaced by its .tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2e-308, 1e300]
+float_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                       max_side=4),
+                          elements=st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS))
+other_arrays = hnp.arrays(st.sampled_from([np.int64, np.bool_]),
+                          hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+keys = st.text(max_size=6) | st.sampled_from(["\u0127bar", 'a"b\\c', "tab\tnl\n", "\x00",
+                                              "\U0001f600"])
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+          | float_arrays | other_arrays)
+documents = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(keys, inner, max_size=3), max_leaves=12)
+
+
+@given(documents)
+@example({})
+@example({"a": np.zeros(0), "b": np.zeros((2, 0)), "c": np.zeros((0, 3)), "d": np.array(1.5)})
+@example({"x": np.array([np.nan, 1.0]), "y": np.array([[np.inf], [-np.inf]]),
+          "z": np.array([-0.0, 5e-324, 2.2e-308])})
+@example({"i": np.arange(4).reshape(2, 2), "b": np.array([True, False]), "e": np.array(7),
+          "\u0127bar \u00e9": [np.ones((1, 1, 2))], 'k"\\\n': {"": np.array(-0.0)}})
+def test_json_text_is_json_dumps_with_arrays_as_lists(doc):
+    assert _json_text(doc, 0) == json.dumps(as_lists(doc), sort_keys=True, indent=2)
+
+
+def assert_canonical_json(text: str):
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_output_is_json_dumps_sort_keys_indent_2(capsys):
+    from test_golden_cli import CASES, GOLDEN, STATUS
+
+    status = json.loads(STATUS.read_text())
+    json_cases = [name for name, argv in CASES.items()
+                  if "csv" not in argv and status[name]["code"] != 1]
+    assert len(json_cases) == 14
+    for name in json_cases:
+        assert_canonical_json((GOLDEN / f"{name}.out").read_text())
+    code, out, _ = run_cli(capsys, "integrate", "--hamiltonian", "anharmonic", "--z0", "1,0",
+                           "--method", "verlet", "--t", "1", "--steps", "2000",
+                           "--dump-matrices")
+    assert code == 0
+    assert len(json.loads(out)["result"]["linear_flow"]) == 2001
+    assert_canonical_json(out)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -33,6 +33,7 @@ from gaborflow.dynamics import (
     time_dependent_quadratic,
     verlet_step,
     _cumulative_simpson,
+    _dot,
 )
 from gaborflow.errors import DivergenceError, InvalidMatrix
 from gaborflow.expressions import expression_hamiltonian
@@ -192,8 +193,9 @@ def test_flow_map_never_evaluates_h():
     for method in ("verlet", "rk4"):
         flow_map(counting, [0.5, 0.2], 0.0, 0.4, steps=32, method=method)
     assert calls == []
+    # the action of an autonomous H evaluates it once, on all 33 nodes at once
     integrate(counting, [0.5, 0.2], 0.4, 32).action
-    assert len(calls) == 33
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,62 @@ def test_batch_flow_map_and_single_point_shapes():
     assert np.array_equal(out[1], flow_map(H, Z[1], 0.0, 0.4, steps=32))
     traj = integrate(H, Z[0], 0.4, 32, method="rk4")
     assert traj.points.shape == (33, 2) and traj.matrices.shape == (33, 2, 2)
+    assert isinstance(traj.final_action, float)
+
+
+def per_node_action(traj):
+    """The action with H evaluated on one time node at a time, and its integrand."""
+    H, n = traj.hamiltonian, traj.hamiltonian.n
+    integrand = np.zeros(traj.points.shape[:-1])
+    for k, (z, t) in enumerate(zip(traj.points, traj.times)):
+        v = H.velocity(z, t)
+        sig = _dot(z[..., n:], v[..., :n]) - _dot(v[..., n:], z[..., :n])
+        integrand[k] = 0.5 * sig - H.value(z, t)
+    return _cumulative_simpson(integrand, traj.dt), integrand
+
+
+ACTION_CASES = [
+    ("anharmonic", "verlet", [0.9, -0.3], False),
+    ("anharmonic", "rk4", [[0.9, -0.3], [-1.4, 0.6]], False),
+    ("harmonic", "verlet", [[1.0, 0.2], [-0.5, 0.7]], True),
+    ("harmonic", "exact", [1.0, 0.2], True),
+    ("free", "rk4", [0.3, -1.1], True),
+    ("p1^2/2 + x1^4/4 - x1*p1/3", "rk4", [[0.8, 0.1], [-0.6, 0.4]], False),
+]
+
+
+@pytest.mark.parametrize("name, method, z0, exact", ACTION_CASES)
+def test_batched_action_matches_the_per_node_action(name, method, z0, exact):
+    H = builtin_hamiltonian(name) if name.isalpha() else expression_hamiltonian(name, 1)
+    assert H.autonomous
+    traj = integrate(H, z0, 1.0, 64, method=method)
+    ref, integrand = per_node_action(traj)
+    assert traj.action.shape == ref.shape == traj.points.shape[:-1]
+    if exact:  # the quadratic forms round the same on a batch as on one node
+        assert np.array_equal(traj.action, ref)
+    else:  # powers of arrays and of scalars may differ in the last bit
+        assert np.max(np.abs(traj.action - ref)) <= 1e-15 * np.max(np.abs(integrand))
+
+
+def test_time_dependent_action_stays_per_node():
+    H = builtin_hamiltonian("driven")
+    calls = []
+
+    def value(z, t):
+        calls.append(np.shape(z))
+        return H.value(z, t)
+
+    counting = dataclasses.replace(H, value=value)
+    for z0 in ([0.5, 0.2], [[0.5, 0.2], [-0.3, 0.7]]):
+        calls.clear()
+        traj = integrate(counting, z0, 0.4, 32, method="rk4")
+        traj.action
+        assert calls == [np.shape(z0)] * 33
+        assert np.array_equal(traj.action, per_node_action(traj)[0])
+
+
+def test_autonomous_final_action_is_a_float():
+    traj = integrate(builtin_hamiltonian("anharmonic"), [0.5, 0.2], 0.4, 32)
     assert isinstance(traj.final_action, float)
 
 

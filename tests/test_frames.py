@@ -412,10 +412,32 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys, cfg)
     assert shapes.count((cfg.grid_points, len(sys.points))) == 1
-    assert "_on_grid" not in vars(sys)
+    assert "_held" not in vars(sys)
     # outside frame_bounds every product samples the window afresh
     frame_terms(sys, build_test_family(1, HBAR, cfg))
     assert shapes.count((cfg.grid_points, len(sys.points))) == 2
+
+
+def test_frame_bounds_shifts_a_sampled_window_once(monkeypatch):
+    import gaborflow.frames as frames
+
+    calls = []
+    real = frames._shifted_samples
+
+    def counting(window, pts):
+        calls.append(len(pts))
+        return real(window, pts)
+
+    monkeypatch.setattr(frames, "_shifted_samples", counting)
+    cfg = EstimationConfig(family_size=8, grid_extent=10.0, grid_points=512)
+    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
+    sampled = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
+    frame_bounds(sampled, cfg)
+    # witness scan, family product and Gram share one set of samples
+    assert calls == [len(pts)]
+    assert "_held" not in vars(sampled)
+    frame_bounds(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR), cfg)
+    assert calls == [len(pts)]
 
 
 def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
