@@ -331,7 +331,7 @@ def _add_system_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-points", type=int, default=None, help="quadrature points per axis")
     parser.add_argument("--family-size", type=int, default=None, help="test states for bounds")
     parser.add_argument("--frame-floor", type=float, default=None,
-                        help="a/b verdict threshold (default 1e-3)")
+                        help=f"a/b verdict threshold (default {RunConfig.frame_floor:g})")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ from .gaussians import GaussianState
 from .symplectic import Lattice, separable_lattice
 
 BUILTIN_HAMILTONIANS = ("harmonic", "free", "shear", "anharmonic", "driven")
+_ESTIMATION = EstimationConfig()
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,10 @@ class RunConfig:
     method: str = "auto"
     steps: int | None = None
     t: float = 1.0
-    grid_extent: float = 10.0
-    grid_points: int = 1024
-    family_size: int = 64
-    frame_floor: float = 1e-3
+    grid_extent: float = _ESTIMATION.grid_extent
+    grid_points: int = _ESTIMATION.grid_points
+    family_size: int = _ESTIMATION.family_size
+    frame_floor: float = _ESTIMATION.frame_floor
 
     def validate(self) -> "RunConfig":
         for f in fields(self):

@@ -10,12 +10,15 @@ Rayleigh quotient of the frame quadratic form over the span of a seeded family
 of centrally supported test states; restricting to central states keeps the
 estimate meaningful although the truncated frame operator itself has finite
 rank.
+
+For n = 1 and for sampled windows, frame_bounds samples T(z_p) phi once into a
+table that the witness scan, the family product and a sampled window's Gram
+share; a Gaussian window's table is dropped before its closed-form Gram.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +63,8 @@ class GaborSystem:
     hbar: float
 
     def __post_init__(self):
+        if not isinstance(self.window, (GaussianState, SampledWindow)):
+            raise DimensionMismatch(f"unsupported window type {type(self.window).__name__}")
         if abs(self.window.hbar - self.hbar) > 1e-15:
             raise DimensionMismatch("window hbar differs from system hbar")
         pts = self.points
@@ -95,8 +100,6 @@ class EstimationConfig:
     grid_extent/grid_points define the quadrature grid for sampled test
     states; family_size test states are generated deterministically from the
     seed (prefix-stable: smaller families are prefixes of larger ones).
-    mode_degree bounds the oscillator-mode space scanned for deficiency
-    witnesses (None: as large as fits the central region).
     """
 
     grid_extent: float = 10.0
@@ -104,7 +107,6 @@ class EstimationConfig:
     family_size: int = 64
     seed: int = 0
     frame_floor: float = 1e-3
-    mode_degree: int | None = None
 
 
 @dataclass(frozen=True)
@@ -233,28 +235,27 @@ def build_test_family(n: int, hbar: float, cfg: EstimationConfig, witnesses=()):
     return members + list(witnesses)
 
 
-def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
+def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
     """Scan the oscillator-mode space that fits the central region and return
     the eight states minimizing the frame Rayleigh quotient there.
 
     These witnesses sharpen the lower-bound estimate near the critical
     density, where the near-deficient directions are high-order mode
-    combinations that a small random family misses.
+    combinations that a small random family misses.  table, when given, holds
+    the window samples of _window_table on the grid of cfg.
     """
     if sys.n != 1:
         return []
-    degree = cfg.mode_degree if cfg.mode_degree is not None else _auto_mode_degree(cfg, sys.hbar)
+    degree = _auto_mode_degree(cfg, sys.hbar)
     step = 2.0 * cfg.grid_extent / cfg.grid_points
     # top mode must stay below the grid Nyquist wavenumber
     if np.sqrt((2.0 * degree + 1.0) / sys.hbar) > 0.8 * np.pi / step:
-        raise ResolutionError(
-            f"grid of {cfg.grid_points} points cannot resolve oscillator mode {degree}; "
-            "increase grid_points or reduce mode_degree"
-        )
+        raise ResolutionError(f"grid of {cfg.grid_points} points cannot resolve oscillator "
+                              f"mode {degree}; increase grid_points")
     axis = _grid_axis(cfg.grid_extent, cfg.grid_points)
     modes = hermite_functions(axis, sys.hbar, degree)
     family = [SampledWindow(cfg.grid_extent, row.astype(complex), sys.hbar) for row in modes]
-    m = _frame_vectors(sys, family)
+    m = _frame_vectors(sys, family, table)
     A = (m @ m.conj().T).real
     # modes are orthonormal up to grid quadrature error; no whitening needed
     w, V = np.linalg.eigh(0.5 * (A + A.T))
@@ -277,6 +278,18 @@ def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
     return np.array(rows).reshape(len(pts), window.values.size)
 
 
+def _window_table(sys: GaborSystem, extent: float, npoints: int) -> np.ndarray:
+    """Samples of T(z_p) phi, one row per point: a sampled window shifted on
+    its own grid, a one-dimensional Gaussian window on the grid (extent, npoints)."""
+    window = sys.window
+    if isinstance(window, SampledWindow):
+        return _shifted_samples(window, sys.points)
+    centers, phases = _shifted(window, sys.points)
+    M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
+    axis = _grid_axis(extent, npoints)
+    return _component_values(M, centers, phases, window.hbar, axis[:, None]).T
+
+
 def _parity_split(sys: GaborSystem) -> bool:
     """Whether the Gram commutes with the flip i -> N-1-i of the point order.
 
@@ -290,10 +303,11 @@ def _parity_split(sys: GaborSystem) -> bool:
     return isinstance(sys.window, GaussianState) and np.array_equal(pts[::-1], -pts)
 
 
-def _gram_matrix(sys: GaborSystem) -> np.ndarray:
+def _gram_matrix(sys: GaborSystem, table=None) -> np.ndarray:
     """Rows of the Gram G_ij = <T(z_i) phi | T(z_j) phi>: all N of them, or
     under _parity_split the first ceil(N/2) rows of the Gram of the window
-    moved to the origin, which has the same spectrum."""
+    moved to the origin, which has the same spectrum.  A sampled window's
+    Gram is the product of its _window_table, taken from table when given."""
     pts = sys.points
     window = sys.window
     if _parity_split(sys):
@@ -301,8 +315,9 @@ def _gram_matrix(sys: GaborSystem) -> np.ndarray:
         return _gram_rows(centred, pts, pts.shape[0] - pts.shape[0] // 2)
     if isinstance(window, GaussianState):
         return shifted_gram(window, pts)
-    W = _window_samples(sys)
-    return (W @ W.conj().T) * window.weight
+    if table is None:
+        table = _shifted_samples(window, pts)
+    return (table @ table.conj().T) * window.weight
 
 
 def _largest_eigenvalue(rows: np.ndarray) -> float:
@@ -331,78 +346,37 @@ def _largest_eigenvalue(rows: np.ndarray) -> float:
     return float(max(np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(top - cross)[-1]))
 
 
-def _on_window_grid(psi, window: SampledWindow) -> SampledWindow:
-    """A test state as samples on the grid of a sampled window."""
-    if isinstance(psi, (GaussianState, GaussianMixture)):
-        psi = sample_state(psi, window.extent, window.npoints)
-    elif not isinstance(psi, SampledWindow):
-        raise DimensionMismatch(f"unsupported test state type {type(psi).__name__}")
-    if psi.values.shape != window.values.shape:
-        raise DimensionMismatch("test state grid differs from window grid")
-    return psi
-
-
-def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
+def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
     """Matrix m[j, p] = <psi_j | T(z_p) phi>.
 
-    A Gaussian window takes Gaussian test states (closed-form overlaps) or
-    one-dimensional sampled ones on a shared grid; a sampled window takes
-    either, Gaussian states being sampled onto its grid.
+    A Gaussian window takes Gaussian test states (closed-form overlaps) or 1-D
+    sampled ones on the grid of the first; a sampled window takes either,
+    sampling Gaussian ones onto its grid.  table: the _window_table of the grid.
     """
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
-    pts = sys.points
     window = sys.window
+    gaussian = (GaussianState, GaussianMixture)
     if isinstance(window, SampledWindow):
-        vals = np.array([_on_window_grid(s, window).values.ravel() for s in family])
-        return vals @ _window_samples(sys).conj().T * window.weight
-    if not isinstance(window, GaussianState):
-        raise DimensionMismatch(f"unsupported window type {type(window).__name__}")
-    if all(isinstance(s, (GaussianState, GaussianMixture)) for s in family):
-        return _shift_overlaps(family, window, pts)
+        grid = window
+    elif all(isinstance(s, gaussian) for s in family):
+        return _shift_overlaps(family, window, sys.points)
+    elif isinstance(family[0], SampledWindow) and family[0].n == sys.n == 1:
+        grid = family[0]
+    else:
+        raise DimensionMismatch("a Gaussian window takes Gaussian states, or sampled ones in 1-D")
+    vals = []
     for s in family:
+        if grid is window and isinstance(s, gaussian):
+            s = sample_state(s, grid.extent, grid.npoints)
         if not isinstance(s, SampledWindow):
-            raise DimensionMismatch(f"unsupported test state type {type(s).__name__}; "
-                                    "a test family is all Gaussian or all sampled")
-        if s.n != 1:
-            raise DimensionMismatch("sampled test states are one-dimensional")
-    grid = family[0]
-    vals = np.array([s.values for s in family])
-    return vals @ _window_on_grid(sys, grid).conj() * grid.weight
-
-
-def _window_on_grid(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
-    """T(z_p) phi of the Gaussian window at the points of a one-dimensional
-    grid, shape (grid points, N); within _sampled_once(sys), computed once per
-    grid."""
-    held = vars(sys).get("_held", {}).setdefault("on_grid", {})
-    key = (grid.extent, grid.npoints)
-    if key not in held:
-        window = sys.window
-        centers, phases = _shifted(window, sys.points)
-        M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
-        held[key] = _component_values(M, centers, phases, window.hbar, grid.axis[:, None])
-    return held[key]
-
-
-def _window_samples(sys: GaborSystem) -> np.ndarray:
-    """_shifted_samples of a sampled window; within _sampled_once(sys), once."""
-    held = vars(sys).get("_held", {})
-    if "shifted" not in held:
-        held["shifted"] = _shifted_samples(sys.window, sys.points)
-    return held["shifted"]
-
-
-@contextmanager
-def _sampled_once(sys: GaborSystem):
-    """Within the block the witness scan, the family product and the Gram
-    share the samples of T(z_p) phi: one array per grid for a Gaussian window,
-    one on its own grid for a sampled window.  They are dropped on exit."""
-    held = vars(sys)["_held"] = {}
-    try:
-        yield held
-    finally:
-        vars(sys).pop("_held", None)
+            raise DimensionMismatch(f"unsupported test state type {type(s).__name__}")
+        if s.values.shape != grid.values.shape or abs(s.extent - grid.extent) > 1e-12:
+            raise DimensionMismatch("test state grid differs from the grid of the window samples")
+        vals.append(s.values.ravel())
+    if table is None:
+        table = _window_table(sys, grid.extent, grid.npoints)
+    return np.array(vals) @ table.conj().T * grid.weight
 
 
 def _family_gram(family) -> np.ndarray:
@@ -480,8 +454,11 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     truncated system, solved in parity blocks from half its rows whenever a
     Gaussian window sits on centred points (see _parity_split).  The lower
     bound is the minimal Rayleigh quotient of the frame form over the span of
-    the test family (whitened generalized eigenvalue problem).  Raises
-    ResourceLimit when the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
+    the test family (whitened generalized eigenvalue problem).  For n = 1 and
+    sampled windows (on their own grid, at n = 1 that of cfg), T(z_p) phi is
+    sampled once for the witness scan, the family product and a sampled
+    window's Gram; a Gaussian window's samples are freed before its Gram.
+    Raises ResourceLimit when the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
@@ -491,12 +468,15 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
                             f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
     with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
-        with _sampled_once(sys) as held:
-            witnesses = deficiency_witnesses(sys, cfg)
-            family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
-            m = _frame_vectors(sys, family)
-            held.pop("on_grid", None)  # the Gram needs no Gaussian grid samples
-            b_est = _largest_eigenvalue(_gram_matrix(sys))
+        sampled = isinstance(sys.window, SampledWindow)
+        table = (_window_table(sys, cfg.grid_extent, cfg.grid_points)
+                 if sys.n == 1 or sampled else None)
+        witnesses = deficiency_witnesses(sys, cfg, table)
+        family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
+        m = _frame_vectors(sys, family, table)
+        if not sampled:
+            table = None  # the closed-form Gram needs no samples: free them first
+        b_est = _largest_eigenvalue(_gram_matrix(sys, table))
         A = m @ m.conj().T
         G = _family_gram(family)
         w, V = np.linalg.eigh(G)

@@ -7,6 +7,7 @@ block first.  Batches of points are arrays of shape (num_points, 2n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ TOL_SYMPLECTIC = 1e-10
 
 # Guard against runaway lattice enumerations.
 DEFAULT_POINT_CAP = 500_000
-_CANDIDATE_CAP = 50_000_000
+_ENUMERATION_BYTE_BUDGET = 1 << 30  # bytes of the index box of lattice_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,19 +307,23 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     """Enumerate the truncated lattice, shape (num_points, 2n).
 
     Deterministic lexicographic order in the integer index k.  Raises
-    ResourceLimit when the enumeration would exceed the configured cap.
+    ResourceLimit when the index box would exceed _ENUMERATION_BYTE_BUDGET or
+    the points the lattice's point_cap.
     """
     gen = lat.generator
     dim = gen.shape[0]
     R = lat.radius
     # Index bounds: |k_i| = |(L^-1 z)_i| <= ||row_i(L^-1)|| R for |z| <= R.
     inv = np.linalg.inv(gen)
-    bounds = np.ceil(np.linalg.norm(inv, axis=1) * R + 1e-9).astype(int)
-    candidates = int(np.prod([2 * b + 1 for b in bounds], dtype=np.int64))
-    if candidates > _CANDIDATE_CAP:
-        raise ResourceLimit(
-            f"lattice index box has {candidates} candidates (cap {_CANDIDATE_CAP}); reduce radius"
-        )
+    half_widths = np.ceil(np.linalg.norm(inv, axis=1) * R + 1e-9)
+    # the index grid, its stacked copy and the points (or their squares) are
+    # alive at once, each holding dim float64s per candidate index; Python
+    # floats overflow to inf without a numpy warning
+    need = 24.0 * dim * math.prod(2.0 * float(h) + 1.0 for h in half_widths)
+    if need > _ENUMERATION_BYTE_BUDGET:
+        raise ResourceLimit(f"lattice enumeration needs {need:.0f} bytes "
+                            f"(budget {_ENUMERATION_BYTE_BUDGET}); reduce radius")
+    bounds = half_widths.astype(int)
     axes = [np.arange(-b, b + 1) for b in bounds]
     ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     pts = ks @ gen.T

@@ -382,8 +382,8 @@ def test_parity_split_builds_half_the_rows_and_solves_half_size_blocks(monkeypat
     shapes = []
     real = frames._gram_matrix
 
-    def recording(s):
-        rows = real(s)
+    def recording(*args):
+        rows = real(*args)
         shapes.append(rows.shape)
         return rows
 
@@ -438,6 +438,43 @@ def test_frame_bounds_shifts_a_sampled_window_once(monkeypatch):
     assert "_held" not in vars(sampled)
     frame_bounds(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR), cfg)
     assert calls == [len(pts)]
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["gaussian-window", "sampled-window"])
+def test_frame_bounds_leaves_no_state_on_the_system(sampled):
+    window = standard_gaussian(1, HBAR)
+    if sampled:
+        window = sample_state(window, 10.0, 512)
+    sys = GaborSystem(window, lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
+    frame_bounds(sys, EstimationConfig(family_size=8, grid_points=512))
+    assert set(vars(sys)) <= {"window", "lattice", "hbar", "points"}
+
+
+def test_sampled_states_on_another_grid_are_rejected():
+    window = standard_gaussian(1, HBAR)
+    sys = GaborSystem(window, lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
+    on_10, on_8 = sample_state(window, 10.0, 1024), sample_state(window, 8.0, 1024)
+    # against a Gaussian window every state is checked, not only the first
+    with pytest.raises(DimensionMismatch):
+        frame_terms(sys, [on_10, on_8])
+    with pytest.raises(DimensionMismatch):
+        frame_terms(sys, [on_10, sample_state(window, 10.0, 512)])
+    # a sampled window checks the extent of its grid, not only the sample count
+    with pytest.raises(DimensionMismatch):
+        frame_terms(GaborSystem(on_8, sys.points, HBAR), [on_10])
+    with pytest.raises(DimensionMismatch):
+        frame_bounds(GaborSystem(on_8, sys.points, HBAR), EstimationConfig(family_size=8))
+    # and a two-dimensional Gaussian window takes no one-dimensional samples
+    sys2 = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
+                       HBAR)
+    with pytest.raises(DimensionMismatch):
+        frame_terms(sys2, [on_10])
+
+
+def test_system_rejects_unsupported_windows():
+    mix = GaussianMixture([1.0], (standard_gaussian(1, HBAR),))
+    with pytest.raises(DimensionMismatch):
+        GaborSystem(mix, separable_lattice([1.0], [1.0], 2.0), HBAR)
 
 
 def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
@@ -571,7 +608,7 @@ def test_system_validates_hbar_and_dimension():
 
 def test_frame_bounds_unresolved_grid_rejected():
     with pytest.raises(Exception) as err:
-        frame_bounds(standard_system(), EstimationConfig(grid_points=64, mode_degree=200))
+        frame_bounds(standard_system(), EstimationConfig(grid_points=64))
     assert "resolve" in str(err.value)
 
 

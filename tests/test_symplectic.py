@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -234,6 +236,30 @@ def test_lattice_same_set_under_unimodular_regeneration():
 def test_lattice_point_cap():
     with pytest.raises(ResourceLimit):
         lattice_points(separable_lattice([0.01], [0.01], 10.0, point_cap=100))
+
+
+def test_lattice_enumeration_checks_its_bytes_before_allocating(monkeypatch):
+    import gaborflow.symplectic as symplectic
+
+    # 11 x 11 index candidates at 3 arrays of 2 float64 coordinates each
+    need = 24 * 2 * 11 * 11
+    lat = separable_lattice([0.9], [0.9], 4.0)
+    monkeypatch.setattr(symplectic, "_ENUMERATION_BYTE_BUDGET", need)
+    assert len(lattice_points(lat)) == 61
+    built = []
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(symplectic, "_ENUMERATION_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"needs {need} bytes"):
+        lattice_points(lat)
+    assert built == []
+
+
+def test_lattice_enumeration_rejects_an_overflowing_index_box():
+    # the index bounds overflow int64, and the byte count overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimit, match="needs inf bytes"):
+            lattice_points(separable_lattice([1.0], [1.0], 1e300))
 
 
 @pytest.mark.parametrize("make", [
