@@ -327,8 +327,10 @@ def _add_system_flags(parser: argparse.ArgumentParser):
                         help="integrator: auto, euler, verlet, rk4, exact")
     parser.add_argument("--steps", type=int, default=None, help="integrator steps")
     parser.add_argument("--t", type=float, default=None, help="evolution time")
-    parser.add_argument("--grid-extent", type=float, default=None, help="quadrature half-width")
-    parser.add_argument("--grid-points", type=int, default=None, help="quadrature points per axis")
+    parser.add_argument("--grid-extent", type=float, default=None,
+                        help="half-width of the test states' central region and of the grid")
+    parser.add_argument("--grid-points", type=int, default=None,
+                        help="quadrature points per axis, for sampled windows only")
     parser.add_argument("--family-size", type=int, default=None, help="test states for bounds")
     parser.add_argument("--frame-floor", type=float, default=None,
                         help=f"a/b verdict threshold (default {RunConfig.frame_floor:g})")

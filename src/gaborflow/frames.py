@@ -11,9 +11,13 @@ of centrally supported test states; restricting to central states keeps the
 estimate meaningful although the truncated frame operator itself has finite
 rank.
 
-For n = 1 and for sampled windows, frame_bounds samples T(z_p) phi once into a
-table that the witness scan, the family product and a sampled window's Gram
-share; a Gaussian window's table is dropped before its closed-form Gram.
+Test states are analytic: Gaussian mixtures and, for n = 1, HermiteStates
+(the oscillator-mode ladder and the witnesses of the mode scan), so against a
+Gaussian window every overlap and the family Gram are closed-form at any n.
+Besides sampled test states that a caller passes in, only a sampled window
+uses a grid: it samples the test states on its own grid, and frame_bounds
+shifts it once into a table that the witness scan, the family product and its
+Gram share.
 """
 
 from __future__ import annotations
@@ -29,18 +33,16 @@ from .errors import DimensionMismatch, InvalidMatrix, ResolutionError, ResourceL
 from .gaussians import (
     GaussianMixture,
     GaussianState,
+    HermiteState,
     SampledWindow,
-    evaluate_state,
     heisenberg_weyl_apply,
     metaplectic_apply,
     mixture_norm,
     rescale_window,
     sample_state,
-    sampled_norm,
     shifted_gram,
     _component_values,
     _gram_rows,
-    _grid_axis,
     _shift_overlaps,
     _shift_sampled,
     _shifted,
@@ -97,9 +99,11 @@ class GaborSystem:
 class EstimationConfig:
     """Parameters of frame-bound estimation.
 
-    grid_extent/grid_points define the quadrature grid for sampled test
-    states; family_size test states are generated deterministically from the
-    seed (prefix-stable: smaller families are prefixes of larger ones).
+    grid_extent sets the central region of the test states (the highest
+    oscillator mode and the box of mixture centers); grid_extent/grid_points
+    must also be the grid of a sampled window.  family_size test states are
+    generated deterministically from the seed (prefix-stable: smaller
+    families are prefixes of larger ones).
     """
 
     grid_extent: float = 10.0
@@ -164,26 +168,15 @@ def _random_siegel_scalar(rng) -> complex:
     return complex(rng.normal(0.0, 0.3), np.exp(rng.normal(0.0, 0.3)))
 
 
-def hermite_functions(axis: np.ndarray, hbar: float, degree_max: int) -> np.ndarray:
-    """Orthonormal oscillator modes on the grid, shape (degree_max + 1, N).
-
-    Stable normalized recurrence; mode d is the degree-d polynomial excitation
-    of the standard width-sqrt(hbar) Gaussian.
-    """
-    u = axis / np.sqrt(hbar)
-    out = np.zeros((degree_max + 1, axis.size))
-    out[0] = np.pi**-0.25 * np.exp(-0.5 * u**2) * hbar**-0.25
-    if degree_max >= 1:
-        out[1] = np.sqrt(2.0) * u * out[0]
-    for d in range(2, degree_max + 1):
-        out[d] = np.sqrt(2.0 / d) * u * out[d - 1] - np.sqrt((d - 1) / d) * out[d - 2]
-    return out
-
-
 def _auto_mode_degree(cfg: EstimationConfig, hbar: float) -> int:
     # largest oscillator mode whose turning radius fits the central region
     support = cfg.grid_extent / 2.0
     return max(8, min(int((support**2 / hbar - 1.0) / 2.0), 256))
+
+
+def _mode(degree: int, hbar: float) -> HermiteState:
+    """The oscillator mode h_degree as a HermiteState."""
+    return HermiteState(np.eye(degree + 1)[degree], hbar)
 
 
 def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
@@ -191,8 +184,8 @@ def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
 
     Even indices are random Gaussian mixtures with centers inside the central
     region; odd indices (for n = 1) climb the oscillator-mode ladder on the
-    standard window width.  Both branches are prefix-stable in the family
-    size.
+    standard window width as HermiteStates.  Both branches are prefix-stable
+    in the family size.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
     box = cfg.grid_extent / 4.0
@@ -206,33 +199,15 @@ def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
         coeff = rng.normal(size=num) + 1j * rng.normal(size=num)
         mix = GaussianMixture(coeff, tuple(comps))
         return GaussianMixture(mix.coefficients / mixture_norm(mix), mix.components)
-    return ("mode", (index + 1) // 2)
-
-
-def _realize_family_sampled(members, extent: float, npoints: int, hbar: float):
-    """Realize family members as normalized sampled windows on the grid."""
-    axis = _grid_axis(extent, npoints)
-    degrees = [m[1] for m in members if isinstance(m, tuple) and m[0] == "mode"]
-    modes = hermite_functions(axis, hbar, max(degrees)) if degrees else None
-    out = []
-    for member in members:
-        if isinstance(member, tuple) and member[0] == "mode":
-            values = modes[member[1]].astype(complex)
-        else:
-            values = evaluate_state(member, axis)
-        w = SampledWindow(extent, values, hbar)
-        out.append(SampledWindow(extent, w.values / sampled_norm(w), hbar))
-    return out
+    return _mode((index + 1) // 2, hbar)
 
 
 def build_test_family(n: int, hbar: float, cfg: EstimationConfig, witnesses=()):
-    """The seeded test family: sampled windows for n = 1, Gaussian mixtures
-    otherwise.  Any witness states are appended after the standard members."""
+    """The seeded test family: Gaussian mixtures, and for n = 1 HermiteStates
+    at odd indices.  Any witness states are appended after the standard
+    members."""
     num_standard = max(cfg.family_size - len(witnesses), 1)
-    members = [_family_member(k, n, hbar, cfg) for k in range(num_standard)]
-    if n == 1:
-        return _realize_family_sampled(members, cfg.grid_extent, cfg.grid_points, hbar) + list(witnesses)
-    return members + list(witnesses)
+    return [_family_member(k, n, hbar, cfg) for k in range(num_standard)] + list(witnesses)
 
 
 def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
@@ -241,31 +216,28 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
 
     These witnesses sharpen the lower-bound estimate near the critical
     density, where the near-deficient directions are high-order mode
-    combinations that a small random family misses.  table, when given, holds
-    the window samples of _window_table on the grid of cfg.
+    combinations that a small random family misses.  They are HermiteStates,
+    and the scan runs in closed form for a Gaussian window.  A sampled window
+    must lie on the grid of cfg and resolve the top mode there; table, when
+    given, holds its shifted samples (_shifted_samples).
     """
     if sys.n != 1:
         return []
     degree = _auto_mode_degree(cfg, sys.hbar)
-    step = 2.0 * cfg.grid_extent / cfg.grid_points
-    # top mode must stay below the grid Nyquist wavenumber
-    if np.sqrt((2.0 * degree + 1.0) / sys.hbar) > 0.8 * np.pi / step:
-        raise ResolutionError(f"grid of {cfg.grid_points} points cannot resolve oscillator "
-                              f"mode {degree}; increase grid_points")
-    axis = _grid_axis(cfg.grid_extent, cfg.grid_points)
-    modes = hermite_functions(axis, sys.hbar, degree)
-    family = [SampledWindow(cfg.grid_extent, row.astype(complex), sys.hbar) for row in modes]
-    m = _frame_vectors(sys, family, table)
+    window = sys.window
+    if isinstance(window, SampledWindow):
+        if window.npoints != cfg.grid_points or abs(window.extent - cfg.grid_extent) > 1e-12:
+            raise DimensionMismatch("the grid of the window samples differs from the grid of cfg")
+        # top mode must stay below the grid Nyquist wavenumber
+        if np.sqrt((2.0 * degree + 1.0) / sys.hbar) > 0.8 * np.pi / window.step:
+            raise ResolutionError(f"grid of {window.npoints} points cannot resolve oscillator "
+                                  f"mode {degree}; increase grid_points")
+    modes = [_mode(k, sys.hbar) for k in range(degree + 1)]
+    m = _frame_vectors(sys, modes, table)
     A = (m @ m.conj().T).real
-    # modes are orthonormal up to grid quadrature error; no whitening needed
+    # the modes are orthonormal: no whitening needed
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    count = min(8, len(family))
-    out = []
-    for j in range(count):
-        values = (modes.T @ V[:, j]).astype(complex)
-        win = SampledWindow(cfg.grid_extent, values, sys.hbar)
-        out.append(SampledWindow(cfg.grid_extent, win.values / sampled_norm(win), sys.hbar))
-    return out
+    return [HermiteState(V[:, j], sys.hbar) for j in range(min(8, len(modes)))]
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +250,16 @@ def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
     return np.array(rows).reshape(len(pts), window.values.size)
 
 
-def _window_table(sys: GaborSystem, extent: float, npoints: int) -> np.ndarray:
-    """Samples of T(z_p) phi, one row per point: a sampled window shifted on
-    its own grid, a one-dimensional Gaussian window on the grid (extent, npoints)."""
+def _window_table(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
+    """Samples of T(z_p) phi on the grid of grid, one row per point: a sampled
+    window shifted on its own grid, a one-dimensional Gaussian window
+    evaluated there (for sampled test states only)."""
     window = sys.window
     if isinstance(window, SampledWindow):
         return _shifted_samples(window, sys.points)
     centers, phases = _shifted(window, sys.points)
     M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
-    axis = _grid_axis(extent, npoints)
-    return _component_values(M, centers, phases, window.hbar, axis[:, None]).T
+    return _component_values(M, centers, phases, window.hbar, grid.axis[:, None]).T
 
 
 def _parity_split(sys: GaborSystem) -> bool:
@@ -349,25 +321,29 @@ def _largest_eigenvalue(rows: np.ndarray) -> float:
 def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
     """Matrix m[j, p] = <psi_j | T(z_p) phi>.
 
-    A Gaussian window takes Gaussian test states (closed-form overlaps) or 1-D
-    sampled ones on the grid of the first; a sampled window takes either,
-    sampling Gaussian ones onto its grid.  table: the _window_table of the grid.
+    A Gaussian window takes analytic test states (Gaussian, mixture and
+    Hermite states: closed-form overlaps) or 1-D sampled ones on the grid of
+    the first; a sampled window takes either, sampling analytic ones onto its
+    own grid.  table: the _window_table of that grid.
     """
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
     window = sys.window
-    gaussian = (GaussianState, GaussianMixture)
+    analytic = (GaussianState, GaussianMixture, HermiteState)
+    if not all(isinstance(s, analytic + (SampledWindow,)) and s.n == sys.n for s in family):
+        raise DimensionMismatch("test states must be analytic or sampled states of the "
+                                "window's dimension")
     if isinstance(window, SampledWindow):
         grid = window
-    elif all(isinstance(s, gaussian) for s in family):
+    elif all(isinstance(s, analytic) for s in family):
         return _shift_overlaps(family, window, sys.points)
-    elif isinstance(family[0], SampledWindow) and family[0].n == sys.n == 1:
+    elif isinstance(family[0], SampledWindow) and sys.n == 1:
         grid = family[0]
     else:
-        raise DimensionMismatch("a Gaussian window takes Gaussian states, or sampled ones in 1-D")
+        raise DimensionMismatch("a Gaussian window takes analytic states, or sampled ones in 1-D")
     vals = []
     for s in family:
-        if grid is window and isinstance(s, gaussian):
+        if grid is window and isinstance(s, analytic):
             s = sample_state(s, grid.extent, grid.npoints)
         if not isinstance(s, SampledWindow):
             raise DimensionMismatch(f"unsupported test state type {type(s).__name__}")
@@ -375,14 +351,11 @@ def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
             raise DimensionMismatch("test state grid differs from the grid of the window samples")
         vals.append(s.values.ravel())
     if table is None:
-        table = _window_table(sys, grid.extent, grid.npoints)
+        table = _window_table(sys, grid)
     return np.array(vals) @ table.conj().T * grid.weight
 
 
 def _family_gram(family) -> np.ndarray:
-    if isinstance(family[0], SampledWindow):
-        vals = np.array([s.values.ravel() for s in family])
-        return (vals @ vals.conj().T) * family[0].weight
     return _state_gram(family, family)
 
 
@@ -424,26 +397,30 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
 # 2-core host, and costs a third or more of it while the other core is busy.
 PARALLEL_BLAS_MIN_POINTS = 700
 
-# Bytes frame_bounds may allocate for its Gram rows, parity blocks and window
-# samples, checked before any of them is built.  The 1609 points of the
-# largest benchmark system (alpha*beta = 1/2, R = 16) need about 70 MB.
+# Bytes frame_bounds may allocate for its Gram rows, parity blocks, window
+# samples and test family, checked before any of them is built.  The 1609
+# points of the largest benchmark system (alpha*beta = 1/2, R = 16) need about
+# 51 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
 def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig) -> int:
     """Bytes of the largest arrays of frame_bounds: the Gram rows, the parity
-    blocks and the shifted window sampled on the grid."""
+    blocks, a sampled window's shifted samples, and the test family's frame
+    vectors (with the mode columns of the witness scan at n = 1), their
+    component overlaps and the component block of the family Gram, at most
+    3 components per mixture."""
     N = sys.points.shape[0]
     if _parity_split(sys):
         half = N // 2
         rows, blocks = (N - half) * N, (N - half) ** 2 + half**2
     else:
         rows, blocks = N * N, 0
-    if isinstance(sys.window, SampledWindow):
-        samples = N * sys.window.values.size
-    else:
-        samples = N * cfg.grid_points if sys.n == 1 else 0
-    return 16 * (rows + blocks + samples)
+    samples = N * sys.window.values.size if isinstance(sys.window, SampledWindow) else 0
+    components = 3 * cfg.family_size
+    modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
+    family = (cfg.family_size + components + modes) * N + components**2
+    return 16 * (rows + blocks + samples + family)
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
@@ -454,11 +431,10 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     truncated system, solved in parity blocks from half its rows whenever a
     Gaussian window sits on centred points (see _parity_split).  The lower
     bound is the minimal Rayleigh quotient of the frame form over the span of
-    the test family (whitened generalized eigenvalue problem).  For n = 1 and
-    sampled windows (on their own grid, at n = 1 that of cfg), T(z_p) phi is
-    sampled once for the witness scan, the family product and a sampled
-    window's Gram; a Gaussian window's samples are freed before its Gram.
-    Raises ResourceLimit when the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
+    the test family (whitened generalized eigenvalue problem).  A Gaussian
+    window uses no grid; a sampled window is shifted on its grid once for the
+    witness scan, the family product and its Gram.  Raises ResourceLimit when
+    the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
@@ -466,16 +442,13 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     need = _frame_bounds_bytes(sys, cfg)
     if need > FRAME_BOUNDS_BYTE_BUDGET:
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
-                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
+                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius or family size")
     with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
-        sampled = isinstance(sys.window, SampledWindow)
-        table = (_window_table(sys, cfg.grid_extent, cfg.grid_points)
-                 if sys.n == 1 or sampled else None)
+        table = (_shifted_samples(sys.window, sys.points)
+                 if isinstance(sys.window, SampledWindow) else None)
         witnesses = deficiency_witnesses(sys, cfg, table)
         family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
         m = _frame_vectors(sys, family, table)
-        if not sampled:
-            table = None  # the closed-form Gram needs no samples: free them first
         b_est = _largest_eigenvalue(_gram_matrix(sys, table))
         A = m @ m.conj().T
         G = _family_gram(family)

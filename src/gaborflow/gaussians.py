@@ -9,9 +9,11 @@ Heisenberg-Weyl shift
 
 Internally a Gaussian state is a flat component stack: coefficients (K,),
 matrices (K, n, n), centers (K, 2n) and phases (K,), with K = 1 for a
-GaussianState; mixtures hold GaussianState components only.  Every
-closed-form overlap goes through _overlap_core on component stacks,
-broadcast over both sides.  Uniform grids (SampledWindow) provide the
+GaussianState; mixtures hold GaussianState components only.  A HermiteState
+is a finite sum of the oscillator modes h_k of hermite_functions (n = 1).
+Every closed-form overlap goes through _overlap_core on component stacks,
+broadcast over both sides, and every overlap of a mode with a Gaussian through
+the recurrence of _mode_core.  Uniform grids (SampledWindow) provide the
 independent quadrature route used by the tests and by non-Gaussian states.
 """
 
@@ -68,13 +70,19 @@ class _Stack(NamedTuple):
                       self.phases[:, None])
 
 
-def _stack_states(states) -> tuple[_Stack, np.ndarray]:
-    """One flat stack of the components of all states, and the state-by-
-    component coefficient block B, so that <states_j | f> = B @ <components | f>."""
+def _stack_states(states) -> tuple[_Stack, np.ndarray, np.ndarray]:
+    """One flat stack of the Gaussian components of all states, the state-by-
+    component coefficient block B and the state-by-mode block H of the
+    HermiteState coefficients, so that
+    <states_j | f> = B @ <components | f> + H @ <modes | f>."""
     stacks = [g._stack for g in states]
     stack = _Stack(*map(np.concatenate, zip(*stacks)))
     owner = np.repeat(np.arange(len(stacks)), [len(s.coefficients) for s in stacks])
-    return stack, (owner == np.arange(len(stacks))[:, None]) * stack.coefficients
+    modes = [g.coefficients if isinstance(g, HermiteState) else () for g in states]
+    H = np.zeros((len(states), max(map(len, modes))), dtype=complex)
+    for row, c in zip(H, modes):
+        row[:len(c)] = c
+    return stack, (owner == np.arange(len(stacks))[:, None]) * stack.coefficients, H
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +146,52 @@ class GaussianMixture:
         return GaussianMixture(self.coefficients, tuple(map(f, self.components)))
 
 
+@dataclass(frozen=True, eq=False)
+class HermiteState:
+    """The one-dimensional state sum_k coefficients[k] h_k over the
+    orthonormal oscillator modes h_k of hermite_functions."""
+
+    coefficients: np.ndarray
+    hbar: float
+
+    def __post_init__(self):
+        coeff = np.asarray(self.coefficients, dtype=complex).ravel()
+        if coeff.size == 0:
+            raise DimensionMismatch("at least one mode coefficient required")
+        if self.hbar <= 0:
+            raise InvalidMatrix("hbar must be positive")
+        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "_stack", _Stack(np.zeros(0, dtype=complex),
+                                                  np.zeros((0, 1, 1), dtype=complex),
+                                                  np.zeros((0, 2)), np.zeros(0)))
+
+    @property
+    def n(self) -> int:
+        return 1
+
+
+def _gaussian_only(g) -> None:
+    if isinstance(g, HermiteState):
+        raise DimensionMismatch("a HermiteState has no closed-form phase-space transforms")
+
+
+def hermite_functions(axis: np.ndarray, hbar: float, degree_max: int) -> np.ndarray:
+    """Orthonormal oscillator modes on the grid, shape (degree_max + 1, N).
+
+    Stable normalized recurrence; mode d is the degree-d polynomial excitation
+    of the standard width-sqrt(hbar) Gaussian.
+    """
+    u = axis / np.sqrt(hbar)
+    out = np.zeros((degree_max + 1, axis.size))
+    out[0] = np.pi**-0.25 * np.exp(-0.5 * u**2) * hbar**-0.25
+    if degree_max >= 1:
+        out[1] = np.sqrt(2.0) * u * out[0]
+    for d in range(2, degree_max + 1):
+        out[d] = np.sqrt(2.0 / d) * u * out[d - 1] - np.sqrt((d - 1) / d) * out[d - 2]
+    return out
+
+
 def standard_gaussian(n: int, hbar: float) -> GaussianState:
     """The standard centered Gaussian (M = iI, center 0, phase 0)."""
     return GaussianState(1j * np.eye(n), np.zeros(2 * n), 0.0, hbar)
@@ -167,10 +221,17 @@ def siegel_action(S, M) -> np.ndarray:
 
 def metaplectic_apply(S, g):
     """Transport a Gaussian along a symplectic matrix: M -> action(S)M,
-    center -> S center.  The global phase is carried unchanged."""
-    if isinstance(g, GaussianMixture):
-        return g._map(lambda comp: metaplectic_apply(S, comp))
+    center -> S center.  A GaussianState keeps its global phase.  Each
+    component of a mixture also takes the phase of det(A + B M)^(-1/2), on
+    the eigenvalue-log branch of _det_power, so the relative phases of the
+    components follow the metaplectic operator."""
+    _gaussian_only(g)
     S = check_symplectic(S)
+    if isinstance(g, GaussianMixture):
+        A, B = blocks(S)[:2]
+        factor = _det_power(A + B @ g._stack.M, -0.5)
+        mapped = g._map(lambda comp: metaplectic_apply(S, comp))
+        return GaussianMixture(g.coefficients * factor / np.abs(factor), mapped.components)
     return GaussianState(siegel_action(S, g.M), S @ g.center, g.phase, g.hbar)
 
 
@@ -181,6 +242,7 @@ def heisenberg_weyl_apply(z0, g):
     SampledWindow: pointwise multiplier with the position shift snapped to the
     nearest grid multiple (the residual is recorded on the window).
     """
+    _gaussian_only(g)
     if isinstance(g, GaussianMixture):
         return g._map(lambda comp: heisenberg_weyl_apply(z0, comp))
     if isinstance(g, SampledWindow):
@@ -197,6 +259,7 @@ def rescale_window(g, hbar_new: float):
     """
     if hbar_new <= 0:
         raise InvalidMatrix("hbar must be positive")
+    _gaussian_only(g)
     if isinstance(g, GaussianMixture):
         return g._map(lambda comp: rescale_window(comp, hbar_new))
     mu = np.sqrt(hbar_new / g.hbar)
@@ -250,13 +313,59 @@ def _overlap_core(left: _Stack, M2, Z2, gamma2, hbar: float):
     return pref * np.exp(1j / hbar * (c - quad))
 
 
+def _mode_core(M, centers, phases, hbar: float, degree: int) -> np.ndarray:
+    """c_k = integral h_k conj(g) of the modes k <= degree of hermite_functions
+    against normalized 1-D Gaussians g(M, z0, gamma), broadcast over the
+    leading axes of matrices (..., 1, 1), centers (..., 2) and phases (...);
+    shape (degree + 1, ...).
+
+    The generating function sum_k h_k t^k / sqrt(k!) of the modes integrates
+    against conj(g) to c_0 exp(b t + a t^2), hence the three-term recurrence
+    c_{k+1} = (b c_k + 2 a sqrt(k) c_{k-1}) / sqrt(k + 1) with
+    alpha = (1 + i conj(M))/hbar, beta = (i/hbar)(conj(M) x0 - p0),
+    a = 1/(hbar alpha) - 1/2 and b = sqrt(2/hbar) beta/alpha (a = 0 for the
+    standard window: Bargmann monomials).  Far from the modes c_0 underflows
+    to 0 and so does every c_k.
+    """
+    m = np.conj(M[..., 0, 0])
+    x0, p0 = centers[..., 0], centers[..., 1]
+    alpha = (1.0 + 1j * m) / hbar
+    beta = 1j / hbar * (m * x0 - p0)
+    a = 1.0 / (hbar * alpha) - 0.5
+    b = np.sqrt(2.0 / hbar) * beta / alpha
+    expo = 0.5 * beta**2 / alpha - 1j / hbar * (0.5 * m * x0**2 - 0.5 * p0 * x0 + phases)
+    c0 = ((np.pi * hbar) ** -0.25 * (M.imag[..., 0, 0] / (np.pi * hbar)) ** 0.25
+          * np.sqrt(2.0 * np.pi / alpha) * np.exp(expo))
+    out = np.empty((degree + 1,) + c0.shape, dtype=complex)
+    out[0] = c0
+    if degree >= 1:
+        out[1] = b * c0
+    for k in range(1, degree):
+        out[k + 1] = (b * out[k] + 2.0 * np.sqrt(k) * a * out[k - 1]) / np.sqrt(k + 1.0)
+    return out
+
+
 def _state_gram(states1, states2) -> np.ndarray:
-    """<states1_i | states2_j> of Gaussian states and mixtures in one kernel
-    call: B1 K B2^H, with K the overlaps of all their components."""
-    s, B1 = _stack_states(states1)
-    t, B2 = _stack_states(states2)
-    K = _overlap_core(s.column(), t.M, t.centers, t.phases, states1[0].hbar)
-    return B1 @ K @ B2.conj().T
+    """<states1_i | states2_j> of Gaussian, mixture and Hermite states: one
+    kernel call for B1 K B2^H, with K the overlaps of all their components,
+    plus the mode terms H1 C2 B2^H + B1 C1^H H2^H + H1 H2^H, with C the mode
+    overlaps of each side's components (the modes are orthonormal)."""
+    s, B1, H1 = _stack_states(states1)
+    t, B2, H2 = _stack_states(states2)
+    hbar = states1[0].hbar
+    terms = []
+    if B1.shape[1] and B2.shape[1]:
+        terms.append(B1 @ _overlap_core(s.column(), t.M, t.centers, t.phases, hbar) @ B2.conj().T)
+    if H1.shape[1] and B2.shape[1]:
+        C2 = _mode_core(t.M, t.centers, t.phases, hbar, H1.shape[1] - 1)
+        terms.append(H1 @ C2 @ B2.conj().T)
+    if B1.shape[1] and H2.shape[1]:
+        C1 = _mode_core(s.M, s.centers, s.phases, hbar, H2.shape[1] - 1)
+        terms.append(B1 @ C1.conj().T @ H2.conj().T)
+    d = min(H1.shape[1], H2.shape[1])
+    if d:
+        terms.append(H1[:, :d] @ H2[:, :d].conj().T)
+    return sum(terms[1:], terms[0])
 
 
 def inner_product(g1, g2) -> complex:
@@ -279,13 +388,19 @@ def _shifted(phi: GaussianState, shifts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shift_overlaps(states, phi: GaussianState, shifts) -> np.ndarray:
-    """<states_j | T(z_p) phi> for all states and shift rows, in one kernel call."""
-    stack, B = _stack_states(states)
+    """<states_j | T(z_p) phi> for all states and shift rows: one kernel call
+    for the Gaussian components and one mode recurrence for HermiteStates."""
+    stack, B, H = _stack_states(states)
     centers, gammas = _shifted(phi, shifts)
-    K = _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)
-    # numpy takes gemv for a one-row B, which rounds unlike gemm: a zero row
-    # keeps a state's overlaps the same in every family that holds it
-    return (np.pad(B, ((0, 1), (0, 0))) @ K)[:-1]
+    parts = []
+    if B.shape[1]:
+        parts.append((B, _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)))
+    if H.shape[1]:
+        parts.append((H, _mode_core(phi.M, centers, gammas, phi.hbar, H.shape[1] - 1)))
+    # numpy takes gemv for a one-row block, which rounds unlike gemm: a zero
+    # row keeps a state's overlaps the same in every family that holds it
+    rows = [(np.pad(X, ((0, 1), (0, 0))) @ K)[:-1] for X, K in parts]
+    return sum(rows[1:], rows[0])
 
 
 def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
@@ -378,12 +493,15 @@ def sampled_inner_product(w1: SampledWindow, w2: SampledWindow) -> complex:
 
 
 def evaluate_state(g, x) -> np.ndarray:
-    """Pointwise values of a GaussianState or GaussianMixture.
+    """Pointwise values of a GaussianState, GaussianMixture or HermiteState.
 
     x has shape (...,) for n=1 or (..., n) in general.
     """
     n, hbar = g.n, g.hbar
     x = np.asarray(x, dtype=float)
+    if isinstance(g, HermiteState):
+        modes = hermite_functions(x.ravel(), hbar, g.coefficients.size - 1)
+        return (g.coefficients @ modes).reshape(x.shape)
     if n == 1:
         pts = x[..., None]
     else:
@@ -412,7 +530,7 @@ def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
 
 
 def sample_state(g, extent: float, npoints: int) -> SampledWindow:
-    """Sample a Gaussian state or mixture on the uniform grid."""
+    """Sample a Gaussian state, mixture or HermiteState on the uniform grid."""
     axis = _grid_axis(extent, npoints)
     if g.n == 1:
         values = evaluate_state(g, axis)

@@ -58,13 +58,27 @@ def test_frame_check_exit_codes(capsys):
 def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
     import gaborflow.frames as frames
 
-    # 241 points at the default radius need 4,879,776 bytes
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 4_000_000)
+    # 241 points at the default radius need 2,812,816 bytes
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 2_000_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
-    assert err == ("error: frame bounds of 241 points need 4879776 bytes "
-                   "(budget 4000000); reduce radius\n")
+    assert err == ("error: frame bounds of 241 points need 2812816 bytes "
+                   "(budget 2000000); reduce radius or family size\n")
+
+
+def test_frame_check_with_a_huge_family_exits_1_before_building_it(capsys, monkeypatch):
+    import gaborflow.frames as frames
+
+    def refuse(*args):
+        raise AssertionError("a test state was built")
+
+    # a budget that let the family through would fail here, not run out of memory
+    monkeypatch.setattr(frames, "_family_member", refuse)
+    code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9",
+                             "--family-size", "100000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: frame bounds of 241 points need ")
 
 
 def test_invariance_command(capsys):

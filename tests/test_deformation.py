@@ -301,6 +301,34 @@ def test_check_of_a_family_equals_the_checks_of_its_states(rng, check, n):
         assert np.array_equal(t1[j], s1) and np.array_equal(t2[j], s2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_row_of_a_check_satisfies_its_identity(rng, check, n):
+    # the mixture row holds only if the metaplectic transport keeps the
+    # relative phases of the mixture's components
+    run, family = matched_pair_check(rng, check, n)
+    t1, t2 = run(family)
+    assert np.max(np.abs(t1 - t2)) <= 1e-12
+
+
+def coupled_gaussian(rng, n):
+    X, Y = rng.normal(0.0, 0.5, (n, n)), rng.normal(0.0, 0.5, (n, n))
+    M = 0.5 * (X + X.T) + 1j * (Y @ Y.T + 0.5 * np.eye(n))
+    return GaussianState(M, rng.normal(0.0, 1.0, 2 * n), rng.normal(), HBAR)
+
+
+def test_covariance_of_mixtures_on_random_sp4():
+    rng = np.random.default_rng(1)
+    sys = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.8] * 2, [0.8] * 2, 2.5),
+                      HBAR)
+    for _ in range(40):
+        S = random_symplectic(rng, n=2, factors=4)
+        mix = GaussianMixture(rng.normal(size=3) + 1j * rng.normal(size=3),
+                              tuple(coupled_gaussian(rng, 2) for _ in range(3)))
+        t1, t2 = covariance_check(sys, S, [mix])
+        assert np.max(np.abs(t1 - t2)) <= 1e-12
+
+
 @pytest.mark.parametrize("check", CHECKS)
 def test_check_rejects_an_empty_family(rng, check):
     run, _ = matched_pair_check(rng, check, 1)

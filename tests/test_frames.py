@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
+from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResolutionError, ResourceLimit
 from gaborflow.frames import (
     EstimationConfig,
     GaborSystem,
     build_test_family,
     covariance_check,
+    deficiency_witnesses,
     frame_bounds,
     frame_sum,
     frame_terms,
     gaussian_frame_criterion,
-    hermite_functions,
     rescaling_check,
     residual_tail_estimate,
     translation_check,
@@ -25,7 +25,9 @@ from gaborflow.frames import (
 from gaborflow.gaussians import (
     GaussianMixture,
     GaussianState,
+    HermiteState,
     heisenberg_weyl_apply,
+    hermite_functions,
     inner_product,
     mixture_norm,
     sample_state,
@@ -397,25 +399,33 @@ def test_parity_split_builds_half_the_rows_and_solves_half_size_blocks(monkeypat
 
 
 def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
+    # a Gaussian window is never sampled: the witness scan, the family product
+    # and the family Gram are closed-form, here and in any frame_terms call
     import gaborflow.frames as frames
+    import gaborflow.gaussians as gaussians
 
-    shapes = []
-    real = frames._component_values
+    calls = []
 
-    def recording(*args):
-        out = real(*args)
-        shapes.append(out.shape)
-        return out
+    def record(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(frames, "_component_values", recording)
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    for name in ("_component_values", "hermite_functions", "sample_state"):
+        record(gaussians, name)
+    for name in ("_component_values", "sample_state"):
+        record(frames, name)
     sys = standard_system(radius=4.0)
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys, cfg)
-    assert shapes.count((cfg.grid_points, len(sys.points))) == 1
+    assert calls == []
     assert "_held" not in vars(sys)
-    # outside frame_bounds every product samples the window afresh
     frame_terms(sys, build_test_family(1, HBAR, cfg))
-    assert shapes.count((cfg.grid_points, len(sys.points))) == 2
+    assert calls == []
 
 
 def test_frame_bounds_shifts_a_sampled_window_once(monkeypatch):
@@ -482,19 +492,39 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
 
     sys = standard_system()
     cfg = EstimationConfig()
+    F = cfg.family_size
+
+    def family(N):
+        # frame vectors of the family, of its <= 3 components per mixture and
+        # of the 79 scanned modes, and the component block of the family Gram
+        return (F + 3 * F + 79) * N + (3 * F) ** 2
+
     N, half = len(sys.points), len(sys.points) // 2
-    need = 16 * ((N - half) * N + (N - half) ** 2 + half**2 + cfg.grid_points * N)
+    need = 16 * ((N - half) * N + (N - half) ** 2 + half**2 + family(N))
     assert _frame_bounds_bytes(sys, cfg) == need
     shifted = GaborSystem(sys.window, Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
                           HBAR)
     M = len(shifted.points)
-    assert _frame_bounds_bytes(shifted, cfg) == 16 * (M * M + cfg.grid_points * M)
+    assert _frame_bounds_bytes(shifted, cfg) == 16 * (M * M + family(M))
 
     built = []
     monkeypatch.setattr(frames, "deficiency_witnesses", lambda *a: built.append(a))
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         frame_bounds(sys, cfg)
+    assert built == []
+
+
+def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
+    import gaborflow.frames as frames
+
+    built = []
+    monkeypatch.setattr(frames, "build_test_family", lambda *a, **k: built.append(a))
+    sys = standard_system(radius=4.0)
+    small = EstimationConfig(family_size=8)
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, small))
+    with pytest.raises(ResourceLimit):
+        frame_bounds(sys, EstimationConfig(family_size=9))
     assert built == []
 
 
@@ -520,8 +550,22 @@ def test_report_fields_consistent():
 def test_family_prefix_stability():
     fam_small = build_test_family(1, HBAR, EstimationConfig(family_size=10))
     fam_large = build_test_family(1, HBAR, EstimationConfig(family_size=20))
+    assert {type(a) for a in fam_small} == {GaussianMixture, HermiteState}
     for a, b in zip(fam_small, fam_large):
-        assert np.array_equal(a.values, b.values)
+        assert type(a) is type(b)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        for g, h in zip(getattr(a, "components", ()), getattr(b, "components", ())):
+            assert np.array_equal(g.M, h.M) and np.array_equal(g.center, h.center)
+            assert g.phase == h.phase
+
+
+def test_family_gram_n1_matches_elementwise_inner_products():
+    cfg = EstimationConfig(family_size=12)
+    sys = standard_system(radius=4.0)
+    family = build_test_family(1, HBAR, cfg, witnesses=deficiency_witnesses(sys, cfg))
+    assert {type(a) for a in family} == {GaussianMixture, HermiteState}
+    ref = np.array([[inner_product(a, b) for b in family] for a in family])
+    assert np.max(np.abs(_family_gram(family) - ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +651,11 @@ def test_system_validates_hbar_and_dimension():
 
 
 def test_frame_bounds_unresolved_grid_rejected():
-    with pytest.raises(Exception) as err:
-        frame_bounds(standard_system(), EstimationConfig(grid_points=64))
-    assert "resolve" in str(err.value)
+    # only a sampled window has a grid to resolve the scanned modes on
+    window = sample_state(standard_gaussian(1, HBAR), 10.0, 64)
+    sys = GaborSystem(window, standard_system().points, HBAR)
+    with pytest.raises(ResolutionError, match="resolve"):
+        frame_bounds(sys, EstimationConfig(grid_points=64))
 
 
 def test_frame_bounds_empty_family_rejected():

@@ -14,10 +14,12 @@ from gaborflow.errors import (
 from gaborflow.gaussians import (
     GaussianMixture,
     GaussianState,
+    HermiteState,
     SampledWindow,
     check_siegel,
     evaluate_state,
     heisenberg_weyl_apply,
+    hermite_functions,
     inner_product,
     metaplectic_apply,
     mixture_norm,
@@ -31,6 +33,8 @@ from gaborflow.gaussians import (
     siegel_action,
     standard_gaussian,
     stft,
+    _grid_axis,
+    _mode_core,
 )
 from gaborflow.symplectic import (
     GeneratingFunctionData,
@@ -315,6 +319,61 @@ def test_shifted_gram_builds_no_states(rng, monkeypatch):
     G = shifted_gram(phi, shifts)
     assert calls == []
     assert np.max(np.abs(G - np.array(rows))) < 1e-12
+
+
+MODE_WINDOWS = {
+    "standard": (1j, [0.0, 0.0], 0.0),
+    "squeezed": (0.25j, [0.0, 0.0], 0.3),
+    "stretched": (4.0j, [0.0, 0.0], -0.2),
+    "sheared": (0.3 + 0.8j, [1.0, 0.5], 0.1),
+    "off-centre": (1j, [2.5, -3.0], 0.7),
+    "sheared-off-centre": (-0.7 + 2.5j, [-1.2, 2.0], 1.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_WINDOWS))
+def test_mode_kernel_matches_quadrature(name):
+    # the integrands are resolved and have decayed long before the grid ends,
+    # so the rectangle rule is exact to rounding here
+    M, center, phase = MODE_WINDOWS[name]
+    g = GaussianState([[M]], center, phase, HBAR)
+    axis = _grid_axis(16.0, 4096)
+    quad = hermite_functions(axis, HBAR, 256) @ np.conj(evaluate_state(g, axis)) * (axis[1] - axis[0])
+    got = _mode_core(g.M, g.center, np.array(g.phase), HBAR, 256)
+    assert np.max(np.abs(got - quad)) <= 1e-13
+
+
+def test_mode_kernel_underflows_to_zero_far_away(rng):
+    directions = rng.normal(size=(16, 2))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    M = np.array([[0.3 + 0.8j]])
+    for radius in (21.5, 30.0, 100.0, 1000.0):
+        # c_0 is subnormal near radius 21.5 and underflows beyond
+        out = _mode_core(M, radius * directions, np.zeros(16), HBAR, 256)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out)) <= 1e-100
+        if radius >= 30.0:
+            assert not np.any(out)
+
+
+def test_hermite_state_inner_products_are_the_mode_coefficients(rng):
+    c1, c2 = rng.normal(size=5) + 1j * rng.normal(size=5), rng.normal(size=3)
+    h1, h2 = HermiteState(c1, HBAR), HermiteState(c2, HBAR)
+    assert inner_product(h1, h2) == pytest.approx(np.dot(c1[:3], c2), abs=1e-15)
+    g = random_gaussian(rng)
+    w1, wg = sample_state(h1, 10.0, 1024), sample_state(g, 10.0, 1024)
+    assert inner_product(h1, g) == pytest.approx(sampled_inner_product(w1, wg), abs=1e-12)
+    assert inner_product(g, h1) == pytest.approx(sampled_inner_product(wg, w1), abs=1e-12)
+
+
+def test_transforms_reject_a_hermite_state():
+    h = HermiteState([0.0, 1.0], HBAR)
+    with pytest.raises(DimensionMismatch):
+        heisenberg_weyl_apply([0.1, 0.2], h)
+    with pytest.raises(DimensionMismatch):
+        metaplectic_apply(rotation(0.3), h)
+    with pytest.raises(DimensionMismatch):
+        rescale_window(h, 0.5)
 
 
 def test_mixture_components_must_be_flat(rng):

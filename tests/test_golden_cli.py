@@ -9,12 +9,21 @@ intended change of its output, by name:
 
 Only the named cases are rewritten; every other golden and status entry is
 left as it is, so one intended change cannot silently re-record the rest.
+To see how far a case has moved before re-recording it, without writing
+anything:
+
+    python tests/test_golden_cli.py --diff NAME [NAME ...]
+
+prints whether the exit code matches and the largest relative change of any
+number in stdout (JSON or CSV) against the recorded golden.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -87,12 +96,51 @@ def run_case(argv) -> tuple[int, bytes, str]:
     return code, out.getvalue().encode(), err.getvalue()
 
 
-def record(names) -> None:
+def check_names(names) -> None:
     unknown = sorted(set(names) - set(CASES))
     if not names or unknown:
-        sys.exit(f"usage: python tests/test_golden_cli.py NAME [NAME ...]\n"
+        sys.exit(f"usage: python tests/test_golden_cli.py [--diff] NAME [NAME ...]\n"
                  f"unknown names: {', '.join(unknown) or '-'}\n"
                  f"cases: {', '.join(sorted(CASES))}")
+
+
+# a number not glued to a word, so keys and hashes are left as text
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])|\b(?:nan|inf)\b")
+
+
+def relative_change(old: str, new: str) -> float:
+    a, b = float(old), float(new)
+    if old == new or a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0 and math.isfinite(a) else math.inf
+
+
+def diff(names) -> None:
+    """Print, per case, the exit code against the golden's and the largest
+    relative change of any number in stdout; writes nothing."""
+    check_names(names)
+    status = json.loads(STATUS.read_text())
+    for name in names:
+        code, out, _ = run_case(CASES[name])
+        old, new = (GOLDEN / f"{name}.out").read_text(), out.decode()
+        expected = status[name]["code"]
+        line = f"{name}: exit {code} ({'matches' if code == expected else f'golden {expected}'})"
+        if old == new:
+            print(f"{line}, stdout identical")
+            continue
+        old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
+        if NUMBER.sub("#", old) != NUMBER.sub("#", new) or len(old_nums) != len(new_nums):
+            print(f"{line}, text other than numbers differs")
+            continue
+        changes = [(relative_change(a, b), a, b) for a, b in zip(old_nums, new_nums)]
+        worst, a, b = max(changes)
+        moved = sum(c > 0 for c, _, _ in changes)
+        print(f"{line}, {moved} of {len(changes)} numbers differ, "
+              f"largest relative change {worst:.3g} ({a} -> {b})")
+
+
+def record(names) -> None:
+    check_names(names)
     GOLDEN.mkdir(exist_ok=True)
     status = json.loads(STATUS.read_text()) if STATUS.exists() else {}
     for name in names:
@@ -119,4 +167,7 @@ def test_every_golden_has_a_case():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    record(sys.argv[1:])
+    if sys.argv[1:2] == ["--diff"]:
+        diff(sys.argv[2:])
+    else:
+        record(sys.argv[1:])
