@@ -27,13 +27,14 @@ from .config import (
 )
 from .deformation import DeformationConfig, deform_sweep, invariance_check, weak_deform
 from .dynamics import (
+    ARRAY_BYTE_BUDGET,
     auto_method,
     default_steps,
     hamiltonian_from_isotopy,
     hamiltonian_from_linear_path,
     integrate,
 )
-from .errors import GaborflowError
+from .errors import GaborflowError, ResourceLimit
 from .frames import GaborSystem, default_radius, frame_bounds, gaussian_frame_criterion
 from .gaussians import GaussianState
 from .symplectic import rotation, make_generator, separable_lattice
@@ -57,7 +58,6 @@ def _report_dict(report) -> dict:
         "truncation": {
             "radius": report.truncation[0],
             "grid_extent": report.truncation[1],
-            "grid_points": report.truncation[2],
         },
         "residual_estimate": report.residual_estimate,
     }
@@ -219,6 +219,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         if len(parts) != 3:
             raise GaborflowError(f"grid spec {spec!r} must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if 8 * count > ARRAY_BYTE_BUDGET:
+            raise ResourceLimit(f"grid spec {spec!r} needs {8 * count} bytes "
+                                f"(budget {ARRAY_BYTE_BUDGET})")
         grid = np.linspace(start, stop, count)
     else:
         grid = np.asarray(parse_float_list(spec))
@@ -328,9 +331,7 @@ def _add_system_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--steps", type=int, default=None, help="integrator steps")
     parser.add_argument("--t", type=float, default=None, help="evolution time")
     parser.add_argument("--grid-extent", type=float, default=None,
-                        help="half-width of the test states' central region and of the grid")
-    parser.add_argument("--grid-points", type=int, default=None,
-                        help="quadrature points per axis, for sampled windows only")
+                        help="half-width of the test states' central region")
     parser.add_argument("--family-size", type=int, default=None, help="test states for bounds")
     parser.add_argument("--frame-floor", type=float, default=None,
                         help=f"a/b verdict threshold (default {RunConfig.frame_floor:g})")
@@ -386,7 +387,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 _FLAG_FIELDS = (
     "seed", "hbar", "dimension", "radius", "hamiltonian", "method", "steps", "t",
-    "grid_extent", "grid_points", "family_size", "frame_floor",
+    "grid_extent", "family_size", "frame_floor",
 )
 
 

@@ -42,7 +42,6 @@ class RunConfig:
     steps: int | None = None
     t: float = 1.0
     grid_extent: float = _ESTIMATION.grid_extent
-    grid_points: int = _ESTIMATION.grid_points
     family_size: int = _ESTIMATION.family_size
     frame_floor: float = _ESTIMATION.frame_floor
 
@@ -78,8 +77,6 @@ class RunConfig:
             raise ConfigError("window_center", f"needs {2 * n} entries")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps", "must be >= 1")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points", "must be >= 2")
         if not self.grid_extent > 0:
             raise ConfigError("grid_extent", "must be positive")
         if self.family_size < 1:
@@ -129,7 +126,6 @@ def build_hamiltonian(cfg: RunConfig) -> Hamiltonian:
 def estimation_config(cfg: RunConfig) -> EstimationConfig:
     return EstimationConfig(
         grid_extent=cfg.grid_extent,
-        grid_points=cfg.grid_points,
         family_size=cfg.family_size,
         seed=cfg.seed,
         frame_floor=cfg.frame_floor,
@@ -170,7 +166,6 @@ _FILE_FIELDS = {
     ("integrator", "steps"): ("steps", int),
     ("integrator", "t"): ("t", float),
     ("estimation", "grid_extent"): ("grid_extent", float),
-    ("estimation", "grid_points"): ("grid_points", int),
     ("estimation", "family_size"): ("family_size", int),
     ("estimation", "frame_floor"): ("frame_floor", float),
 }

@@ -15,12 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, InvalidMatrix, InverseIterationError
+from .errors import (DimensionMismatch, DivergenceError, InvalidMatrix, InverseIterationError,
+                     ResourceLimit)
 from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standard_j
 
 OVERFLOW_GUARD = 1e8
 FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
+# Bytes of the arrays that a caller's count sizes (integrate's times, points
+# and S_t; a CLI sweep grid), checked before they are allocated.
+ARRAY_BYTE_BUDGET = 1 << 30
 # constant Hessians of the builtin family, shared by every evaluation
 _EYE1, _EYE2 = np.eye(1), np.eye(2)
 _EYE1.setflags(write=False)
@@ -478,13 +482,18 @@ def integrate(
     With variational, S_t is carried by each step's derivative, so it is the
     Jacobian of the computed z_t in z0: symplectic to rounding but for rk4.
     The symmetrized action gamma_t, by cumulative Simpson on the same nodes,
-    is computed on the first read of Trajectory.action.
+    is computed on the first read of Trajectory.action.  Raises ResourceLimit
+    when the times, points and S_t would exceed ARRAY_BYTE_BUDGET.
     """
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
     z0 = _points(z0, H.n)
     _check_overflow(z0)  # before the first step sees a diverged point
     dim = 2 * H.n
+    need = 8 * (int(steps) + 1) * (1 + z0.size + (z0.size * dim if variational else 0))
+    if need > ARRAY_BYTE_BUDGET:
+        raise ResourceLimit(f"{steps} steps of {z0.size // dim} points need {need} bytes "
+                            f"(budget {ARRAY_BYTE_BUDGET}); reduce steps or points")
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)
     points = np.zeros((steps + 1,) + z0.shape)

@@ -14,10 +14,10 @@ rank.
 Test states are analytic: Gaussian mixtures and, for n = 1, HermiteStates
 (the oscillator-mode ladder and the witnesses of the mode scan), so against a
 Gaussian window every overlap and the family Gram are closed-form at any n.
-Besides sampled test states that a caller passes in, only a sampled window
-uses a grid: it samples the test states on its own grid, and frame_bounds
-shifts it once into a table that the witness scan, the family product and its
-Gram share.
+Only a sampled window uses a grid, its own: it samples a family of analytic
+test states there in one pass, takes sampled test states on that grid only,
+and frame_bounds shifts it once into a table that the witness scan, the
+family product and its Gram share.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from .gaussians import (
     metaplectic_apply,
     mixture_norm,
     rescale_window,
-    sample_state,
     shifted_gram,
-    _component_values,
+    _grid_nodes,
     _gram_rows,
     _shift_overlaps,
     _shift_sampled,
-    _shifted,
     _state_gram,
+    _state_values,
 )
 from .symplectic import (
     Lattice,
@@ -100,14 +99,14 @@ class EstimationConfig:
     """Parameters of frame-bound estimation.
 
     grid_extent sets the central region of the test states (the highest
-    oscillator mode and the box of mixture centers); grid_extent/grid_points
-    must also be the grid of a sampled window.  family_size test states are
-    generated deterministically from the seed (prefix-stable: smaller
-    families are prefixes of larger ones).
+    oscillator mode and the box of mixture centers); a one-dimensional
+    sampled window must have a grid of that half-width, sampled finely enough
+    for the highest mode.  family_size test states are generated
+    deterministically from the seed (prefix-stable: smaller families are
+    prefixes of larger ones).
     """
 
     grid_extent: float = 10.0
-    grid_points: int = 1024
     family_size: int = 64
     seed: int = 0
     frame_floor: float = 1e-3
@@ -218,20 +217,20 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
     density, where the near-deficient directions are high-order mode
     combinations that a small random family misses.  They are HermiteStates,
     and the scan runs in closed form for a Gaussian window.  A sampled window
-    must lie on the grid of cfg and resolve the top mode there; table, when
-    given, holds its shifted samples (_shifted_samples).
+    must have the half-width grid_extent of cfg and resolve the top mode on
+    its grid; table, when given, holds its shifted samples (_shifted_samples).
     """
     if sys.n != 1:
         return []
     degree = _auto_mode_degree(cfg, sys.hbar)
     window = sys.window
     if isinstance(window, SampledWindow):
-        if window.npoints != cfg.grid_points or abs(window.extent - cfg.grid_extent) > 1e-12:
-            raise DimensionMismatch("the grid of the window samples differs from the grid of cfg")
+        if abs(window.extent - cfg.grid_extent) > 1e-12:
+            raise DimensionMismatch("the half-width of the window grid differs from grid_extent")
         # top mode must stay below the grid Nyquist wavenumber
         if np.sqrt((2.0 * degree + 1.0) / sys.hbar) > 0.8 * np.pi / window.step:
             raise ResolutionError(f"grid of {window.npoints} points cannot resolve oscillator "
-                                  f"mode {degree}; increase grid_points")
+                                  f"mode {degree}; sample the window on more points")
     modes = [_mode(k, sys.hbar) for k in range(degree + 1)]
     m = _frame_vectors(sys, modes, table)
     A = (m @ m.conj().T).real
@@ -248,18 +247,6 @@ def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
     """Samples of T(z) window on its grid, one flattened row per point z."""
     rows = [_shift_sampled(z, window).values.ravel() for z in pts]
     return np.array(rows).reshape(len(pts), window.values.size)
-
-
-def _window_table(sys: GaborSystem, grid: SampledWindow) -> np.ndarray:
-    """Samples of T(z_p) phi on the grid of grid, one row per point: a sampled
-    window shifted on its own grid, a one-dimensional Gaussian window
-    evaluated there (for sampled test states only)."""
-    window = sys.window
-    if isinstance(window, SampledWindow):
-        return _shifted_samples(window, sys.points)
-    centers, phases = _shifted(window, sys.points)
-    M = np.broadcast_to(window.M, (len(phases),) + window.M.shape)
-    return _component_values(M, centers, phases, window.hbar, grid.axis[:, None]).T
 
 
 def _parity_split(sys: GaborSystem) -> bool:
@@ -279,7 +266,7 @@ def _gram_matrix(sys: GaborSystem, table=None) -> np.ndarray:
     """Rows of the Gram G_ij = <T(z_i) phi | T(z_j) phi>: all N of them, or
     under _parity_split the first ceil(N/2) rows of the Gram of the window
     moved to the origin, which has the same spectrum.  A sampled window's
-    Gram is the product of its _window_table, taken from table when given."""
+    Gram is the product of its _shifted_samples, taken from table when given."""
     pts = sys.points
     window = sys.window
     if _parity_split(sys):
@@ -322,9 +309,9 @@ def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
     """Matrix m[j, p] = <psi_j | T(z_p) phi>.
 
     A Gaussian window takes analytic test states (Gaussian, mixture and
-    Hermite states: closed-form overlaps) or 1-D sampled ones on the grid of
-    the first; a sampled window takes either, sampling analytic ones onto its
-    own grid.  table: the _window_table of that grid.
+    Hermite states), in closed form.  A sampled window takes analytic states,
+    all sampled onto its grid in one pass, and sampled states on that same
+    grid.  table: the _shifted_samples of a sampled window.
     """
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
@@ -333,26 +320,24 @@ def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
     if not all(isinstance(s, analytic + (SampledWindow,)) and s.n == sys.n for s in family):
         raise DimensionMismatch("test states must be analytic or sampled states of the "
                                 "window's dimension")
-    if isinstance(window, SampledWindow):
-        grid = window
-    elif all(isinstance(s, analytic) for s in family):
+    on_grid = np.array([isinstance(s, SampledWindow) for s in family])
+    if isinstance(window, GaussianState):
+        if on_grid.any():
+            raise DimensionMismatch("a Gaussian window takes analytic test states only")
         return _shift_overlaps(family, window, sys.points)
-    elif isinstance(family[0], SampledWindow) and sys.n == 1:
-        grid = family[0]
-    else:
-        raise DimensionMismatch("a Gaussian window takes analytic states, or sampled ones in 1-D")
-    vals = []
-    for s in family:
-        if grid is window and isinstance(s, analytic):
-            s = sample_state(s, grid.extent, grid.npoints)
-        if not isinstance(s, SampledWindow):
-            raise DimensionMismatch(f"unsupported test state type {type(s).__name__}")
-        if s.values.shape != grid.values.shape or abs(s.extent - grid.extent) > 1e-12:
-            raise DimensionMismatch("test state grid differs from the grid of the window samples")
-        vals.append(s.values.ravel())
+    sampled = [s for s in family if isinstance(s, SampledWindow)]
+    if any(s.values.shape != window.values.shape or abs(s.extent - window.extent) > 1e-12
+           for s in sampled):
+        raise DimensionMismatch("test state grid differs from the grid of the window samples")
+    vals = np.empty((len(family), window.values.size), dtype=complex)
+    if sampled:
+        vals[on_grid] = [s.values.ravel() for s in sampled]
+    if not on_grid.all():
+        states = [s for s in family if not isinstance(s, SampledWindow)]
+        vals[~on_grid] = _state_values(states, _grid_nodes(window.extent, window.npoints, sys.n))
     if table is None:
-        table = _window_table(sys, grid)
-    return np.array(vals) @ table.conj().T * grid.weight
+        table = _shifted_samples(window, sys.points)
+    return vals @ table.conj().T * window.weight
 
 
 def _family_gram(family) -> np.ndarray:
@@ -406,21 +391,22 @@ FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig) -> int:
     """Bytes of the largest arrays of frame_bounds: the Gram rows, the parity
-    blocks, a sampled window's shifted samples, and the test family's frame
-    vectors (with the mode columns of the witness scan at n = 1), their
-    component overlaps and the component block of the family Gram, at most
-    3 components per mixture."""
+    blocks, and the test family's frame vectors (with the mode columns of the
+    witness scan at n = 1), their component overlaps and the component block
+    of the family Gram, at most 3 components per mixture.  A sampled window
+    adds, per node of its grid, its shifted samples and the family's samples,
+    their component values and mode table included."""
     N = sys.points.shape[0]
     if _parity_split(sys):
         half = N // 2
         rows, blocks = (N - half) * N, (N - half) ** 2 + half**2
     else:
         rows, blocks = N * N, 0
-    samples = N * sys.window.values.size if isinstance(sys.window, SampledWindow) else 0
     components = 3 * cfg.family_size
     modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
-    family = (cfg.family_size + components + modes) * N + components**2
-    return 16 * (rows + blocks + samples + family)
+    family = cfg.family_size + components + modes
+    nodes = sys.window.values.size if isinstance(sys.window, SampledWindow) else 0
+    return 16 * (rows + blocks + family * N + components**2 + (N + family) * nodes)
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
@@ -465,7 +451,7 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         ratio=ratio,
         is_frame=bool(a_est > cfg.frame_floor * b_est),
         method="eig",
-        truncation=(sys.truncation_radius, cfg.grid_extent, cfg.grid_points),
+        truncation=(sys.truncation_radius, cfg.grid_extent),
         residual_estimate=residual_tail_estimate(sys),
     )
 

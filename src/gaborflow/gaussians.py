@@ -14,7 +14,8 @@ is a finite sum of the oscillator modes h_k of hermite_functions (n = 1).
 Every closed-form overlap goes through _overlap_core on component stacks,
 broadcast over both sides, and every overlap of a mode with a Gaussian through
 the recurrence of _mode_core.  Uniform grids (SampledWindow) provide the
-independent quadrature route used by the tests and by non-Gaussian states.
+independent quadrature route used by the tests and by non-Gaussian states;
+_state_values evaluates a whole family of states at their nodes in one pass.
 """
 
 from __future__ import annotations
@@ -481,6 +482,13 @@ def _grid_axis(extent: float, npoints: int) -> np.ndarray:
     return -extent + 2.0 * extent / npoints * np.arange(npoints)
 
 
+def _grid_nodes(extent: float, npoints: int, n: int) -> np.ndarray:
+    """The nodes of the n-dimensional grid, shape (npoints**n, n), in the
+    order of the flattened samples of a SampledWindow on it."""
+    axes = np.meshgrid(*([_grid_axis(extent, npoints)] * n), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, n)
+
+
 def sampled_norm(w: SampledWindow) -> float:
     return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.weight))
 
@@ -497,19 +505,27 @@ def evaluate_state(g, x) -> np.ndarray:
 
     x has shape (...,) for n=1 or (..., n) in general.
     """
-    n, hbar = g.n, g.hbar
+    n = g.n
     x = np.asarray(x, dtype=float)
-    if isinstance(g, HermiteState):
-        modes = hermite_functions(x.ravel(), hbar, g.coefficients.size - 1)
-        return (g.coefficients @ modes).reshape(x.shape)
-    if n == 1:
-        pts = x[..., None]
-    else:
-        if x.shape[-1] != n:
-            raise DimensionMismatch(f"points must have last axis {n}")
-        pts = x
-    s = g._stack
-    return np.sum(s.coefficients * _component_values(s.M, s.centers, s.phases, hbar, pts), axis=-1)
+    if n > 1 and x.shape[-1:] != (n,):
+        raise DimensionMismatch(f"points must have last axis {n}")
+    shape = x.shape if n == 1 else x.shape[:-1]
+    return _state_values([g], x.reshape(-1, n))[0].reshape(shape)
+
+
+def _state_values(states, pts) -> np.ndarray:
+    """Values of Gaussian, mixture and Hermite states of one n and hbar at the
+    points pts (P, n), shape (states, P), in one pass: B times the values of
+    all their Gaussian components plus H times one table of hermite_functions
+    (the blocks of _stack_states)."""
+    stack, B, H = _stack_states(states)
+    hbar = states[0].hbar
+    out = np.zeros((len(states), pts.shape[0]), dtype=complex)
+    if B.shape[1]:
+        out += B @ _component_values(stack.M, stack.centers, stack.phases, hbar, pts).T
+    if H.shape[1]:
+        out += H @ hermite_functions(pts[:, 0], hbar, H.shape[1] - 1)
+    return out
 
 
 def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
@@ -531,14 +547,8 @@ def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
 
 def sample_state(g, extent: float, npoints: int) -> SampledWindow:
     """Sample a Gaussian state, mixture or HermiteState on the uniform grid."""
-    axis = _grid_axis(extent, npoints)
-    if g.n == 1:
-        values = evaluate_state(g, axis)
-    else:
-        grids = np.meshgrid(*([axis] * g.n), indexing="ij")
-        pts = np.stack(grids, axis=-1)
-        values = evaluate_state(g, pts)
-    return SampledWindow(extent, values, g.hbar)
+    values = _state_values([g], _grid_nodes(extent, npoints, g.n))[0]
+    return SampledWindow(extent, values.reshape((npoints,) * g.n), g.hbar)
 
 
 def _shift_sampled(z0, w: SampledWindow) -> SampledWindow:
@@ -554,12 +564,7 @@ def _shift_sampled(z0, w: SampledWindow) -> SampledWindow:
     for ax, k in enumerate(steps):
         values = np.roll(values, k, axis=ax)
     # multiplier exp(i (p0.x - p0.x0/2)/hbar) on the grid, using the snapped x0
-    axis = w.axis
-    if n == 1:
-        lin = p0[0] * axis
-    else:
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        lin = sum(p0[i] * grids[i] for i in range(n))
+    lin = (_grid_nodes(w.extent, w.npoints, n) @ p0).reshape(values.shape)
     values = values * np.exp(1j / w.hbar * (lin - 0.5 * (p0 @ snapped)))
     return SampledWindow(w.extent, values, w.hbar, w.shift_residual + residual)
 

@@ -75,7 +75,7 @@ def _standard_system(side=0.9, radius=8.0):
 
 def test_criterion_1_gaussian_frame_threshold():
     with criterion(1, "gaussian frame threshold"):
-        cfg = EstimationConfig(grid_points=1024, family_size=64, seed=0)
+        cfg = EstimationConfig(family_size=64, seed=0)
         ratios = {}
         for ab in (0.36, 0.64, 0.81, 0.9025, 1.1025, 1.44):
             side = float(np.sqrt(ab))

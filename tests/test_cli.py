@@ -152,6 +152,12 @@ def test_sweep_t_grid(capsys):
     ("frame-check", "--radius", "inf"),
     ("frame-check", "--window-m", "nan+1j"),
     ("criterion", "--alpha", "nan"),
+    # counts whose arrays would not fit in memory are refused before allocating
+    ("integrate", "--z0", "1,0", "--steps", "10000000000000"),
+    ("deform", "--steps", "10000000000000"),
+    ("invariance", "--steps", "10000000000000"),
+    ("sweep", "--t-grid", "0.5", "--steps", "10000000000000"),
+    ("sweep", "--ab-grid", "0.5:1:10000000000000"),
 ])
 def test_rejected_input_exits_1_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -343,6 +349,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
     assert code == 1
     assert "wavelength" in err
+
+
+def test_grid_points_is_not_a_setting(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frame-check", "--grid-points", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-points 64" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[estimation]\ngrid_points = 64\n")
+    code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
+    assert code == 1
+    assert err == "error: estimation.grid_points: unknown config key\n"
+
+
+def test_sweep_grid_count_is_checked_in_bytes(capsys, monkeypatch):
+    import gaborflow.cli as cli
+
+    argv = ("sweep", "--ab-grid", "0.5:1:3", "--radius", "2", "--family-size", "8")
+    monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 8 * 3 - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: grid spec '0.5:1:3' needs 24 bytes (budget 23)\n"
+    monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 8 * 3)
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_expression_error_exit_code(capsys):

@@ -35,7 +35,7 @@ from gaborflow.dynamics import (
     _cumulative_simpson,
     _dot,
 )
-from gaborflow.errors import DivergenceError, InvalidMatrix
+from gaborflow.errors import DivergenceError, InvalidMatrix, ResourceLimit
 from gaborflow.expressions import expression_hamiltonian
 from gaborflow.symplectic import is_symplectic, rotation, standard_j, symplectic_form
 
@@ -170,6 +170,25 @@ def test_default_steps():
     assert default_steps(0.1) == 256
     assert default_steps(-2.0) == 1024
     assert default_steps(1.001) == 513
+
+
+def test_integrate_checks_its_bytes_before_allocating(monkeypatch):
+    import gaborflow.dynamics as dynamics
+
+    H = builtin_hamiltonian("anharmonic", 1)
+    z0 = np.zeros((3, 2))
+    # times, then 3 points and 3 S_t of 2 x 2 per node
+    need = 8 * 11 * (1 + 6 + 12)
+    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need)
+    assert integrate(H, z0, 1.0, 10).points.shape == (11, 3, 2)
+    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
+        integrate(H, z0, 1.0, 10)
+    # without S_t only the times and points count
+    integrate(H, z0, 1.0, 10, variational=False)
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimit):
+        integrate(H, z0, 1.0, 10**13, variational=False)
 
 
 def test_flow_map_uses_default_steps():

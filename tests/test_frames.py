@@ -63,6 +63,12 @@ def shifted_window_samples(sys, L, N):
                      for z in sys.points])
 
 
+def quadrature_frame_sum(sys, psi, L=10.0, N=1024):
+    """Frame sum of psi by rectangle-rule quadrature of every shift overlap."""
+    m = shifted_window_samples(sys, L, N).conj() @ sample_state(psi, L, N).values * (2 * L / N)
+    return float(np.sum(np.abs(m) ** 2))
+
+
 def random_gaussian(rng, n=1, hbar=HBAR):
     M = np.diag([complex(rng.normal(0.0, 0.4), np.exp(rng.normal(0.0, 0.4))) for _ in range(n)])
     return GaussianState(M, rng.normal(0.0, 1.0, 2 * n), rng.normal(), hbar)
@@ -113,7 +119,7 @@ def test_frame_sum_analytic_vs_quadrature(rng):
     sys = GaborSystem(window, lat, HBAR)
     psi = random_gaussian(rng)
     analytic = frame_sum(sys, psi)
-    quad = frame_sum(sys, sample_state(psi, 10.0, 1024))
+    quad = quadrature_frame_sum(sys, psi)
     assert analytic == pytest.approx(quad, abs=1e-6)
 
 
@@ -163,7 +169,7 @@ def test_frame_sum_mixture(rng):
     comps = (random_gaussian(rng), random_gaussian(rng))
     mix = GaussianMixture([0.8, 0.6j], comps)
     direct = frame_sum(sys, mix)
-    quad = frame_sum(sys, sample_state(mix, 10.0, 1024))
+    quad = quadrature_frame_sum(sys, mix)
     assert direct == pytest.approx(quad, abs=1e-6)
 
 
@@ -277,7 +283,7 @@ def test_lower_bound_against_dense_mode_oracle():
 
 
 def test_verdicts_match_criterion_across_densities():
-    cfg = EstimationConfig(grid_extent=14.0, grid_points=2048)
+    cfg = EstimationConfig(grid_extent=14.0)
     for ab in (0.6, 0.8, 0.95, 1.05, 1.3):
         side = float(np.sqrt(ab))
         sys = GaborSystem(standard_gaussian(1, HBAR),
@@ -417,8 +423,7 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
 
     for name in ("_component_values", "hermite_functions", "sample_state"):
         record(gaussians, name)
-    for name in ("_component_values", "sample_state"):
-        record(frames, name)
+    record(frames, "_state_values")
     sys = standard_system(radius=4.0)
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys, cfg)
@@ -439,7 +444,7 @@ def test_frame_bounds_shifts_a_sampled_window_once(monkeypatch):
         return real(window, pts)
 
     monkeypatch.setattr(frames, "_shifted_samples", counting)
-    cfg = EstimationConfig(family_size=8, grid_extent=10.0, grid_points=512)
+    cfg = EstimationConfig(family_size=8, grid_extent=10.0)
     pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
     sampled = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
     frame_bounds(sampled, cfg)
@@ -456,29 +461,46 @@ def test_frame_bounds_leaves_no_state_on_the_system(sampled):
     if sampled:
         window = sample_state(window, 10.0, 512)
     sys = GaborSystem(window, lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
-    frame_bounds(sys, EstimationConfig(family_size=8, grid_points=512))
+    frame_bounds(sys, EstimationConfig(family_size=8))
     assert set(vars(sys)) <= {"window", "lattice", "hbar", "points"}
 
 
 def test_sampled_states_on_another_grid_are_rejected():
     window = standard_gaussian(1, HBAR)
-    sys = GaborSystem(window, lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
+    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
     on_10, on_8 = sample_state(window, 10.0, 1024), sample_state(window, 8.0, 1024)
-    # against a Gaussian window every state is checked, not only the first
+    sampled = GaborSystem(on_10, pts, HBAR)
+    assert frame_terms(sampled, [on_10, window]).shape == (2, len(pts))
+    # a sampled window checks the grid of every state, not only the first
+    for family in ([on_10, on_8], [on_10, sample_state(window, 10.0, 512)], [window, on_8]):
+        with pytest.raises(DimensionMismatch):
+            frame_terms(sampled, family)
+    # and the extent of its grid, not only the sample count
     with pytest.raises(DimensionMismatch):
-        frame_terms(sys, [on_10, on_8])
+        frame_terms(GaborSystem(on_8, pts, HBAR), [on_10])
     with pytest.raises(DimensionMismatch):
-        frame_terms(sys, [on_10, sample_state(window, 10.0, 512)])
-    # a sampled window checks the extent of its grid, not only the sample count
-    with pytest.raises(DimensionMismatch):
-        frame_terms(GaborSystem(on_8, sys.points, HBAR), [on_10])
-    with pytest.raises(DimensionMismatch):
-        frame_bounds(GaborSystem(on_8, sys.points, HBAR), EstimationConfig(family_size=8))
-    # and a two-dimensional Gaussian window takes no one-dimensional samples
+        frame_bounds(GaborSystem(on_8, pts, HBAR), EstimationConfig(family_size=8))
+    # a Gaussian window takes no sampled states, in one dimension or two
+    with pytest.raises(DimensionMismatch, match="analytic test states only"):
+        frame_terms(GaborSystem(window, pts, HBAR), [on_10])
     sys2 = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
                        HBAR)
     with pytest.raises(DimensionMismatch):
         frame_terms(sys2, [on_10])
+
+
+def test_frame_bounds_samples_a_family_in_one_pass(monkeypatch):
+    import gaborflow.frames as frames
+    import gaborflow.gaussians as gaussians
+
+    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
+    sys = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 1024), pts, HBAR)
+    samples = counting_calls(monkeypatch, "sample_state")
+    monkeypatch.setattr(frames, "sample_state", gaussians.sample_state, raising=False)
+    tables = counting_calls(monkeypatch, "hermite_functions")
+    frame_bounds(sys, EstimationConfig())
+    # one mode table for the witness scan and one for the family
+    assert samples == [] and len(tables) <= 2
 
 
 def test_system_rejects_unsupported_windows():
@@ -515,6 +537,33 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     assert built == []
 
 
+def test_frame_bounds_counts_the_grid_of_a_sampled_window(monkeypatch):
+    import gaborflow.frames as frames
+
+    cfg = EstimationConfig(family_size=8)
+    pts = lattice_points(separable_lattice([1.25], [1.25], 2.0))
+    N, F = len(pts), cfg.family_size
+    one = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
+    # a full Gram (no parity split for a sampled window), the family terms of
+    # test_frame_bounds_checks_its_byte_budget_before_allocating, and per grid
+    # node its shifted samples, the samples of the family and of the 79
+    # scanned modes, and the one-pass values of <= 3 components per mixture
+    family = F + 3 * F + 79
+    assert _frame_bounds_bytes(one, cfg) == 16 * (N * N + family * N + (3 * F) ** 2
+                                                   + (N + family) * 512)
+
+    # a two-dimensional grid is refused before anything is sampled on it
+    window2 = sample_state(standard_gaussian(2, HBAR), 5.0, 32)
+    sys2 = GaborSystem(window2, np.zeros((1, 4)), HBAR)
+    need = 16 * (1 + 4 * F + (3 * F) ** 2 + (1 + 4 * F) * 32**2)
+    assert _frame_bounds_bytes(sys2, cfg) == need
+    calls = counting_calls(monkeypatch, "_component_values")
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
+        frame_bounds(sys2, cfg)
+    assert calls == []
+
+
 def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     import gaborflow.frames as frames
 
@@ -544,7 +593,7 @@ def test_upper_gamma_q_matches_scipy(n):
 def test_report_fields_consistent():
     report = frame_bounds(standard_system(), EstimationConfig())
     assert report.a_est <= report.b_est
-    assert report.truncation == (8.0, 10.0, 1024)
+    assert report.truncation == (8.0, 10.0)
 
 
 def test_family_prefix_stability():
@@ -655,7 +704,7 @@ def test_frame_bounds_unresolved_grid_rejected():
     window = sample_state(standard_gaussian(1, HBAR), 10.0, 64)
     sys = GaborSystem(window, standard_system().points, HBAR)
     with pytest.raises(ResolutionError, match="resolve"):
-        frame_bounds(sys, EstimationConfig(grid_points=64))
+        frame_bounds(sys, EstimationConfig())
 
 
 def test_frame_bounds_empty_family_rejected():

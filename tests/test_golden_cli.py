@@ -14,8 +14,11 @@ anything:
 
     python tests/test_golden_cli.py --diff NAME [NAME ...]
 
-prints whether the exit code matches and the largest relative change of any
-number in stdout (JSON or CSV) against the recorded golden.
+prints whether the exit code matches and how stdout moved against the
+recorded golden.  A JSON golden is compared as a parsed document: each added
+or removed key path, each changed string or other non-number, then the
+largest relative change of any number.  Other output (CSV) is compared
+number by number, as long as the text around the numbers is unchanged.
 """
 
 from __future__ import annotations
@@ -108,16 +111,60 @@ def check_names(names) -> None:
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])|\b(?:nan|inf)\b")
 
 
-def relative_change(old: str, new: str) -> float:
-    a, b = float(old), float(new)
-    if old == new or a == b:
+def relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     return abs(b - a) / abs(a) if a != 0 and math.isfinite(a) else math.inf
 
 
+def leaves(doc, path="") -> dict:
+    """{key path: value} of every leaf of a parsed JSON document."""
+    if isinstance(doc, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in doc.items())
+    elif isinstance(doc, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return {path: doc}
+    return {p: leaf for k, v in items for p, leaf in leaves(v, k).items()}
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_summary(pairs) -> str:
+    changes = [(relative_change(float(a), float(b)), a, b) for a, b in pairs]
+    if not changes:
+        return "no numbers to compare"
+    worst, a, b = max(changes)
+    moved = sum(c > 0 for c, _, _ in changes)
+    if not moved:
+        return f"none of {len(changes)} numbers differ"
+    return (f"{moved} of {len(changes)} numbers differ, "
+            f"largest relative change {worst:.3g} ({a} -> {b})")
+
+
+def compare(old: str, new: str) -> list[str]:
+    """Lines describing how stdout `new` moved from the golden `old`."""
+    try:
+        a, b = leaves(json.loads(old)), leaves(json.loads(new))
+    except json.JSONDecodeError:
+        old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
+        if NUMBER.sub("#", old) != NUMBER.sub("#", new) or len(old_nums) != len(new_nums):
+            return ["text other than numbers differs"]
+        return [number_summary(zip(old_nums, new_nums))]
+    lines = [f"removed {p}" for p in a if p not in b]
+    lines += [f"added {p}" for p in b if p not in a]
+    common = [p for p in a if p in b]
+    numeric = [p for p in common if is_number(a[p]) and is_number(b[p])]
+    lines += [f"changed {p}: {json.dumps(a[p])} -> {json.dumps(b[p])}"
+              for p in common if p not in numeric and a[p] != b[p]]
+    return lines + [number_summary((a[p], b[p]) for p in numeric)]
+
+
 def diff(names) -> None:
-    """Print, per case, the exit code against the golden's and the largest
-    relative change of any number in stdout; writes nothing."""
+    """Print, per case, the exit code against the golden's and how stdout
+    moved (see compare); writes nothing."""
     check_names(names)
     status = json.loads(STATUS.read_text())
     for name in names:
@@ -128,15 +175,9 @@ def diff(names) -> None:
         if old == new:
             print(f"{line}, stdout identical")
             continue
-        old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
-        if NUMBER.sub("#", old) != NUMBER.sub("#", new) or len(old_nums) != len(new_nums):
-            print(f"{line}, text other than numbers differs")
-            continue
-        changes = [(relative_change(a, b), a, b) for a, b in zip(old_nums, new_nums)]
-        worst, a, b = max(changes)
-        moved = sum(c > 0 for c, _, _ in changes)
-        print(f"{line}, {moved} of {len(changes)} numbers differ, "
-              f"largest relative change {worst:.3g} ({a} -> {b})")
+        print(line)
+        for change in compare(old, new):
+            print(f"  {change}")
 
 
 def record(names) -> None:
@@ -159,6 +200,21 @@ def test_golden_cli(name):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
     if expected["stderr"] is not None:
         assert err == expected["stderr"]
+
+
+def test_diff_compares_json_as_documents():
+    old = json.dumps({"meta": {"hash": "ab"}, "result": {"a": 1.0, "t": {"g": 8, "r": 2.0},
+                                                          "ok": True}})
+    new = json.dumps({"meta": {"hash": "cd"}, "result": {"a": 1.5, "t": {"r": 2.0},
+                                                          "ok": False, "b": [0.5]}})
+    assert compare(old, new) == [
+        "removed result.t.g", "added result.b[0]", 'changed meta.hash: "ab" -> "cd"',
+        "changed result.ok: true -> false",
+        "1 of 2 numbers differ, largest relative change 0.5 (1.0 -> 1.5)",
+    ]
+    assert compare("x,y\n1,2\n", "x,y\n1,3\n") == [
+        "1 of 2 numbers differ, largest relative change 0.5 (2 -> 3)"]
+    assert compare("x\n1\n", "y\n1\n") == ["text other than numbers differs"]
 
 
 def test_every_golden_has_a_case():
