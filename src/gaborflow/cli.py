@@ -9,21 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import (
+    PARAMETERS,
     RunConfig,
     build_hamiltonian,
     build_system,
-    build_window,
     config_hash,
-    estimation_config,
+    lattice_spacings,
     load_config_file,
     merge_config,
     parse_float_list,
-    parse_complex_list,
+    sub_config,
 )
 from .deformation import DeformationConfig, deform_sweep, invariance_check, weak_deform
 from .dynamics import (
@@ -35,9 +36,9 @@ from .dynamics import (
     integrate,
 )
 from .errors import GaborflowError, ResourceLimit
-from .frames import GaborSystem, default_radius, frame_bounds, gaussian_frame_criterion
+from .frames import EstimationConfig, frame_bounds, gaussian_frame_criterion
 from .gaussians import GaussianState
-from .symplectic import rotation, make_generator, separable_lattice
+from .symplectic import rotation, make_generator
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,18 +109,12 @@ def _random_test_state(rng, n: int, hbar: float) -> GaussianState:
     return GaussianState(M, rng.normal(0.0, 1.0, 2 * n), rng.normal(), hbar)
 
 
-def _deform_config(cfg: RunConfig, lattice_mode: str = "affine") -> DeformationConfig:
-    return DeformationConfig(steps=cfg.steps, method=cfg.method, lattice_mode=lattice_mode)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_criterion(args, cfg: RunConfig) -> int:
-    n = cfg.dimension
-    alpha = np.asarray(cfg.alpha or (1.0,) * n, dtype=float)
-    beta = np.asarray(cfg.beta or (1.0,) * n, dtype=float)
+    alpha, beta = (np.asarray(v, dtype=float) for v in lattice_spacings(cfg))
     verdicts = gaussian_frame_criterion(alpha, beta, cfg.hbar)
     payload = {
         "per_axis": [bool(v) for v in verdicts],
@@ -134,7 +129,7 @@ def cmd_criterion(args, cfg: RunConfig) -> int:
 
 def cmd_frame_check(args, cfg: RunConfig) -> int:
     sys_ = build_system(cfg)
-    report = frame_bounds(sys_, estimation_config(cfg))
+    report = frame_bounds(sys_, sub_config(EstimationConfig, cfg))
     payload = _report_dict(report)
     rows = [(report.a_est, report.b_est, report.ratio, report.is_frame)]
     _write_output(payload, rows, ("a_est", "b_est", "ratio", "is_frame"), args, cfg)
@@ -144,7 +139,8 @@ def cmd_frame_check(args, cfg: RunConfig) -> int:
 def cmd_deform(args, cfg: RunConfig) -> int:
     sys_ = build_system(cfg)
     H = build_hamiltonian(cfg)
-    result = weak_deform(sys_, H, cfg.t, _deform_config(cfg, args.lattice_mode))
+    result = weak_deform(sys_, H, cfg.t,
+                         sub_config(DeformationConfig, cfg, lattice_mode=args.lattice_mode))
     payload = {
         "t": cfg.t,
         "trajectory_end": result.trajectory_end.tolist(),
@@ -176,7 +172,7 @@ def cmd_invariance(args, cfg: RunConfig) -> int:
     H = build_hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
     psis = [_random_test_state(rng, cfg.dimension, cfg.hbar) for _ in range(args.trials)]
-    t1, t2 = invariance_check(sys_, H, cfg.t, psis, _deform_config(cfg))
+    t1, t2 = invariance_check(sys_, H, cfg.t, psis, sub_config(DeformationConfig, cfg))
     deviations = np.abs(t1.sum(-1) - t2.sum(-1)).tolist()
     payload = {
         "max_deviation": max(deviations),
@@ -235,23 +231,21 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     if (args.ab_grid is None) == (args.t_grid is None):
         raise GaborflowError("sweep takes exactly one of --ab-grid and --t-grid")
-    est = estimation_config(cfg)
+    est = sub_config(EstimationConfig, cfg)
     if args.ab_grid is not None:
         grid = _parse_grid(args.ab_grid)
         if not np.all(grid > 0):
             raise GaborflowError("alpha*beta grid values must be positive")
-        window = build_window(cfg)
-        radius = cfg.radius if cfg.radius is not None else default_radius(cfg.hbar)
         results = []
         for ab in grid:
-            side = float(np.sqrt(ab))
-            lat = separable_lattice([side] * cfg.dimension, [side] * cfg.dimension, radius)
-            results.append((float(ab), frame_bounds(GaborSystem(window, lat, cfg.hbar), est)))
+            side = (float(np.sqrt(ab)),)
+            square = build_system(replace(cfg, alpha=side, beta=side, generator=None))
+            results.append((float(ab), frame_bounds(square, est)))
         label = "alpha_beta"
     else:
         grid = _parse_grid(args.t_grid)
         results = deform_sweep(build_system(cfg), build_hamiltonian(cfg), grid,
-                               _deform_config(cfg), est)
+                               sub_config(DeformationConfig, cfg), est)
         label = "t"
     payload = {
         "grid_label": label,
@@ -311,30 +305,12 @@ def cmd_path_hamiltonian(args, cfg: RunConfig) -> int:
 
 def _add_system_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=str, default=None, help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--hbar", type=float, default=None, help="Planck constant (default 1/2pi)")
-    parser.add_argument("--dimension", type=int, default=None, help="degrees of freedom n")
-    parser.add_argument("--alpha", type=str, default=None, help="position spacings, comma list")
-    parser.add_argument("--beta", type=str, default=None, help="momentum spacings, comma list")
-    parser.add_argument("--generator", type=str, default=None,
-                        help="flattened 2n x 2n lattice generator, comma list")
-    parser.add_argument("--radius", type=float, default=None, help="lattice truncation radius")
-    parser.add_argument("--window-m", type=str, default=None,
-                        help="diagonal window matrix entries, e.g. '0.5+2j'")
-    parser.add_argument("--window-center", type=str, default=None, help="window center, 2n floats")
-    parser.add_argument("--hamiltonian", type=str, default=None,
-                        help="builtin name or expression in x1..xn, p1..pn, t")
-    parser.add_argument("--method", type=str, default=None,
-                        help="integrator: auto, euler, verlet, rk4, exact")
-    parser.add_argument("--steps", type=int, default=None, help="integrator steps")
-    parser.add_argument("--t", type=float, default=None, help="evolution time")
-    parser.add_argument("--grid-extent", type=float, default=None,
-                        help="half-width of the test states' central region")
-    parser.add_argument("--family-size", type=int, default=None, help="test states for bounds")
-    parser.add_argument("--frame-floor", type=float, default=None,
-                        help=f"a/b verdict threshold (default {RunConfig.frame_floor:g})")
+    for p in PARAMETERS:
+        # lists are parsed after argparse, so a malformed one exits 1, not 2
+        scalar = p.parse in (int, float)
+        parser.add_argument(p.flag, type=p.parse if scalar else str, default=None, help=p.help)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -385,23 +361,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = (
-    "seed", "hbar", "dimension", "radius", "hamiltonian", "method", "steps", "t",
-    "grid_extent", "family_size", "frame_floor",
-)
-
-
 def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
     flag_values = {}
-    for name in _FLAG_FIELDS:
-        flag_values[name] = getattr(args, name, None)
-    for name, parser_fn in (("alpha", parse_float_list), ("beta", parse_float_list),
-                            ("generator", parse_float_list),
-                            ("window_center", parse_float_list),
-                            ("window_m", parse_complex_list)):
-        raw = getattr(args, name, None)
-        flag_values[name] = parser_fn(raw) if raw is not None else None
+    for p in PARAMETERS:
+        value = getattr(args, p.field)
+        flag_values[p.field] = p.parse(value) if isinstance(value, str) else value
     return merge_config(file_values, flag_values)
 
 

@@ -1,7 +1,9 @@
 """Run configuration: validation, config-file loading, and object builders.
 
-Config files use INI sections with key=value pairs; command-line flags
-override file values, which override defaults.
+`PARAMETERS` is the one declaration of the run parameters: each row names a
+`RunConfig` field, its INI section and key, the parser of its text and the
+help of its `--flag`.  Config files use INI sections with key=value pairs;
+command-line flags override file values, which override defaults.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import configparser
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,14 +93,19 @@ def _broadcast(vec, n):
     return tuple(vec) * n if len(vec) == 1 and n > 1 else tuple(vec)
 
 
+def lattice_spacings(cfg: RunConfig) -> tuple[tuple, tuple]:
+    """alpha and beta as given, each n ones when unset."""
+    n = cfg.dimension
+    return cfg.alpha or (1.0,) * n, cfg.beta or (1.0,) * n
+
+
 def build_lattice(cfg: RunConfig) -> Lattice:
     n = cfg.dimension
     radius = cfg.radius if cfg.radius is not None else default_radius(cfg.hbar)
     if cfg.generator is not None:
         gen = np.array(cfg.generator, dtype=float).reshape(2 * n, 2 * n)
         return Lattice(gen, radius)
-    alpha = _broadcast(cfg.alpha or (1.0,), n)
-    beta = _broadcast(cfg.beta or (1.0,), n)
+    alpha, beta = (_broadcast(v, n) for v in lattice_spacings(cfg))
     return separable_lattice(alpha, beta, radius)
 
 
@@ -123,13 +131,12 @@ def build_hamiltonian(cfg: RunConfig) -> Hamiltonian:
     return expression_hamiltonian(name, cfg.dimension)
 
 
-def estimation_config(cfg: RunConfig) -> EstimationConfig:
-    return EstimationConfig(
-        grid_extent=cfg.grid_extent,
-        family_size=cfg.family_size,
-        seed=cfg.seed,
-        frame_floor=cfg.frame_floor,
-    )
+def sub_config(cls, cfg: RunConfig, **extra):
+    """A cls (EstimationConfig, DeformationConfig) that takes every field it
+    shares by name with RunConfig from cfg, and the rest from extra."""
+    shared = {f.name for f in fields(RunConfig)}
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in shared},
+               **extra)
 
 
 def config_dict(cfg: RunConfig) -> dict:
@@ -151,26 +158,6 @@ def config_hash(cfg: RunConfig) -> str:
 # Config file (INI sections) and flag merging
 # ---------------------------------------------------------------------------
 
-_FILE_FIELDS = {
-    ("system", "seed"): ("seed", int),
-    ("system", "hbar"): ("hbar", float),
-    ("system", "dimension"): ("dimension", int),
-    ("lattice", "alpha"): ("alpha", "floats"),
-    ("lattice", "beta"): ("beta", "floats"),
-    ("lattice", "generator"): ("generator", "floats"),
-    ("lattice", "radius"): ("radius", float),
-    ("window", "m"): ("window_m", "complexes"),
-    ("window", "center"): ("window_center", "floats"),
-    ("hamiltonian", "expression"): ("hamiltonian", str),
-    ("integrator", "method"): ("method", str),
-    ("integrator", "steps"): ("steps", int),
-    ("integrator", "t"): ("t", float),
-    ("estimation", "grid_extent"): ("grid_extent", float),
-    ("estimation", "family_size"): ("family_size", int),
-    ("estimation", "frame_floor"): ("frame_floor", float),
-}
-
-
 def parse_float_list(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -185,15 +172,46 @@ def parse_complex_list(text: str) -> tuple:
         raise ConfigError("list", f"malformed complex list {text!r}") from exc
 
 
-def _convert(kind, raw: str, field: str):
-    try:
-        if kind == "floats":
-            return parse_float_list(raw)
-        if kind == "complexes":
-            return parse_complex_list(raw)
-        return kind(raw)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(field, f"cannot parse {raw!r}") from exc
+class Parameter(NamedTuple):
+    """One run parameter: the RunConfig field that both the INI key
+    `[section] key` and the flag (the field, - for _) set from text by parse."""
+
+    field: str
+    section: str
+    key: str
+    parse: Callable
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.field.replace("_", "-")
+
+
+PARAMETERS = (
+    Parameter("seed", "system", "seed", int, "RNG seed (default 0)"),
+    Parameter("hbar", "system", "hbar", float, "Planck constant (default 1/2pi)"),
+    Parameter("dimension", "system", "dimension", int, "degrees of freedom n"),
+    Parameter("alpha", "lattice", "alpha", parse_float_list, "position spacings, comma list"),
+    Parameter("beta", "lattice", "beta", parse_float_list, "momentum spacings, comma list"),
+    Parameter("generator", "lattice", "generator", parse_float_list,
+              "flattened 2n x 2n lattice generator, comma list"),
+    Parameter("radius", "lattice", "radius", float, "lattice truncation radius"),
+    Parameter("window_m", "window", "m", parse_complex_list,
+              "diagonal window matrix entries, e.g. '0.5+2j'"),
+    Parameter("window_center", "window", "center", parse_float_list,
+              "window center, 2n floats"),
+    Parameter("hamiltonian", "hamiltonian", "expression", str,
+              "builtin name or expression in x1..xn, p1..pn, t"),
+    Parameter("method", "integrator", "method", str,
+              "integrator: auto, euler, verlet, rk4, exact"),
+    Parameter("steps", "integrator", "steps", int, "integrator steps"),
+    Parameter("t", "integrator", "t", float, "evolution time"),
+    Parameter("grid_extent", "estimation", "grid_extent", float,
+              "half-width of the test states' central region"),
+    Parameter("family_size", "estimation", "family_size", int, "test states for bounds"),
+    Parameter("frame_floor", "estimation", "frame_floor", float,
+              f"a/b verdict threshold (default {_ESTIMATION.frame_floor:g})"),
+)
 
 
 def load_config_file(path: str) -> dict:
@@ -202,14 +220,17 @@ def load_config_file(path: str) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError("config", f"cannot read config file {path!r}")
+    by_key = {(p.section, p.key): p for p in PARAMETERS}
     out = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            spec = _FILE_FIELDS.get((section, key))
-            if spec is None:
+            p = by_key.get((section, key))
+            if p is None:
                 raise ConfigError(f"{section}.{key}", "unknown config key")
-            field, kind = spec
-            out[field] = _convert(kind, raw, field)
+            try:
+                out[p.field] = p.parse(raw)
+            except ValueError as exc:
+                raise ConfigError(p.field, f"cannot parse {raw!r}") from exc
     return out
 
 

@@ -62,18 +62,32 @@ def _matvec(A, z):
     return (A @ z[..., None])[..., 0]
 
 
+def _fd_step(z: np.ndarray, step: float) -> np.ndarray:
+    return step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
+
+
 def fd_gradient(fn: Callable, z, t: float, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of fn(., t) at each point of a (..., m)
-    batch; for a vector-valued fn, its Jacobian."""
+    batch; for a vector-valued fn, its Jacobian.  fn is called once, on the
+    2m perturbed copies of the batch stacked along a new leading axis, so it
+    must take any leading shape (as Hamiltonian callables do)."""
     z = np.asarray(z, dtype=float)
-    h = step * np.maximum(1.0, np.abs(z).max(axis=-1, keepdims=True))
-    cols = [np.asarray(fn(z + h * e, t)) - fn(z - h * e, t) for e in np.eye(z.shape[-1])]
-    return np.stack(cols, axis=-1) / (2 * h[..., None] if cols[0].ndim == z.ndim else 2 * h)
+    m = z.shape[-1]
+    h = _fd_step(z, step)
+    e = np.eye(m).reshape((m,) + (1,) * (z.ndim - 1) + (m,))
+    values = np.asarray(fn(np.concatenate([z + h * e, z - h * e]), t))
+    grad = np.stack(list(values[:m] - values[m:]), axis=-1)
+    return grad / (2 * h[..., None] if grad.ndim > z.ndim else 2 * h)
 
 
 def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a map R^m -> R^m."""
-    return fd_gradient(lambda w, t: fn(w), z, 0.0, step)
+    """Central-difference Jacobian of a map R^m -> R^m at a point or each
+    point of a batch, calling fn once per perturbation: maps such as
+    isotopies take single points only."""
+    z = np.asarray(z, dtype=float)
+    h = _fd_step(z, step)
+    cols = [np.asarray(fn(z + h * e)) - fn(z - h * e) for e in np.eye(z.shape[-1])]
+    return np.stack(cols, axis=-1) / (2 * h[..., None])
 
 
 def fd_hessian(fn: Callable, z, t: float, step: float = FD_HESSIAN_STEP) -> np.ndarray:

@@ -41,7 +41,6 @@ from .gaussians import (
     rescale_window,
     shifted_gram,
     _grid_nodes,
-    _gram_rows,
     _shift_overlaps,
     _shift_sampled,
     _state_gram,
@@ -271,7 +270,7 @@ def _gram_matrix(sys: GaborSystem, table=None) -> np.ndarray:
     window = sys.window
     if _parity_split(sys):
         centred = GaussianState(window.M, np.zeros(2 * sys.n), 0.0, window.hbar)
-        return _gram_rows(centred, pts, pts.shape[0] - pts.shape[0] // 2)
+        return shifted_gram(centred, pts, pts.shape[0] - pts.shape[0] // 2)
     if isinstance(window, GaussianState):
         return shifted_gram(window, pts)
     if table is None:
@@ -497,8 +496,7 @@ def rescaling_check(sys: GaborSystem, hbar_new: float, psis):
     mu = np.sqrt(hbar_new / sys.hbar)
     if isinstance(sys.lattice, Lattice):
         lat = sys.lattice
-        scaled = Lattice(mu * lat.generator, mu * lat.radius, shift=mu * lat.shift,
-                         point_cap=lat.point_cap)
+        scaled = Lattice(mu * lat.generator, mu * lat.radius, shift=mu * lat.shift)
     else:
         scaled = sys.points * mu
     rescaled_sys = GaborSystem(rescale_window(sys.window, hbar_new), scaled, hbar_new)

@@ -412,20 +412,16 @@ def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
     return _shift_overlaps([psi], phi, shifts)[0]
 
 
-def shifted_gram(phi: GaussianState, shifts) -> np.ndarray:
-    """Gram matrix G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts."""
-    return _gram_rows(phi, shifts)
-
-
-def _gram_rows(phi: GaussianState, shifts, count: int | None = None) -> np.ndarray:
-    """The first `count` rows (all for None) of shifted_gram(phi, shifts).
+def shifted_gram(phi: GaussianState, shifts, rows: int | None = None) -> np.ndarray:
+    """The first `rows` rows (all for None) of the Gram matrix
+    G_ij = <T(z_i) phi | T(z_j) phi> over the given shifts.
 
     Filled row by row in place: a one-shot broadcast would hold several
     N x N complex temporaries at once."""
     centers, gammas = _shifted(phi, shifts)
-    count = centers.shape[0] if count is None else count
-    out = np.empty((count, centers.shape[0]), dtype=complex)
-    for i in range(count):
+    rows = centers.shape[0] if rows is None else rows
+    out = np.empty((rows, centers.shape[0]), dtype=complex)
+    for i in range(rows):
         row = _Stack(1.0, phi.M, centers[i], gammas[i])
         out[i] = _overlap_core(row, phi.M, centers, gammas, phi.hbar)
     return out

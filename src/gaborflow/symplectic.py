@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 TOL_SYMPLECTIC = 1e-10
 
 # Guard against runaway lattice enumerations.
-DEFAULT_POINT_CAP = 500_000
+POINT_CAP = 500_000
 _ENUMERATION_BYTE_BUDGET = 1 << 30  # bytes of the index box of lattice_points
 
 
@@ -265,7 +265,6 @@ class Lattice:
     generator: np.ndarray
     radius: float
     shift: np.ndarray | None = None
-    point_cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
         gen = np.atleast_2d(np.asarray(self.generator, dtype=float))
@@ -291,7 +290,7 @@ class Lattice:
         return self.generator.shape[0] // 2
 
 
-def separable_lattice(alpha, beta, radius: float, point_cap: int = DEFAULT_POINT_CAP) -> Lattice:
+def separable_lattice(alpha, beta, radius: float) -> Lattice:
     """The lattice alpha Z^n x beta Z^n."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -300,7 +299,7 @@ def separable_lattice(alpha, beta, radius: float, point_cap: int = DEFAULT_POINT
     if not (np.all(alpha > 0) and np.all(beta > 0)):
         raise InvalidMatrix("alpha and beta entries must be positive")
     gen = np.diag(np.concatenate([alpha, beta]))
-    return Lattice(gen, radius, point_cap=point_cap)
+    return Lattice(gen, radius)
 
 
 def lattice_points(lat: Lattice) -> np.ndarray:
@@ -308,7 +307,7 @@ def lattice_points(lat: Lattice) -> np.ndarray:
 
     Deterministic lexicographic order in the integer index k.  Raises
     ResourceLimit when the index box would exceed _ENUMERATION_BYTE_BUDGET or
-    the points the lattice's point_cap.
+    the points POINT_CAP.
     """
     gen = lat.generator
     dim = gen.shape[0]
@@ -329,8 +328,8 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     pts = ks @ gen.T
     keep = np.linalg.norm(pts, axis=1) <= R * (1 + 1e-12) + 1e-12
     pts = pts[keep]
-    if pts.shape[0] > lat.point_cap:
-        raise ResourceLimit(f"lattice has {pts.shape[0]} points (cap {lat.point_cap})")
+    if pts.shape[0] > POINT_CAP:
+        raise ResourceLimit(f"lattice has {pts.shape[0]} points (cap {POINT_CAP})")
     return pts + lat.shift
 
 
@@ -362,9 +361,4 @@ def lattice_map(lat: Lattice, g):
         shift = np.zeros(S.shape[0])
     if S.shape != lat.generator.shape:
         raise DimensionMismatch("map dimension does not match lattice")
-    return Lattice(
-        S @ lat.generator,
-        lat.radius,
-        shift=S @ lat.shift + shift,
-        point_cap=lat.point_cap,
-    )
+    return Lattice(S @ lat.generator, lat.radius, shift=S @ lat.shift + shift)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from gaborflow.cli import _json_text, main
+from gaborflow.cli import _config_from_args, _json_text, build_arg_parser, main
+from gaborflow.config import (
+    PARAMETERS,
+    RunConfig,
+    config_hash,
+    parse_complex_list,
+    parse_float_list,
+)
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +369,62 @@ def test_grid_points_is_not_a_setting(tmp_path, capsys):
     code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
     assert code == 1
     assert err == "error: estimation.grid_points: unknown config key\n"
+
+
+# a valid value, other than the default, for each run parameter set on its own
+PARAMETER_TEXT = {
+    "seed": "7", "hbar": "0.2", "dimension": "2", "alpha": "0.9", "beta": "0.8",
+    "generator": "1,0.5,0,1", "radius": "3.5", "window_m": "0.5+2j", "window_center": "0.1,-0.2",
+    "hamiltonian": "p1^2/2 + x1^4/4", "method": "verlet", "steps": "12", "t": "0.25",
+    "grid_extent": "8", "family_size": "16", "frame_floor": "0.01",
+}
+LIST_PARAMETERS = [p for p in PARAMETERS if p.parse in (parse_float_list, parse_complex_list)]
+SCALAR_PARAMETERS = [p for p in PARAMETERS if p.parse in (int, float)]
+
+
+def test_every_run_parameter_is_declared_once():
+    declared = [p.field for p in PARAMETERS]
+    assert sorted(declared) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert len({(p.section, p.key) for p in PARAMETERS}) == len(PARAMETERS)
+    assert sorted(PARAMETER_TEXT) == sorted(declared)
+
+
+@pytest.mark.parametrize("param", PARAMETERS, ids=lambda p: p.field)
+def test_flag_and_ini_key_set_the_same_config(tmp_path, param):
+    text = PARAMETER_TEXT[param.field]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{param.section}]\n{param.key} = {text}\n")
+    parser = build_arg_parser()
+    by_flag = _config_from_args(parser.parse_args(["criterion", f"{param.flag}={text}"]))
+    by_key = _config_from_args(parser.parse_args(["criterion", "--config", str(ini)]))
+    assert by_flag == by_key != RunConfig()
+    assert config_hash(by_flag) == config_hash(by_key)
+
+
+@pytest.mark.parametrize("param", LIST_PARAMETERS, ids=lambda p: p.field)
+def test_malformed_list_flag_exits_1(capsys, param):
+    kind = "float" if param.parse is parse_float_list else "complex"
+    code, out, err = run_cli(capsys, "criterion", param.flag, "0.9,x")
+    assert (code, out) == (1, "")
+    assert err == f"error: list: malformed {kind} list '0.9,x'\n"
+
+
+@pytest.mark.parametrize("param", LIST_PARAMETERS + SCALAR_PARAMETERS, ids=lambda p: p.field)
+def test_malformed_ini_value_exits_1(tmp_path, capsys, param):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{param.section}]\n{param.key} = 0.9,x\n")
+    code, out, err = run_cli(capsys, "criterion", "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert err == f"error: {param.field}: cannot parse '0.9,x'\n"
+
+
+@pytest.mark.parametrize("param", SCALAR_PARAMETERS, ids=lambda p: p.field)
+def test_malformed_scalar_flag_exits_2(capsys, param):
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", param.flag, "x"])
+    assert exc.value.code == 2
+    kind = param.parse.__name__
+    assert f"error: argument {param.flag}: invalid {kind} value: 'x'" in capsys.readouterr().err
 
 
 def test_sweep_grid_count_is_checked_in_bytes(capsys, monkeypatch):

@@ -658,6 +658,25 @@ def test_compose_doubles_harmonic_flow():
     assert np.linalg.norm(out - rotation(1.4) @ probe) < 1e-6
 
 
+@pytest.mark.parametrize("build", [lambda H: composed_hamiltonian(H, H), inverted_hamiltonian],
+                         ids=["composed", "inverted"])
+def test_fd_gradient_builds_the_exact_flow_once_per_gradient(monkeypatch, build):
+    import gaborflow.dynamics as dynamics
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return quadratic_flow(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "quadratic_flow", counting)
+    H = build(harmonic())
+    H.gradient(np.array([0.8, -0.1]), 0.7)
+    assert len(calls) == 1
+    H.gradient(np.random.default_rng(2).normal(size=(5, 2)), 0.7)
+    assert len(calls) == 2
+
+
 def test_inversion_reverses_flow():
     H = harmonic()
     Hbar = inverted_hamiltonian(H)

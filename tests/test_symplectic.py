@@ -233,9 +233,12 @@ def test_lattice_same_set_under_unimodular_regeneration():
     assert a == b
 
 
-def test_lattice_point_cap():
-    with pytest.raises(ResourceLimit):
-        lattice_points(separable_lattice([0.01], [0.01], 10.0, point_cap=100))
+def test_lattice_point_cap(monkeypatch):
+    import gaborflow.symplectic as symplectic
+
+    monkeypatch.setattr(symplectic, "POINT_CAP", 100)
+    with pytest.raises(ResourceLimit, match=r"lattice has \d+ points \(cap 100\)"):
+        lattice_points(separable_lattice([0.01], [0.01], 10.0))
 
 
 def test_lattice_enumeration_checks_its_bytes_before_allocating(monkeypatch):
