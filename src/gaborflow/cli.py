@@ -121,8 +121,7 @@ def cmd_criterion(args, cfg: RunConfig) -> int:
         "all_axes": bool(np.all(verdicts)),
         "threshold": 2.0 * np.pi * cfg.hbar,
     }
-    rows = [(j, float(alpha[j % alpha.size]), float(beta[j % beta.size]), bool(verdicts[j]))
-            for j in range(verdicts.size)]
+    rows = [(j, float(alpha[j]), float(beta[j]), bool(verdicts[j])) for j in range(verdicts.size)]
     _write_output(payload, rows, ("axis", "alpha", "beta", "is_frame"), args, cfg)
     return EXIT_OK if payload["all_axes"] else EXIT_NEGATIVE
 

@@ -94,9 +94,10 @@ def _broadcast(vec, n):
 
 
 def lattice_spacings(cfg: RunConfig) -> tuple[tuple, tuple]:
-    """alpha and beta as given, each n ones when unset."""
+    """alpha and beta, each with n entries: a single entry is repeated, and
+    an unset one is n ones."""
     n = cfg.dimension
-    return cfg.alpha or (1.0,) * n, cfg.beta or (1.0,) * n
+    return _broadcast(cfg.alpha or (1.0,), n), _broadcast(cfg.beta or (1.0,), n)
 
 
 def build_lattice(cfg: RunConfig) -> Lattice:
@@ -105,8 +106,7 @@ def build_lattice(cfg: RunConfig) -> Lattice:
     if cfg.generator is not None:
         gen = np.array(cfg.generator, dtype=float).reshape(2 * n, 2 * n)
         return Lattice(gen, radius)
-    alpha, beta = (_broadcast(v, n) for v in lattice_spacings(cfg))
-    return separable_lattice(alpha, beta, radius)
+    return separable_lattice(*lattice_spacings(cfg), radius)
 
 
 def build_window(cfg: RunConfig) -> GaussianState:

@@ -2,14 +2,19 @@
 criterion, and the matched-pair covariance checks.
 
 The upper bound is estimated from the largest eigenvalue of the Gram matrix
-of the (truncated) Gabor system.  When the points are centred (z -> -z maps
-the point set onto itself, as for every centred lattice) and the window is a
-Gaussian, the parity operator commutes with the Gram, which is then solved as
-its even and odd blocks from half its rows.  The lower bound is the smallest
-Rayleigh quotient of the frame quadratic form over the span of a seeded family
-of centrally supported test states; restricting to central states keeps the
-estimate meaningful although the truncated frame operator itself has finite
-rank.
+of the (truncated) Gabor system.  For a Gaussian window, symplectic
+covariance mu(S) T(z) = T(Sz) mu(S) turns every point map z -> Sz whose
+metaplectic operator fixes the window into a symmetry of the Gram: the parity
+z -> -z on centred points, and the quarter turn z -> Jz as well when the
+window is the standard Gaussian and J maps the points onto themselves (a
+square lattice).  A real window (imaginary M) adds the reflection
+(x, p) -> (x, -p), an antiunitary symmetry.  The Gram is then built from the
+rows of orbit representatives only and solved in one block per character of
+the turn, each real symmetric under the reflection: four real blocks of about
+N/4 on a square lattice.  The lower bound is the smallest Rayleigh quotient of
+the frame quadratic form over the span of a seeded family of centrally
+supported test states; restricting to central states keeps the estimate
+meaningful although the truncated frame operator itself has finite rank.
 
 Test states are analytic: Gaussian mixtures and, for n = 1, HermiteStates
 (the oscillator-mode ladder and the witnesses of the mode scan), so against a
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +46,9 @@ from .gaussians import (
     mixture_norm,
     rescale_window,
     shifted_gram,
+    _gram_chunk_rows,
     _grid_nodes,
+    _overlap_bytes,
     _shift_overlaps,
     _shift_sampled,
     _state_gram,
@@ -248,60 +256,176 @@ def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
     return np.array(rows).reshape(len(pts), window.values.size)
 
 
-def _parity_split(sys: GaborSystem) -> bool:
-    """Whether the Gram commutes with the flip i -> N-1-i of the point order.
+class _Sectors(NamedTuple):
+    """The point symmetries of a Gram that its sector solve uses.
 
-    It does for a Gaussian window on points with pts[::-1] == -pts exactly,
-    which every centred Lattice enumerates: the Gram of T(c)phi is D* G0 D,
-    with D the diagonal of phases exp(i sigma(z_i, c)/hbar) and G0 the Gram of
-    the window moved to the origin, and the parity operator fixes that window
-    and maps T(z) to T(-z).
+    r is a point permutation of order m (the quarter turn z -> Jz for m = 4,
+    the parity z -> -z for m = 2, none for m = 1) and p the reflection
+    (x, p) -> (x, -p), when it applies.  Both act on the Gram of `window`
+    (the system's window moved to the origin unless m = 1 without p): r as a
+    unitary symmetry G[r i, r j] = G[i, j], p as an antiunitary one
+    G[p i, p j] = conj(G[i, j]).  turns[d, o] is the point index of r^d z_o
+    for each orbit representative o (turns[0] are the representatives),
+    longest orbits first; under p, the representative o maps to
+    r^flip_power[o] of representative flip[o].
+    """
+
+    window: object
+    turns: np.ndarray
+    flip: np.ndarray | None = None
+    flip_power: np.ndarray | None = None
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The length of each orbit, a divisor of m."""
+        return self.turns.shape[0] // np.sum(self.turns == self.turns[0], axis=0)
+
+    def size(self, j: int) -> int:
+        """The side of block j: the number of representatives that carry the
+        character w^j, w = exp(2 pi i/m), those of orbit length L with
+        w^(jL) = 1, which the order of the representatives makes a prefix.
+        Block 0 holds all of them."""
+        return int(np.sum(j * self.lengths % self.turns.shape[0] == 0))
+
+
+def _index_map(pts: np.ndarray, order: np.ndarray, image: np.ndarray):
+    """The permutation q with pts[q[i]] == image[i] exactly, or None when the
+    image rows are not a reordering of pts; order is np.lexsort(pts.T)."""
+    back = np.lexsort(image.T)
+    if not np.array_equal(pts[order], image[back]):
+        return None
+    q = np.empty(len(pts), dtype=int)
+    q[back] = order
+    return q
+
+
+def _symmetry(sys: GaborSystem) -> _Sectors:
+    """The symmetries of the Gram of a Gaussian window, found from exact data:
+    the window matrix and an exact index permutation of the points, never the
+    Gram entries, which hold them only to rounding.
+
+    The Gram of T(z_i)phi is D* G0 D, with D the diagonal of phases
+    exp(i sigma(z_i, c)/hbar) and G0 the Gram of the window moved to the
+    origin, so G0 has the same spectrum.  A point map z -> Sz is a symmetry of
+    G0 when the metaplectic operator mu(S), with mu(S) T(z) = T(Sz) mu(S),
+    fixes that window up to a phase: the parity always; the quarter turn J
+    when M @ M == -I, since J acts on M as M -> -M^-1.  Complex conjugation
+    maps T(x, p) to T(x, -p) and the window of M to the window of -conj(M),
+    so the reflection applies when M is imaginary.  Sampled windows and point
+    lists with repeated points take no symmetry.
     """
     pts = sys.points
-    return isinstance(sys.window, GaussianState) and np.array_equal(pts[::-1], -pts)
-
-
-def _gram_matrix(sys: GaborSystem, table=None) -> np.ndarray:
-    """Rows of the Gram G_ij = <T(z_i) phi | T(z_j) phi>: all N of them, or
-    under _parity_split the first ceil(N/2) rows of the Gram of the window
-    moved to the origin, which has the same spectrum.  A sampled window's
-    Gram is the product of its _shifted_samples, taken from table when given."""
-    pts = sys.points
+    N, n = pts.shape[0], sys.n
     window = sys.window
-    if _parity_split(sys):
-        centred = GaussianState(window.M, np.zeros(2 * sys.n), 0.0, window.hbar)
-        return shifted_gram(centred, pts, pts.shape[0] - pts.shape[0] // 2)
+    none = _Sectors(window, np.arange(N)[None])
+    if not isinstance(window, GaussianState) or N == 0:
+        return none
+    order = np.lexsort(pts.T)
+    ordered = pts[order]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        return none
+    x, p = pts[:, :n], pts[:, n:]
+    turn, m = None, 4
+    if np.array_equal(window.M @ window.M, -np.eye(n)):
+        turn = _index_map(pts, order, np.hstack([p, -x]))
+    if turn is None:
+        turn, m = _index_map(pts, order, -pts), 2
+    if turn is None:
+        turn, m = np.arange(N), 1
+    flip = None if window.M.real.any() else _index_map(pts, order, np.hstack([x, -p]))
+    if m == 1 and flip is None:
+        return none
+    turns = [np.arange(N)]
+    for _ in range(m - 1):
+        turns.append(turn[turns[-1]])
+    turns = np.array(turns)
+    # each orbit is represented by its smallest point index; the orbit lengths
+    # divide each other, so the characters of each block form a prefix
+    turns = turns[:, turns.min(axis=0) == turns[0]]
+    lengths = m // np.sum(turns == turns[0], axis=0)
+    turns = turns[:, np.argsort(-lengths, kind="stable")]
+    centred = GaussianState(window.M, np.zeros(2 * n), 0.0, window.hbar)
+    if flip is None:
+        return _Sectors(centred, turns)
+    image = flip[turns[0]]
+    rep_of = np.empty(N, dtype=int)
+    rep_of[turns] = np.arange(turns.shape[1])
+    partner = rep_of[image]
+    power = np.argmax(turns[:, partner] == image, axis=0)
+    return _Sectors(centred, turns, partner, power)
+
+
+def _gram_matrix(sys: GaborSystem, sym: _Sectors, table=None) -> np.ndarray:
+    """The Gram rows G_ij = <T(z_i) phi | T(z_j) phi> that the sector solve
+    of sym needs: those of the orbit representatives sym.turns[0], of the
+    Gram of sym.window.  A sampled window's Gram is the product of its
+    _shifted_samples, taken from table when given."""
+    window = sym.window
     if isinstance(window, GaussianState):
-        return shifted_gram(window, pts)
+        return shifted_gram(window, sys.points, sym.turns[0])
     if table is None:
-        table = _shifted_samples(window, pts)
+        table = _shifted_samples(window, sys.points)
     return (table @ table.conj().T) * window.weight
 
 
-def _largest_eigenvalue(rows: np.ndarray) -> float:
-    """Largest eigenvalue of the Gram whose rows _gram_matrix built.
+def _real_block(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """A sector block in a basis of vectors that the reflection fixes, where it
+    is real symmetric.  The reflection maps the sector basis vector of o to
+    phase[o] times that of flip[o]; it fixes sqrt(phase) v_o when flip[o] = o,
+    and (v_o + phase v_q)/sqrt2 and i(v_o - phase v_q)/sqrt2 for a pair
+    o < q = flip[o].  Each of these vectors has at most two entries in the old
+    basis, at rows i1 and i2 with coefficients c1 and c2."""
+    own = np.flatnonzero(flip == np.arange(len(flip)))
+    pair = np.flatnonzero(flip > np.arange(len(flip)))
+    h = np.sqrt(0.5)
+    i1 = np.concatenate([own, pair, pair])
+    i2 = np.concatenate([own, flip[pair], flip[pair]])
+    c1 = np.concatenate([np.sqrt(phase[own]), np.full(len(pair), h), np.full(len(pair), 1j * h)])
+    c2 = np.concatenate([np.zeros(len(own)), h * phase[pair], -1j * h * phase[pair]])
+    cols = block[:, i1] * c1 + block[:, i2] * c2
+    return (c1.conj()[:, None] * cols[i1] + c2.conj()[:, None] * cols[i2]).real
 
-    A full Gram takes one dense solve.  Half the rows of a Gram G that commutes
-    with the flip J: i -> N-1-i split it into the block of the even vectors
-    (e_i + e_Ji)/sqrt2, bordered by e_h for the middle point of an odd N, and
-    the block of the odd vectors (e_i - e_Ji)/sqrt2; with h = N // 2 and
-    C_ij = G_i,Jj these are G[:h, :h] +- C plus the border.
+
+# w^k = exp(2 pi i k/m) for m in (1, 2, 4) is _ROOTS[4 // m * k % 4], exactly
+_ROOTS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _sector_blocks(rows: np.ndarray, sym: _Sectors):
+    """The blocks of the Gram whose representative rows _gram_matrix built,
+    one per character of r, real symmetric under the reflection.
+
+    The orbit of a representative o under r of order m spans, for each
+    character w^j with w^(jL) = 1 (L the orbit length), the vector
+    v_oj = L^(-1/2) sum_{k<L} w^(-jk) e_(r^k o) with r v = w^j v.  In these the
+    Gram splits into the m blocks
+    B_j[o, o'] = sqrt(L L')/m sum_{d<m} w^(-jd) G[o, r^d o'], one FFT over d
+    of the gathered columns G[o, r^d o'].  As p r p = r^-1, the reflection
+    maps every sector onto itself, and _real_block makes each block real.
     """
-    N = rows.shape[1]
-    if N == 0:
-        return 0.0
-    if rows.shape[0] == N:
-        return float(np.max(np.linalg.eigvalsh(rows)))
-    h = N // 2
-    top = rows[:h, :h]
-    cross = rows[:h, N - h:][:, ::-1]
-    even = np.empty((N - h, N - h), dtype=complex)
-    even[:h, :h] = top + cross
-    if N % 2:
-        even[:h, h] = np.sqrt(2.0) * rows[:h, h]
-        even[h, :h] = np.sqrt(2.0) * rows[h, :h]
-        even[h, h] = rows[h, h]
-    return float(max(np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(top - cross)[-1]))
+    m = sym.turns.shape[0]
+    if m == 1:
+        sums = rows[:, None, :]
+    else:
+        sums = rows[:, sym.turns]
+        np.fft.fft(sums, axis=1, out=sums)
+    for j in range(m):
+        k = sym.size(j)
+        if k == 0:
+            continue
+        block = sums[:k, j, :k]
+        lengths = sym.lengths[:k]
+        if np.any(lengths != m):
+            block = block * (np.sqrt(np.outer(lengths, lengths)) / m)
+        if sym.flip is not None:
+            block = _real_block(block, sym.flip[:k], _ROOTS[4 // m * j * sym.flip_power[:k] % 4])
+        yield block
+
+
+def _largest_eigenvalue(rows: np.ndarray, sym: _Sectors) -> float:
+    """Largest eigenvalue of the Gram whose representative rows _gram_matrix
+    built, over its _sector_blocks."""
+    return max((float(np.linalg.eigvalsh(b)[-1]) for b in _sector_blocks(rows, sym)),
+               default=0.0)
 
 
 def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
@@ -376,36 +500,41 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
     return float(density * (2.0 * np.pi * s) ** n * _upper_gamma_q(n, R**2 / (2.0 * s)))
 
 
-# Below this many lattice points the frame-bound solves run on one BLAS thread:
-# there a second thread saves at most a few percent of the call on an idle
-# 2-core host, and costs a third or more of it while the other core is busy.
-PARALLEL_BLAS_MIN_POINTS = 700
+# Below this side of its largest Gram block, frame_bounds runs on one BLAS
+# thread.  A second thread saves nothing measurable on a real block of about
+# 400 and some 20 % on one of 800 (2-core host); it costs a third or more of
+# the call while the other core is busy, and it moves the last bits of b_est.
+PARALLEL_BLAS_MIN_BLOCK = 700
 
-# Bytes frame_bounds may allocate for its Gram rows, parity blocks, window
-# samples and test family, checked before any of them is built.  The 1609
-# points of the largest benchmark system (alpha*beta = 1/2, R = 16) need about
-# 51 MB.
+# Bytes frame_bounds may allocate for its Gram rows and blocks, window samples
+# and test family, checked before any of them is built.  The 1609 points of
+# the largest benchmark system (alpha*beta = 1/2, R = 16) need about 39 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
-def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig) -> int:
-    """Bytes of the largest arrays of frame_bounds: the Gram rows, the parity
-    blocks, and the test family's frame vectors (with the mode columns of the
-    witness scan at n = 1), their component overlaps and the component block
-    of the family Gram, at most 3 components per mixture.  A sampled window
-    adds, per node of its grid, its shifted samples and the family's samples,
-    their component values and mode table included."""
+def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) -> int:
+    """Bytes of the largest arrays of frame_bounds: the Gram rows of sym's
+    representatives, one row chunk of kernel temporaries, the m character
+    sums and the m sector blocks (real under the reflection), and the test
+    family's frame vectors (with the mode columns of the witness scan at
+    n = 1), their component overlaps and the component block of the family
+    Gram, at most 3 components per mixture.  A sampled window adds, per node
+    of its grid, its shifted samples and the family's samples, their
+    component values and mode table included."""
     N = sys.points.shape[0]
-    if _parity_split(sys):
-        half = N // 2
-        rows, blocks = (N - half) * N, (N - half) ** 2 + half**2
-    else:
-        rows, blocks = N * N, 0
+    m, reps = sym.turns.shape
+    gram = 16 * reps * N
+    if isinstance(sys.window, GaussianState):
+        gram += min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
+    if m > 1:
+        gram += 16 * m * reps**2
+    if m > 1 or sym.flip is not None:
+        gram += (16 if sym.flip is None else 8) * sum(sym.size(j) ** 2 for j in range(m))
     components = 3 * cfg.family_size
     modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
     family = cfg.family_size + components + modes
     nodes = sys.window.values.size if isinstance(sys.window, SampledWindow) else 0
-    return 16 * (rows + blocks + family * N + components**2 + (N + family) * nodes)
+    return gram + 16 * (family * N + components**2 + (N + family) * nodes)
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
@@ -413,28 +542,30 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     "eig").
 
     The upper bound is the largest eigenvalue of the Gram matrix of the
-    truncated system, solved in parity blocks from half its rows whenever a
-    Gaussian window sits on centred points (see _parity_split).  The lower
-    bound is the minimal Rayleigh quotient of the frame form over the span of
-    the test family (whitened generalized eigenvalue problem).  A Gaussian
-    window uses no grid; a sampled window is shifted on its grid once for the
-    witness scan, the family product and its Gram.  Raises ResourceLimit when
-    the arrays would exceed FRAME_BOUNDS_BYTE_BUDGET.
+    truncated system, solved in real or complex symmetry sectors from the
+    rows of orbit representatives only (see _symmetry and
+    _largest_eigenvalue).  The lower bound is the minimal Rayleigh quotient
+    of the frame form over the span of the test family (whitened generalized
+    eigenvalue problem).  A Gaussian window uses no grid; a sampled window is
+    shifted on its grid once for the witness scan, the family product and its
+    Gram.  Raises ResourceLimit when the arrays would exceed
+    FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
         raise InvalidMatrix("test family is empty")
-    need = _frame_bounds_bytes(sys, cfg)
+    sym = _symmetry(sys)
+    need = _frame_bounds_bytes(sys, cfg, sym)
     if need > FRAME_BOUNDS_BYTE_BUDGET:
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
                             f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius or family size")
-    with blas_threads(1 if sys.points.shape[0] < PARALLEL_BLAS_MIN_POINTS else None):
+    with blas_threads(1 if sym.size(0) < PARALLEL_BLAS_MIN_BLOCK else None):
         table = (_shifted_samples(sys.window, sys.points)
                  if isinstance(sys.window, SampledWindow) else None)
         witnesses = deficiency_witnesses(sys, cfg, table)
         family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
         m = _frame_vectors(sys, family, table)
-        b_est = _largest_eigenvalue(_gram_matrix(sys, table))
+        b_est = _largest_eigenvalue(_gram_matrix(sys, sym, table), sym)
         A = m @ m.conj().T
         G = _family_gram(family)
         w, V = np.linalg.eigh(G)

@@ -55,6 +55,20 @@ def test_criterion_csv(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_criterion_broadcasts_a_single_spacing_to_every_axis(capsys, fmt):
+    # as frame-check does; the JSON meta hashes the flags as given, so it
+    # compares the result section
+    def run(alpha):
+        code, out, err = run_cli(capsys, "criterion", "--dimension", "3", "--alpha", alpha,
+                                 "--format", fmt)
+        return code, json.loads(out)["result"] if fmt == "json" else out, err
+
+    one = run("0.9")
+    assert one == run("0.9,0.9,0.9")
+    assert one[0] == 0 and one[2] == ""
+
+
 def test_frame_check_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 0
@@ -66,12 +80,12 @@ def test_frame_check_exit_codes(capsys):
 def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
     import gaborflow.frames as frames
 
-    # 241 points at the default radius need 2,812,816 bytes
+    # 241 points at the default radius need 3,647,192 bytes
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 2_000_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
-    assert err == ("error: frame bounds of 241 points need 2812816 bytes "
+    assert err == ("error: frame bounds of 241 points need 3647192 bytes "
                    "(budget 2000000); reduce radius or family size\n")
 
 

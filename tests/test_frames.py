@@ -20,6 +20,8 @@ from gaborflow.frames import (
     _frame_vectors,
     _gram_matrix,
     _largest_eigenvalue,
+    _sector_blocks,
+    _symmetry,
     _upper_gamma_q,
 )
 from gaborflow.gaussians import (
@@ -223,9 +225,13 @@ def test_frame_bounds_limits_blas_threads_below_the_size_threshold(monkeypatch):
     sys_ = standard_system(radius=4.0)
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys_, cfg)
-    monkeypatch.setattr(frames, "PARALLEL_BLAS_MIN_POINTS", len(sys_.points))
-    frame_bounds(sys_, cfg)
-    assert limits == [1, None]
+    # the rule follows the largest Gram block, a quarter of the points here
+    block = _symmetry(sys_).size(0)
+    assert block == (len(sys_.points) + 3) // 4
+    for threshold in (len(sys_.points), block):
+        monkeypatch.setattr(frames, "PARALLEL_BLAS_MIN_BLOCK", threshold)
+        frame_bounds(sys_, cfg)
+    assert limits == [1, 1, None]
 
 
 def test_blas_threads_sets_and_restores_the_openblas_count():
@@ -324,7 +330,7 @@ def test_gaussian_family_makes_one_kernel_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Parity split of the Gram, shared window samples, byte budget
+# Symmetry sectors of the Gram, shared window samples, byte budget
 # ---------------------------------------------------------------------------
 
 SKEW_WINDOW = GaussianState(np.array([[0.3 + 1.2j]]), [1.0, 0.5], 0.7, HBAR)
@@ -346,27 +352,96 @@ CENTRED_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CENTRED_SYSTEMS))
-def test_parity_split_matches_the_full_solve(name):
-    window, lattice = CENTRED_SYSTEMS[name]
+def check_sector_solve(window, lattice, m, reflection):
+    """The symmetries found, the rows built, the real or complex blocks, and
+    their top eigenvalue and whole spectrum against the full complex solve."""
     sys = GaborSystem(window, lattice, HBAR)
     N = len(sys.points)
-    rows = _gram_matrix(sys)
-    assert rows.shape == ((N + 1) // 2, N)
-    full = float(np.max(np.linalg.eigvalsh(shifted_gram(window, sys.points))))
-    assert _largest_eigenvalue(rows) == pytest.approx(full, rel=1e-13)
+    sym = _symmetry(sys)
+    assert sym.turns.shape[0] == m
+    assert (sym.flip is not None) == reflection
+    rows = _gram_matrix(sys, sym)
+    assert rows.shape == ((N + m - 1) // m, N)
+    blocks = list(_sector_blocks(rows, sym))
+    assert all(np.isrealobj(b) == reflection for b in blocks)
+    full = np.linalg.eigvalsh(shifted_gram(window, sys.points))
+    assert _largest_eigenvalue(rows, sym) == pytest.approx(full[-1], rel=1e-13)
+    spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    assert np.max(np.abs(spectrum - full)) < 1e-13 * full[-1]
+
+
+@pytest.mark.parametrize("name", sorted(CENTRED_SYSTEMS))
+def test_parity_split_matches_the_full_solve(name):
+    # the standard window on the square lattice also takes the quarter turn
+    # and the reflection; the other systems take the parity only
+    window, lattice = CENTRED_SYSTEMS[name]
+    square = name == "separable"
+    check_sector_solve(window, lattice, 4 if square else 2, square)
+
+
+SQUARE = separable_lattice([0.9], [0.9], 6.0)
+
+
+def without_origin(lattice):
+    pts = lattice_points(lattice)
+    return pts[np.any(pts != 0.0, axis=1)]
+
+
+# name: (window, points, order m of the unitary symmetry, reflection); the
+# shifted lattice without either is test_parity_split_falls_back_to_the_full_solve
+SECTOR_SYSTEMS = {
+    "square": (standard_gaussian(1, HBAR), SQUARE, 4, True),
+    "square-no-origin": (standard_gaussian(1, HBAR), without_origin(SQUARE), 4, True),
+    # another point order picks other representatives, and other phases
+    "square-shuffled": (standard_gaussian(1, HBAR),
+                        np.random.default_rng(3).permutation(lattice_points(SQUARE)), 4, True),
+    "square-off-centre-window": (GaussianState(np.array([[1j]]), [0.3, -0.2], 0.4, HBAR),
+                                 SQUARE, 4, True),
+    "square-wide-window": (GaussianState(np.array([[2j]]), [0.0, 0.0], 0.0, HBAR), SQUARE,
+                           2, True),
+    "rectangular": (standard_gaussian(1, HBAR), separable_lattice([0.9], [0.7], 6.0), 2, True),
+    "rectangular-no-origin": (standard_gaussian(1, HBAR),
+                              without_origin(separable_lattice([0.9], [0.7], 6.0)), 2, True),
+    "n2-square": (standard_gaussian(2, HBAR), separable_lattice([0.9, 0.9], [0.9, 0.9], 2.4),
+                  4, True),
+    "n2-squeezed": (GaussianState(np.diag([0.5j, 2j]), np.zeros(4), 0.0, HBAR),
+                    separable_lattice([0.9, 0.8], [0.7, 0.9], 2.4), 2, True),
+    "shifted-in-x": (standard_gaussian(1, HBAR),
+                     Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.0]), 1, True),
+    "repeated-point": (standard_gaussian(1, HBAR), np.array([[0.0, 0.0], [0.0, 0.0]]), 1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_SYSTEMS))
+def test_sector_solve_matches_the_full_solve(name):
+    check_sector_solve(*SECTOR_SYSTEMS[name])
+
+
+def test_symmetries_come_from_exact_data_only():
+    # one ulp off -I, or one point one ulp off the quarter turn, leaves the parity
+    window = GaussianState(np.array([[np.nextafter(1.0, 2.0) * 1j]]), [0.0, 0.0], 0.0, HBAR)
+    assert _symmetry(GaborSystem(window, SQUARE, HBAR)).turns.shape[0] == 2
+    pts = lattice_points(SQUARE)
+    on_axis = np.flatnonzero((pts[:, 1] == 0.0) & (np.abs(pts[:, 0]) == pts[:, 0].max()))
+    assert len(on_axis) == 2
+    pts[on_axis, 0] *= np.nextafter(1.0, 2.0)
+    sym = _symmetry(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR))
+    assert sym.turns.shape[0] == 2 and sym.flip is not None
+    # a sampled window takes none
+    sampled = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
+    assert _symmetry(GaborSystem(sampled, np.zeros((1, 2)), HBAR)).turns.shape == (1, 1)
 
 
 def _record_eigvalsh(monkeypatch):
-    sizes = []
+    inputs = []
     real = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
+        inputs.append(a)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return sizes
+    return inputs
 
 
 @pytest.mark.parametrize("lattice", [
@@ -376,15 +451,15 @@ def _record_eigvalsh(monkeypatch):
 def test_parity_split_falls_back_to_the_full_solve(monkeypatch, lattice):
     sys = GaborSystem(standard_gaussian(1, HBAR), lattice, HBAR)
     N = len(sys.points)
-    assert _gram_matrix(sys).shape == (N, N)
-    sizes = _record_eigvalsh(monkeypatch)
+    assert _gram_matrix(sys, _symmetry(sys)).shape == (N, N)
+    inputs = _record_eigvalsh(monkeypatch)
     report = frame_bounds(sys, EstimationConfig(family_size=8))
-    assert N in sizes
+    assert N in [np.shape(a)[-1] for a in inputs]
     full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
     assert report.b_est == pytest.approx(float(np.max(full)), rel=1e-13)
 
 
-def test_parity_split_builds_half_the_rows_and_solves_half_size_blocks(monkeypatch):
+def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_real_blocks(monkeypatch):
     import gaborflow.frames as frames
 
     shapes = []
@@ -396,12 +471,18 @@ def test_parity_split_builds_half_the_rows_and_solves_half_size_blocks(monkeypat
         return rows
 
     monkeypatch.setattr(frames, "_gram_matrix", recording)
-    sys = standard_system()
+    sys = standard_system(np.sqrt(0.5), radius=16.0)
     N = len(sys.points)
-    sizes = _record_eigvalsh(monkeypatch)
-    frame_bounds(sys, EstimationConfig())
-    assert shapes == [((N + 1) // 2, N)]
-    assert max(sizes) <= (N + 1) // 2
+    assert N == 1609
+    report = frame_bounds(sys, EstimationConfig(family_size=8))
+    quarter = -(-N // 4) + 1
+    assert len(shapes) == 1 and shapes[0][0] <= quarter
+    sym = _symmetry(sys)
+    inputs = _record_eigvalsh(monkeypatch)
+    with frames.blas_threads(1):
+        assert _largest_eigenvalue(real(sys, sym), sym) == report.b_est
+    assert len(inputs) == 4
+    assert all(np.isrealobj(a) and a.shape[-1] <= quarter for a in inputs)
 
 
 def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
@@ -521,20 +602,28 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
         # of the 79 scanned modes, and the component block of the family Gram
         return (F + 3 * F + 79) * N + (3 * F) ** 2
 
-    N, half = len(sys.points), len(sys.points) // 2
-    need = 16 * ((N - half) * N + (N - half) ** 2 + half**2 + family(N))
-    assert _frame_bounds_bytes(sys, cfg) == need
+    # the quarter turn and the reflection: the rows of the R orbit
+    # representatives, one chunk of kernel temporaries (80 bytes per overlap
+    # at n = 1; all R rows fit one chunk), the four character sums and four
+    # real blocks of sides R, R - 1, R - 1, R - 1
+    N = len(sys.points)
+    R = (N + 3) // 4
+    gram = 16 * R * N + 80 * R * N + 16 * 4 * R * R + 8 * (R * R + 3 * (R - 1) ** 2)
+    need = gram + 16 * family(N)
+    assert _frame_bounds_bytes(sys, cfg, _symmetry(sys)) == need
+    # no symmetry: all rows, solved as they are
     shifted = GaborSystem(sys.window, Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
                           HBAR)
     M = len(shifted.points)
-    assert _frame_bounds_bytes(shifted, cfg) == 16 * (M * M + family(M))
+    assert _frame_bounds_bytes(shifted, cfg, _symmetry(shifted)) == 96 * M * M + 16 * family(M)
 
     built = []
     monkeypatch.setattr(frames, "deficiency_witnesses", lambda *a: built.append(a))
+    calls = counting_calls(monkeypatch, "_overlap_core")
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         frame_bounds(sys, cfg)
-    assert built == []
+    assert built == [] and calls == []
 
 
 def test_frame_bounds_counts_the_grid_of_a_sampled_window(monkeypatch):
@@ -544,19 +633,19 @@ def test_frame_bounds_counts_the_grid_of_a_sampled_window(monkeypatch):
     pts = lattice_points(separable_lattice([1.25], [1.25], 2.0))
     N, F = len(pts), cfg.family_size
     one = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
-    # a full Gram (no parity split for a sampled window), the family terms of
+    # a full Gram (no symmetry for a sampled window), the family terms of
     # test_frame_bounds_checks_its_byte_budget_before_allocating, and per grid
     # node its shifted samples, the samples of the family and of the 79
     # scanned modes, and the one-pass values of <= 3 components per mixture
     family = F + 3 * F + 79
-    assert _frame_bounds_bytes(one, cfg) == 16 * (N * N + family * N + (3 * F) ** 2
+    assert _frame_bounds_bytes(one, cfg, _symmetry(one)) == 16 * (N * N + family * N + (3 * F) ** 2
                                                    + (N + family) * 512)
 
     # a two-dimensional grid is refused before anything is sampled on it
     window2 = sample_state(standard_gaussian(2, HBAR), 5.0, 32)
     sys2 = GaborSystem(window2, np.zeros((1, 4)), HBAR)
     need = 16 * (1 + 4 * F + (3 * F) ** 2 + (1 + 4 * F) * 32**2)
-    assert _frame_bounds_bytes(sys2, cfg) == need
+    assert _frame_bounds_bytes(sys2, cfg, _symmetry(sys2)) == need
     calls = counting_calls(monkeypatch, "_component_values")
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
@@ -571,7 +660,7 @@ def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     monkeypatch.setattr(frames, "build_test_family", lambda *a, **k: built.append(a))
     sys = standard_system(radius=4.0)
     small = EstimationConfig(family_size=8)
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, small))
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, small, _symmetry(sys)))
     with pytest.raises(ResourceLimit):
         frame_bounds(sys, EstimationConfig(family_size=9))
     assert built == []

@@ -323,6 +323,20 @@ def test_shifted_gram_builds_no_states(rng, monkeypatch):
     assert np.max(np.abs(G - np.array(rows))) < 1e-12
 
 
+def test_shifted_gram_rows_do_not_depend_on_the_chunk_size(rng, monkeypatch):
+    import gaborflow.gaussians as gaussians
+
+    phi = random_gaussian(rng, n=2)
+    shifts = rng.normal(size=(9, 4))
+    G = shifted_gram(phi, shifts)
+    pick = [7, 0, 3, 3]
+    monkeypatch.setattr(gaussians, "GRAM_CHUNK_BYTES", 1)
+    assert gaussians._gram_chunk_rows(2, len(shifts)) == 1
+    calls = counting_calls(monkeypatch, "_overlap_core")
+    assert np.array_equal(shifted_gram(phi, shifts, pick), G[pick])
+    assert len(calls) == len(pick)
+
+
 MODE_WINDOWS = {
     "standard": (1j, [0.0, 0.0], 0.0),
     "squeezed": (0.25j, [0.0, 0.0], 0.3),
