@@ -265,27 +265,19 @@ class _Sectors(NamedTuple):
     (the system's window moved to the origin unless m = 1 without p): r as a
     unitary symmetry G[r i, r j] = G[i, j], p as an antiunitary one
     G[p i, p j] = conj(G[i, j]).  turns[d, o] is the point index of r^d z_o
-    for each orbit representative o (turns[0] are the representatives),
-    longest orbits first; under p, the representative o maps to
-    r^flip_power[o] of representative flip[o].
+    for each orbit representative o (turns[0] are the representatives).
+    Every orbit has length m but that of the origin, which r fixes and which
+    comes last; it carries only the character 1, so sizes, the side of the
+    block of each character w^j (w = exp(2 pi i/m)), is all representatives
+    for j = 0 and all but the origin for j > 0.  Under p, the representative
+    o maps to r^flip_power[o] of representative flip[o].
     """
 
     window: object
     turns: np.ndarray
+    sizes: tuple
     flip: np.ndarray | None = None
     flip_power: np.ndarray | None = None
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """The length of each orbit, a divisor of m."""
-        return self.turns.shape[0] // np.sum(self.turns == self.turns[0], axis=0)
-
-    def size(self, j: int) -> int:
-        """The side of block j: the number of representatives that carry the
-        character w^j, w = exp(2 pi i/m), those of orbit length L with
-        w^(jL) = 1, which the order of the representatives makes a prefix.
-        Block 0 holds all of them."""
-        return int(np.sum(j * self.lengths % self.turns.shape[0] == 0))
 
 
 def _index_map(pts: np.ndarray, order: np.ndarray, image: np.ndarray):
@@ -317,7 +309,7 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     pts = sys.points
     N, n = pts.shape[0], sys.n
     window = sys.window
-    none = _Sectors(window, np.arange(N)[None])
+    none = _Sectors(window, np.arange(N)[None], (N,))
     if not isinstance(window, GaussianState) or N == 0:
         return none
     order = np.lexsort(pts.T)
@@ -339,20 +331,22 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     for _ in range(m - 1):
         turns.append(turn[turns[-1]])
     turns = np.array(turns)
-    # each orbit is represented by its smallest point index; the orbit lengths
-    # divide each other, so the characters of each block form a prefix
+    # each orbit is represented by its smallest point index; J and -I fix
+    # only the origin, which goes last
     turns = turns[:, turns.min(axis=0) == turns[0]]
-    lengths = m // np.sum(turns == turns[0], axis=0)
-    turns = turns[:, np.argsort(-lengths, kind="stable")]
+    fixed = (turns[-1] == turns[0]) & (m > 1)
+    turns = turns[:, np.argsort(fixed, kind="stable")]
+    reps = turns.shape[1]
+    sizes = (reps,) + (reps - int(fixed.sum()),) * (m - 1)
     centred = GaussianState(window.M, np.zeros(2 * n), 0.0, window.hbar)
     if flip is None:
-        return _Sectors(centred, turns)
+        return _Sectors(centred, turns, sizes)
     image = flip[turns[0]]
     rep_of = np.empty(N, dtype=int)
     rep_of[turns] = np.arange(turns.shape[1])
     partner = rep_of[image]
     power = np.argmax(turns[:, partner] == image, axis=0)
-    return _Sectors(centred, turns, partner, power)
+    return _Sectors(centred, turns, sizes, partner, power)
 
 
 def _gram_matrix(sys: GaborSystem, sym: _Sectors, table=None) -> np.ndarray:
@@ -374,7 +368,8 @@ def _real_block(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.nd
     phase[o] times that of flip[o]; it fixes sqrt(phase) v_o when flip[o] = o,
     and (v_o + phase v_q)/sqrt2 and i(v_o - phase v_q)/sqrt2 for a pair
     o < q = flip[o].  Each of these vectors has at most two entries in the old
-    basis, at rows i1 and i2 with coefficients c1 and c2."""
+    basis, at rows i1 and i2 with coefficients c1 and c2.  Returns a
+    contiguous real array, so the complex products are freed."""
     own = np.flatnonzero(flip == np.arange(len(flip)))
     pair = np.flatnonzero(flip > np.arange(len(flip)))
     h = np.sqrt(0.5)
@@ -382,8 +377,11 @@ def _real_block(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.nd
     i2 = np.concatenate([own, flip[pair], flip[pair]])
     c1 = np.concatenate([np.sqrt(phase[own]), np.full(len(pair), h), np.full(len(pair), 1j * h)])
     c2 = np.concatenate([np.zeros(len(own)), h * phase[pair], -1j * h * phase[pair]])
-    cols = block[:, i1] * c1 + block[:, i2] * c2
-    return (c1.conj()[:, None] * cols[i1] + c2.conj()[:, None] * cols[i2]).real
+    cols = block[:, i1] * c1
+    cols += block[:, i2] * c2
+    real = c1.conj()[:, None] * cols[i1]
+    real += c2.conj()[:, None] * cols[i2]
+    return np.ascontiguousarray(real.real)
 
 
 # w^k = exp(2 pi i k/m) for m in (1, 2, 4) is _ROOTS[4 // m * k % 4], exactly
@@ -403,18 +401,14 @@ def _sector_blocks(rows: np.ndarray, sym: _Sectors):
     maps every sector onto itself, and _real_block makes each block real.
     """
     m = sym.turns.shape[0]
-    if m == 1:
-        sums = rows[:, None, :]
-    else:
-        sums = rows[:, sym.turns]
-        np.fft.fft(sums, axis=1, out=sums)
-    for j in range(m):
-        k = sym.size(j)
+    sums = rows[:, None, :] if m == 1 else np.fft.fft(rows[:, sym.turns], axis=1)
+    for j, k in enumerate(sym.sizes):
         if k == 0:
             continue
         block = sums[:k, j, :k]
-        lengths = sym.lengths[:k]
-        if np.any(lengths != m):
+        if k > sym.sizes[-1]:
+            # block 0 holds the origin, of orbit length 1
+            lengths = np.where(np.arange(k) < sym.sizes[-1], m, 1)
             block = block * (np.sqrt(np.outer(lengths, lengths)) / m)
         if sym.flip is not None:
             block = _real_block(block, sym.flip[:k], _ROOTS[4 // m * j * sym.flip_power[:k] % 4])
@@ -508,28 +502,30 @@ PARALLEL_BLAS_MIN_BLOCK = 700
 
 # Bytes frame_bounds may allocate for its Gram rows and blocks, window samples
 # and test family, checked before any of them is built.  The 1609 points of
-# the largest benchmark system (alpha*beta = 1/2, R = 16) need about 39 MB.
+# the largest benchmark system (alpha*beta = 1/2, R = 16) need about 61 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
 def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) -> int:
     """Bytes of the largest arrays of frame_bounds: the Gram rows of sym's
-    representatives, one row chunk of kernel temporaries, the m character
-    sums and the m sector blocks (real under the reflection), and the test
-    family's frame vectors (with the mode columns of the witness scan at
-    n = 1), their component overlaps and the component block of the family
-    Gram, at most 3 components per mixture.  A sampled window adds, per node
-    of its grid, its shifted samples and the family's samples, their
-    component values and mode table included."""
+    representatives, one row chunk of kernel temporaries, the gathered orbit
+    columns and their m character sums, the m sector blocks (real under the
+    reflection) with up to five complex arrays of block 0's side for the one
+    being built, and the test family's frame vectors (with the mode columns
+    of the witness scan at n = 1), their component overlaps and the
+    component block of the family Gram, at most 3 components per mixture.
+    A sampled window adds, per node of its grid, its shifted samples and the
+    family's samples, their component values and mode table included."""
     N = sys.points.shape[0]
     m, reps = sym.turns.shape
     gram = 16 * reps * N
     if isinstance(sys.window, GaussianState):
         gram += min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
     if m > 1:
-        gram += 16 * m * reps**2
+        gram += 2 * 16 * m * reps**2
     if m > 1 or sym.flip is not None:
-        gram += (16 if sym.flip is None else 8) * sum(sym.size(j) ** 2 for j in range(m))
+        gram += 5 * 16 * sym.sizes[0] ** 2
+        gram += (16 if sym.flip is None else 8) * sum(k**2 for k in sym.sizes)
     components = 3 * cfg.family_size
     modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
     family = cfg.family_size + components + modes
@@ -559,7 +555,7 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     if need > FRAME_BOUNDS_BYTE_BUDGET:
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
                             f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius or family size")
-    with blas_threads(1 if sym.size(0) < PARALLEL_BLAS_MIN_BLOCK else None):
+    with blas_threads(1 if sym.sizes[0] < PARALLEL_BLAS_MIN_BLOCK else None):
         table = (_shifted_samples(sys.window, sys.points)
                  if isinstance(sys.window, SampledWindow) else None)
         witnesses = deficiency_witnesses(sys, cfg, table)

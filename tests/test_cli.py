@@ -80,12 +80,12 @@ def test_frame_check_exit_codes(capsys):
 def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
     import gaborflow.frames as frames
 
-    # 241 points at the default radius need 3,647,192 bytes
+    # 241 points at the default radius need 4,183,016 bytes
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 2_000_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
-    assert err == ("error: frame bounds of 241 points need 3647192 bytes "
+    assert err == ("error: frame bounds of 241 points need 4183016 bytes "
                    "(budget 2000000); reduce radius or family size\n")
 
 

@@ -226,7 +226,7 @@ def test_frame_bounds_limits_blas_threads_below_the_size_threshold(monkeypatch):
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys_, cfg)
     # the rule follows the largest Gram block, a quarter of the points here
-    block = _symmetry(sys_).size(0)
+    block = _symmetry(sys_).sizes[0]
     assert block == (len(sys_.points) + 3) // 4
     for threshold in (len(sys_.points), block):
         monkeypatch.setattr(frames, "PARALLEL_BLAS_MIN_BLOCK", threshold)
@@ -604,11 +604,13 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
 
     # the quarter turn and the reflection: the rows of the R orbit
     # representatives, one chunk of kernel temporaries (80 bytes per overlap
-    # at n = 1; all R rows fit one chunk), the four character sums and four
-    # real blocks of sides R, R - 1, R - 1, R - 1
+    # at n = 1; all R rows fit one chunk), the gathered orbit columns and
+    # their four character sums, five complex temporaries of side R for the
+    # block being built and four real blocks of sides R, R - 1, R - 1, R - 1
     N = len(sys.points)
     R = (N + 3) // 4
-    gram = 16 * R * N + 80 * R * N + 16 * 4 * R * R + 8 * (R * R + 3 * (R - 1) ** 2)
+    gram = (16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 5 * 16 * R * R
+            + 8 * (R * R + 3 * (R - 1) ** 2))
     need = gram + 16 * family(N)
     assert _frame_bounds_bytes(sys, cfg, _symmetry(sys)) == need
     # no symmetry: all rows, solved as they are
