@@ -1,10 +1,10 @@
 """Thread count of the OpenBLAS that numpy links, for the dense frame-bound solves.
 
 OpenBLAS splits each level-2/3 call and eigen-solve over every core it found
-at load.  Below several hundred unknowns the second thread saves little, and
-on a shared host a worker waiting for a busy core makes every solve slower and
-its timing erratic; the thread split also moves the last bits of the results.
-numpy has no call for the thread count, so this reaches OpenBLAS's own
+at load.  The split moves the last bits of the results with the core count,
+and on a shared host a worker waiting for a busy core makes every solve slower
+and its timing erratic.  numpy has no call for the thread count, so this
+reaches OpenBLAS's own
 `openblas_set_num_threads` through ctypes.  With any other BLAS it does nothing.
 """
 
@@ -44,10 +44,9 @@ def _openblas():
 
 
 @contextmanager
-def blas_threads(limit: int | None):
-    """Run the block with at most `limit` OpenBLAS threads; None leaves the
-    count as it is."""
-    funcs = None if limit is None else _openblas()
+def blas_threads(limit: int):
+    """Run the block with at most `limit` OpenBLAS threads."""
+    funcs = _openblas()
     if funcs is None or funcs[1]() <= limit:
         yield
         return

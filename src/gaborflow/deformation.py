@@ -59,8 +59,6 @@ def weak_deform(sys: GaborSystem, H: Hamiltonian, t: float,
     """
     cfg = cfg or DeformationConfig()
     window = sys.window
-    if not isinstance(window, GaussianState):
-        raise InvalidMatrix("weak deformation requires a Gaussian window")
     if cfg.lattice_mode not in ("affine", "exact-nonlinear"):
         raise InvalidMatrix(f"unknown lattice mode {cfg.lattice_mode!r}")
     method = auto_method(H, symplectic=False) if cfg.method == "auto" else cfg.method

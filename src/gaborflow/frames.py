@@ -16,13 +16,10 @@ the frame quadratic form over the span of a seeded family of centrally
 supported test states; restricting to central states keeps the estimate
 meaningful although the truncated frame operator itself has finite rank.
 
-Test states are analytic: Gaussian mixtures and, for n = 1, HermiteStates
-(the oscillator-mode ladder and the witnesses of the mode scan), so against a
-Gaussian window every overlap and the family Gram are closed-form at any n.
-Only a sampled window uses a grid, its own: it samples a family of analytic
-test states there in one pass, takes sampled test states on that grid only,
-and frame_bounds shifts it once into a table that the witness scan, the
-family product and its Gram share.
+The window is a GaussianState.  Test states are analytic: Gaussian mixtures
+and, for n = 1, HermiteStates (the oscillator-mode ladder and the witnesses of
+the mode scan), so every overlap and the family Gram are closed-form at any n
+and no quadrature grid is used.
 """
 
 from __future__ import annotations
@@ -35,24 +32,20 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import blas_threads
-from .errors import DimensionMismatch, InvalidMatrix, ResolutionError, ResourceLimit
+from .errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from .gaussians import (
     GaussianMixture,
     GaussianState,
     HermiteState,
-    SampledWindow,
     heisenberg_weyl_apply,
     metaplectic_apply,
     mixture_norm,
     rescale_window,
     shifted_gram,
     _gram_chunk_rows,
-    _grid_nodes,
     _overlap_bytes,
     _shift_overlaps,
-    _shift_sampled,
     _state_gram,
-    _state_values,
 )
 from .symplectic import (
     Lattice,
@@ -64,15 +57,16 @@ from .symplectic import (
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """A window paired with a truncated lattice (or explicit point list)."""
+    """A Gaussian window paired with a truncated lattice (or explicit point list)."""
 
-    window: object
+    window: GaussianState
     lattice: object
     hbar: float
 
     def __post_init__(self):
-        if not isinstance(self.window, (GaussianState, SampledWindow)):
-            raise DimensionMismatch(f"unsupported window type {type(self.window).__name__}")
+        if not isinstance(self.window, GaussianState):
+            raise DimensionMismatch(f"a Gabor system takes a GaussianState window, not "
+                                    f"{type(self.window).__name__}")
         if abs(self.window.hbar - self.hbar) > 1e-15:
             raise DimensionMismatch("window hbar differs from system hbar")
         pts = self.points
@@ -106,9 +100,8 @@ class EstimationConfig:
     """Parameters of frame-bound estimation.
 
     grid_extent sets the central region of the test states (the highest
-    oscillator mode and the box of mixture centers); a one-dimensional
-    sampled window must have a grid of that half-width, sampled finely enough
-    for the highest mode.  family_size test states are generated
+    oscillator mode and the box of mixture centers).  family_size test
+    states are generated
     deterministically from the seed (prefix-stable: smaller families are
     prefixes of larger ones).
     """
@@ -216,30 +209,20 @@ def build_test_family(n: int, hbar: float, cfg: EstimationConfig, witnesses=()):
     return [_family_member(k, n, hbar, cfg) for k in range(num_standard)] + list(witnesses)
 
 
-def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
+def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
     """Scan the oscillator-mode space that fits the central region and return
     the eight states minimizing the frame Rayleigh quotient there.
 
     These witnesses sharpen the lower-bound estimate near the critical
     density, where the near-deficient directions are high-order mode
     combinations that a small random family misses.  They are HermiteStates,
-    and the scan runs in closed form for a Gaussian window.  A sampled window
-    must have the half-width grid_extent of cfg and resolve the top mode on
-    its grid; table, when given, holds its shifted samples (_shifted_samples).
+    and the scan runs in closed form.
     """
     if sys.n != 1:
         return []
     degree = _auto_mode_degree(cfg, sys.hbar)
-    window = sys.window
-    if isinstance(window, SampledWindow):
-        if abs(window.extent - cfg.grid_extent) > 1e-12:
-            raise DimensionMismatch("the half-width of the window grid differs from grid_extent")
-        # top mode must stay below the grid Nyquist wavenumber
-        if np.sqrt((2.0 * degree + 1.0) / sys.hbar) > 0.8 * np.pi / window.step:
-            raise ResolutionError(f"grid of {window.npoints} points cannot resolve oscillator "
-                                  f"mode {degree}; sample the window on more points")
     modes = [_mode(k, sys.hbar) for k in range(degree + 1)]
-    m = _frame_vectors(sys, modes, table)
+    m = _frame_vectors(sys, modes)
     A = (m @ m.conj().T).real
     # the modes are orthonormal: no whitening needed
     w, V = np.linalg.eigh(0.5 * (A + A.T))
@@ -249,12 +232,6 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig, table=None):
 # ---------------------------------------------------------------------------
 # Frame bounds
 # ---------------------------------------------------------------------------
-
-def _shifted_samples(window: SampledWindow, pts) -> np.ndarray:
-    """Samples of T(z) window on its grid, one flattened row per point z."""
-    rows = [_shift_sampled(z, window).values.ravel() for z in pts]
-    return np.array(rows).reshape(len(pts), window.values.size)
-
 
 class _Sectors(NamedTuple):
     """The point symmetries of a Gram that its sector solve uses.
@@ -303,14 +280,14 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     fixes that window up to a phase: the parity always; the quarter turn J
     when M @ M == -I, since J acts on M as M -> -M^-1.  Complex conjugation
     maps T(x, p) to T(x, -p) and the window of M to the window of -conj(M),
-    so the reflection applies when M is imaginary.  Sampled windows and point
-    lists with repeated points take no symmetry.
+    so the reflection applies when M is imaginary.  Point lists with repeated
+    points take no symmetry.
     """
     pts = sys.points
     N, n = pts.shape[0], sys.n
     window = sys.window
     none = _Sectors(window, np.arange(N)[None], (N,))
-    if not isinstance(window, GaussianState) or N == 0:
+    if N == 0:
         return none
     order = np.lexsort(pts.T)
     ordered = pts[order]
@@ -349,17 +326,11 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     return _Sectors(centred, turns, sizes, partner, power)
 
 
-def _gram_matrix(sys: GaborSystem, sym: _Sectors, table=None) -> np.ndarray:
+def _gram_matrix(sys: GaborSystem, sym: _Sectors) -> np.ndarray:
     """The Gram rows G_ij = <T(z_i) phi | T(z_j) phi> that the sector solve
     of sym needs: those of the orbit representatives sym.turns[0], of the
-    Gram of sym.window.  A sampled window's Gram is the product of its
-    _shifted_samples, taken from table when given."""
-    window = sym.window
-    if isinstance(window, GaussianState):
-        return shifted_gram(window, sys.points, sym.turns[0])
-    if table is None:
-        table = _shifted_samples(window, sys.points)
-    return (table @ table.conj().T) * window.weight
+    Gram of sym.window."""
+    return shifted_gram(sym.window, sys.points, sym.turns[0])
 
 
 def _real_block(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -422,39 +393,26 @@ def _largest_eigenvalue(rows: np.ndarray, sym: _Sectors) -> float:
                default=0.0)
 
 
-def _frame_vectors(sys: GaborSystem, family, table=None) -> np.ndarray:
-    """Matrix m[j, p] = <psi_j | T(z_p) phi>.
-
-    A Gaussian window takes analytic test states (Gaussian, mixture and
-    Hermite states), in closed form.  A sampled window takes analytic states,
-    all sampled onto its grid in one pass, and sampled states on that same
-    grid.  table: the _shifted_samples of a sampled window.
-    """
+def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
+    """Matrix m[j, p] = <psi_j | T(z_p) phi> of Gaussian, mixture and Hermite
+    states, in closed form.  Raises ResourceLimit before the kernel runs when
+    the overlaps of the states and their modes, and those of their Gaussian
+    components with the kernel's temporaries, would exceed
+    FRAME_BOUNDS_BYTE_BUDGET."""
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
-    window = sys.window
     analytic = (GaussianState, GaussianMixture, HermiteState)
-    if not all(isinstance(s, analytic + (SampledWindow,)) and s.n == sys.n for s in family):
-        raise DimensionMismatch("test states must be analytic or sampled states of the "
-                                "window's dimension")
-    on_grid = np.array([isinstance(s, SampledWindow) for s in family])
-    if isinstance(window, GaussianState):
-        if on_grid.any():
-            raise DimensionMismatch("a Gaussian window takes analytic test states only")
-        return _shift_overlaps(family, window, sys.points)
-    sampled = [s for s in family if isinstance(s, SampledWindow)]
-    if any(s.values.shape != window.values.shape or abs(s.extent - window.extent) > 1e-12
-           for s in sampled):
-        raise DimensionMismatch("test state grid differs from the grid of the window samples")
-    vals = np.empty((len(family), window.values.size), dtype=complex)
-    if sampled:
-        vals[on_grid] = [s.values.ravel() for s in sampled]
-    if not on_grid.all():
-        states = [s for s in family if not isinstance(s, SampledWindow)]
-        vals[~on_grid] = _state_values(states, _grid_nodes(window.extent, window.npoints, sys.n))
-    if table is None:
-        table = _shifted_samples(window, sys.points)
-    return vals @ table.conj().T * window.weight
+    if not all(isinstance(s, analytic) and s.n == sys.n for s in family):
+        raise DimensionMismatch("test states must be Gaussian, mixture or Hermite states of "
+                                "the window's dimension")
+    N = sys.points.shape[0]
+    components = sum(len(s._stack.coefficients) for s in family)
+    modes = max((len(s.coefficients) for s in family if isinstance(s, HermiteState)), default=0)
+    need = N * (16 * (len(family) + modes) + components * _overlap_bytes(sys.n))
+    if need > FRAME_BOUNDS_BYTE_BUDGET:
+        raise ResourceLimit(f"frame terms of {len(family)} states at {N} points need {need} "
+                            f"bytes (budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
+    return _shift_overlaps(family, sys.window, sys.points)
 
 
 def _family_gram(family) -> np.ndarray:
@@ -479,12 +437,8 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
     truncation, from the Gaussian decay of the shift overlaps."""
     n, hbar = sys.n, sys.hbar
     R = sys.truncation_radius
-    window = sys.window
-    spread = 1.0
-    if isinstance(window, GaussianState):
-        eigs = np.linalg.eigvalsh(window.M.imag)
-        spread = max(float(eigs.max()), 1.0 / float(eigs.min()))
-    s = hbar * spread
+    eigs = np.linalg.eigvalsh(sys.window.M.imag)
+    s = hbar * max(float(eigs.max()), 1.0 / float(eigs.min()))
     if isinstance(sys.lattice, Lattice):
         density = 1.0 / abs(np.linalg.det(sys.lattice.generator))
     else:
@@ -494,15 +448,10 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
     return float(density * (2.0 * np.pi * s) ** n * _upper_gamma_q(n, R**2 / (2.0 * s)))
 
 
-# Below this side of its largest Gram block, frame_bounds runs on one BLAS
-# thread.  A second thread saves nothing measurable on a real block of about
-# 400 and some 20 % on one of 800 (2-core host); it costs a third or more of
-# the call while the other core is busy, and it moves the last bits of b_est.
-PARALLEL_BLAS_MIN_BLOCK = 700
-
-# Bytes frame_bounds may allocate for its Gram rows and blocks, window samples
-# and test family, checked before any of them is built.  The 1609 points of
-# the largest benchmark system (alpha*beta = 1/2, R = 16) need about 61 MB.
+# Bytes frame_bounds may allocate for its Gram rows and blocks and test family,
+# and frame_terms for its overlaps, checked before any of them is built.  The
+# 1609 points of the largest benchmark system (alpha*beta = 1/2, R = 16) need
+# about 61 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
@@ -513,14 +462,10 @@ def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) 
     reflection) with up to five complex arrays of block 0's side for the one
     being built, and the test family's frame vectors (with the mode columns
     of the witness scan at n = 1), their component overlaps and the
-    component block of the family Gram, at most 3 components per mixture.
-    A sampled window adds, per node of its grid, its shifted samples and the
-    family's samples, their component values and mode table included."""
+    component block of the family Gram, at most 3 components per mixture."""
     N = sys.points.shape[0]
     m, reps = sym.turns.shape
-    gram = 16 * reps * N
-    if isinstance(sys.window, GaussianState):
-        gram += min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
+    gram = 16 * reps * N + min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
     if m > 1:
         gram += 2 * 16 * m * reps**2
     if m > 1 or sym.flip is not None:
@@ -529,8 +474,7 @@ def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) 
     components = 3 * cfg.family_size
     modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
     family = cfg.family_size + components + modes
-    nodes = sys.window.values.size if isinstance(sys.window, SampledWindow) else 0
-    return gram + 16 * (family * N + components**2 + (N + family) * nodes)
+    return gram + 16 * (family * N + components**2)
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
@@ -542,10 +486,9 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     rows of orbit representatives only (see _symmetry and
     _largest_eigenvalue).  The lower bound is the minimal Rayleigh quotient
     of the frame form over the span of the test family (whitened generalized
-    eigenvalue problem).  A Gaussian window uses no grid; a sampled window is
-    shifted on its grid once for the witness scan, the family product and its
-    Gram.  Raises ResourceLimit when the arrays would exceed
-    FRAME_BOUNDS_BYTE_BUDGET.
+    eigenvalue problem).  Every solve runs on one BLAS thread, so the output
+    does not depend on the core count.  Raises ResourceLimit when the arrays
+    would exceed FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if cfg.family_size < 1:
@@ -555,13 +498,11 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     if need > FRAME_BOUNDS_BYTE_BUDGET:
         raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
                             f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius or family size")
-    with blas_threads(1 if sym.sizes[0] < PARALLEL_BLAS_MIN_BLOCK else None):
-        table = (_shifted_samples(sys.window, sys.points)
-                 if isinstance(sys.window, SampledWindow) else None)
-        witnesses = deficiency_witnesses(sys, cfg, table)
+    with blas_threads(1):
+        witnesses = deficiency_witnesses(sys, cfg)
         family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
-        m = _frame_vectors(sys, family, table)
-        b_est = _largest_eigenvalue(_gram_matrix(sys, sym, table), sym)
+        m = _frame_vectors(sys, family)
+        b_est = _largest_eigenvalue(_gram_matrix(sys, sym), sym)
         A = m @ m.conj().T
         G = _family_gram(family)
         w, V = np.linalg.eigh(G)
@@ -596,10 +537,7 @@ def covariance_check(sys: GaborSystem, S, psis):
     """(S.phi-window, S.Lattice) at each test state psi against the original
     system at the matched state S^{-1}psi.  Exact identity."""
     S = check_symplectic(S)
-    window = sys.window
-    if not isinstance(window, GaussianState):
-        raise InvalidMatrix("covariance check requires a Gaussian window")
-    mapped = GaborSystem(metaplectic_apply(S, window), sys.points @ S.T, sys.hbar)
+    mapped = GaborSystem(metaplectic_apply(S, sys.window), sys.points @ S.T, sys.hbar)
     S_inv = np.linalg.inv(S)
     return matched_pair(mapped, psis, sys, [metaplectic_apply(S_inv, psi) for psi in psis])
 

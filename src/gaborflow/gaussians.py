@@ -14,8 +14,8 @@ is a finite sum of the oscillator modes h_k of hermite_functions (n = 1).
 Every closed-form overlap goes through _overlap_core on component stacks,
 broadcast over both sides, and every overlap of a mode with a Gaussian through
 the recurrence of _mode_core.  Uniform grids (SampledWindow) provide the
-independent quadrature route used by the tests and by non-Gaussian states;
-_state_values evaluates a whole family of states at their nodes in one pass.
+independent quadrature oracle that the tests compare against; _state_values
+evaluates a whole family of states at their nodes in one pass.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class HermiteState:
 
 
 def _gaussian_only(g) -> None:
-    if isinstance(g, HermiteState):
-        raise DimensionMismatch("a HermiteState has no closed-form phase-space transforms")
+    if not isinstance(g, (GaussianState, GaussianMixture)):
+        raise DimensionMismatch(f"a {type(g).__name__} has no closed-form phase-space transforms")
 
 
 def hermite_functions(axis: np.ndarray, hbar: float, degree_max: int) -> np.ndarray:
@@ -237,17 +237,11 @@ def metaplectic_apply(S, g):
 
 
 def heisenberg_weyl_apply(z0, g):
-    """Apply the phase-space shift T(z0).
-
-    GaussianState/GaussianMixture: exact center and phase update.
-    SampledWindow: pointwise multiplier with the position shift snapped to the
-    nearest grid multiple (the residual is recorded on the window).
-    """
+    """Apply the phase-space shift T(z0) to a GaussianState or
+    GaussianMixture: exact center and phase update."""
     _gaussian_only(g)
     if isinstance(g, GaussianMixture):
         return g._map(lambda comp: heisenberg_weyl_apply(z0, comp))
-    if isinstance(g, SampledWindow):
-        return _shift_sampled(z0, g)
     centers, phases = _shifted(g, as_phase_vector(z0, g.n))
     return GaussianState(g.M, centers[0], phases[0], g.hbar)
 
@@ -457,7 +451,6 @@ class SampledWindow:
     extent: float
     values: np.ndarray
     hbar: float
-    shift_residual: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -563,24 +556,6 @@ def sample_state(g, extent: float, npoints: int) -> SampledWindow:
     """Sample a Gaussian state, mixture or HermiteState on the uniform grid."""
     values = _state_values([g], _grid_nodes(extent, npoints, g.n))[0]
     return SampledWindow(extent, values.reshape((npoints,) * g.n), g.hbar)
-
-
-def _shift_sampled(z0, w: SampledWindow) -> SampledWindow:
-    z0 = as_phase_vector(z0, w.n)
-    n = w.n
-    x0, p0 = z0[:n], z0[n:]
-    if np.max(np.abs(x0)) > w.extent:
-        raise GridDomainError("position shift exceeds the grid half-width")
-    steps = np.round(x0 / w.step).astype(int)
-    snapped = steps * w.step
-    residual = float(np.max(np.abs(x0 - snapped)))
-    values = w.values
-    for ax, k in enumerate(steps):
-        values = np.roll(values, k, axis=ax)
-    # multiplier exp(i (p0.x - p0.x0/2)/hbar) on the grid, using the snapped x0
-    lin = (_grid_nodes(w.extent, w.npoints, n) @ p0).reshape(values.shape)
-    values = values * np.exp(1j / w.hbar * (lin - 0.5 * (p0 @ snapped)))
-    return SampledWindow(w.extent, values, w.hbar, w.shift_residual + residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResolutionError, ResourceLimit
+from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from gaborflow.frames import (
     EstimationConfig,
     GaborSystem,
@@ -144,26 +144,6 @@ def test_frame_sum_monotone_in_radius(rng):
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_frame_sum_sampled_window_path(rng):
-    # sampled window with lattice spacings on the grid: shifts are exact
-    window = sample_state(standard_gaussian(1, HBAR), 10.0, 512)
-    pts = lattice_points(separable_lattice([1.25], [1.25], 3.0))
-    sys = GaborSystem(window, pts, HBAR)
-    psi = random_gaussian(rng)
-    ref = frame_sum(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR), psi)
-    assert frame_sum(sys, psi) == pytest.approx(ref, abs=1e-6)
-
-
-def test_frame_sum_sampled_window_off_grid_is_estimate(rng):
-    # off-grid spacings snap to the nearest grid multiple: coarse estimate
-    window = sample_state(standard_gaussian(1, HBAR), 10.0, 512)
-    pts = lattice_points(separable_lattice([1.0], [1.0], 3.0))
-    sys = GaborSystem(window, pts, HBAR)
-    psi = random_gaussian(rng)
-    ref = frame_sum(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR), psi)
-    assert frame_sum(sys, psi) == pytest.approx(ref, rel=0.05)
-
-
 def test_frame_sum_mixture(rng):
     window = standard_gaussian(1, HBAR)
     pts = lattice_points(separable_lattice([1.0], [1.0], 4.0))
@@ -181,10 +161,16 @@ def test_frame_terms_rejects_unsupported_test_states():
     sampled = sample_state(window, 10.0, 256)
     with pytest.raises(DimensionMismatch):
         frame_terms(sys, ["psi"])
-    with pytest.raises(DimensionMismatch):
+    # a Gaussian window takes no sampled test states, in one dimension or two
+    with pytest.raises(DimensionMismatch, match="Gaussian, mixture or Hermite"):
         _frame_vectors(sys, [sampled, window])
-    with pytest.raises(DimensionMismatch):
-        frame_terms(GaborSystem(sampled, sys.points, HBAR), [sample_state(window, 10.0, 128)])
+    sys2 = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
+                       HBAR)
+    with pytest.raises(DimensionMismatch, match="Gaussian, mixture or Hermite"):
+        frame_terms(sys2, [sampled])
+    # and a sampled window makes no system
+    with pytest.raises(DimensionMismatch, match="takes a GaussianState window"):
+        GaborSystem(sampled, sys.points, HBAR)
 
 
 def test_state_norm_types(rng):
@@ -211,7 +197,12 @@ def test_lattice_enumerated_once_per_system(monkeypatch):
     assert len(calls) == 1
 
 
-def test_frame_bounds_limits_blas_threads_below_the_size_threshold(monkeypatch):
+# a standard window on a shifted lattice: no symmetry, so one Gram block of
+# side 933, large enough for the OpenBLAS thread split to move b_est
+SHIFTED_933 = Lattice(np.diag([0.7, 0.7]), 12.0, shift=[0.1, 0.2])
+
+
+def test_frame_bounds_runs_every_solve_on_one_blas_thread(monkeypatch):
     import gaborflow.frames as frames
 
     limits = []
@@ -222,16 +213,33 @@ def test_frame_bounds_limits_blas_threads_below_the_size_threshold(monkeypatch):
         return real(limit)
 
     monkeypatch.setattr(frames, "blas_threads", recording)
-    sys_ = standard_system(radius=4.0)
     cfg = EstimationConfig(family_size=8)
-    frame_bounds(sys_, cfg)
-    # the rule follows the largest Gram block, a quarter of the points here
-    block = _symmetry(sys_).sizes[0]
-    assert block == (len(sys_.points) + 3) // 4
-    for threshold in (len(sys_.points), block):
-        monkeypatch.setattr(frames, "PARALLEL_BLAS_MIN_BLOCK", threshold)
+    small = standard_system(radius=4.0)
+    large = GaborSystem(standard_gaussian(1, HBAR), SHIFTED_933, HBAR)
+    assert _symmetry(small).sizes[0] == (len(small.points) + 3) // 4
+    assert _symmetry(large).sizes == (933,)
+    for sys_ in (small, large):
         frame_bounds(sys_, cfg)
-    assert limits == [1, 1, None]
+    assert limits == [1, 1]
+
+
+def test_frame_bounds_do_not_depend_on_the_blas_thread_count():
+    from gaborflow._blas import _openblas
+
+    funcs = _openblas()
+    if funcs is None:
+        pytest.skip("numpy is not linked to OpenBLAS")
+    set_threads, get_threads = funcs
+    sys_ = GaborSystem(standard_gaussian(1, HBAR), SHIFTED_933, HBAR)
+    before = get_threads()
+    b_est = []
+    try:
+        for threads in (2, 1):
+            set_threads(threads)
+            b_est.append(frame_bounds(sys_).b_est)
+    finally:
+        set_threads(before)
+    assert b_est[0] == b_est[1]
 
 
 def test_blas_threads_sets_and_restores_the_openblas_count():
@@ -244,7 +252,8 @@ def test_blas_threads_sets_and_restores_the_openblas_count():
     before = get_threads()
     with blas_threads(1):
         assert get_threads() == 1
-        with blas_threads(None):
+        # the limit is a cap: a larger one inside leaves the count as it is
+        with blas_threads(2):
             assert get_threads() == 1
     assert get_threads() == before
     with blas_threads(before + 1):
@@ -427,9 +436,6 @@ def test_symmetries_come_from_exact_data_only():
     pts[on_axis, 0] *= np.nextafter(1.0, 2.0)
     sym = _symmetry(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR))
     assert sym.turns.shape[0] == 2 and sym.flip is not None
-    # a sampled window takes none
-    sampled = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
-    assert _symmetry(GaborSystem(sampled, np.zeros((1, 2)), HBAR)).turns.shape == (1, 1)
 
 
 def _record_eigvalsh(monkeypatch):
@@ -502,9 +508,8 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
 
         monkeypatch.setattr(module, name, recording)
 
-    for name in ("_component_values", "hermite_functions", "sample_state"):
+    for name in ("_component_values", "hermite_functions", "sample_state", "_state_values"):
         record(gaussians, name)
-    record(frames, "_state_values")
     sys = standard_system(radius=4.0)
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys, cfg)
@@ -514,80 +519,21 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
     assert calls == []
 
 
-def test_frame_bounds_shifts_a_sampled_window_once(monkeypatch):
-    import gaborflow.frames as frames
-
-    calls = []
-    real = frames._shifted_samples
-
-    def counting(window, pts):
-        calls.append(len(pts))
-        return real(window, pts)
-
-    monkeypatch.setattr(frames, "_shifted_samples", counting)
-    cfg = EstimationConfig(family_size=8, grid_extent=10.0)
-    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
-    sampled = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
-    frame_bounds(sampled, cfg)
-    # witness scan, family product and Gram share one set of samples
-    assert calls == [len(pts)]
-    assert "_held" not in vars(sampled)
-    frame_bounds(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR), cfg)
-    assert calls == [len(pts)]
-
-
-@pytest.mark.parametrize("sampled", [False, True], ids=["gaussian-window", "sampled-window"])
-def test_frame_bounds_leaves_no_state_on_the_system(sampled):
-    window = standard_gaussian(1, HBAR)
-    if sampled:
-        window = sample_state(window, 10.0, 512)
-    sys = GaborSystem(window, lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
+def test_frame_bounds_leaves_no_state_on_the_system():
+    sys = GaborSystem(standard_gaussian(1, HBAR),
+                      lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
     frame_bounds(sys, EstimationConfig(family_size=8))
     assert set(vars(sys)) <= {"window", "lattice", "hbar", "points"}
 
 
-def test_sampled_states_on_another_grid_are_rejected():
-    window = standard_gaussian(1, HBAR)
-    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
-    on_10, on_8 = sample_state(window, 10.0, 1024), sample_state(window, 8.0, 1024)
-    sampled = GaborSystem(on_10, pts, HBAR)
-    assert frame_terms(sampled, [on_10, window]).shape == (2, len(pts))
-    # a sampled window checks the grid of every state, not only the first
-    for family in ([on_10, on_8], [on_10, sample_state(window, 10.0, 512)], [window, on_8]):
-        with pytest.raises(DimensionMismatch):
-            frame_terms(sampled, family)
-    # and the extent of its grid, not only the sample count
-    with pytest.raises(DimensionMismatch):
-        frame_terms(GaborSystem(on_8, pts, HBAR), [on_10])
-    with pytest.raises(DimensionMismatch):
-        frame_bounds(GaborSystem(on_8, pts, HBAR), EstimationConfig(family_size=8))
-    # a Gaussian window takes no sampled states, in one dimension or two
-    with pytest.raises(DimensionMismatch, match="analytic test states only"):
-        frame_terms(GaborSystem(window, pts, HBAR), [on_10])
-    sys2 = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
-                       HBAR)
-    with pytest.raises(DimensionMismatch):
-        frame_terms(sys2, [on_10])
-
-
-def test_frame_bounds_samples_a_family_in_one_pass(monkeypatch):
-    import gaborflow.frames as frames
-    import gaborflow.gaussians as gaussians
-
-    pts = lattice_points(separable_lattice([0.9], [0.9], 4.0))
-    sys = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 1024), pts, HBAR)
-    samples = counting_calls(monkeypatch, "sample_state")
-    monkeypatch.setattr(frames, "sample_state", gaussians.sample_state, raising=False)
-    tables = counting_calls(monkeypatch, "hermite_functions")
-    frame_bounds(sys, EstimationConfig())
-    # one mode table for the witness scan and one for the family
-    assert samples == [] and len(tables) <= 2
-
-
 def test_system_rejects_unsupported_windows():
+    # frame bounds, the matched-pair checks and weak deformations all take a
+    # GaborSystem, so the window they see is always a GaussianState
     mix = GaussianMixture([1.0], (standard_gaussian(1, HBAR),))
-    with pytest.raises(DimensionMismatch):
-        GaborSystem(mix, separable_lattice([1.0], [1.0], 2.0), HBAR)
+    sampled = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
+    for window in (mix, sampled):
+        with pytest.raises(DimensionMismatch, match="takes a GaussianState window"):
+            GaborSystem(window, separable_lattice([1.0], [1.0], 2.0), HBAR)
 
 
 def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
@@ -628,33 +574,6 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     assert built == [] and calls == []
 
 
-def test_frame_bounds_counts_the_grid_of_a_sampled_window(monkeypatch):
-    import gaborflow.frames as frames
-
-    cfg = EstimationConfig(family_size=8)
-    pts = lattice_points(separable_lattice([1.25], [1.25], 2.0))
-    N, F = len(pts), cfg.family_size
-    one = GaborSystem(sample_state(standard_gaussian(1, HBAR), 10.0, 512), pts, HBAR)
-    # a full Gram (no symmetry for a sampled window), the family terms of
-    # test_frame_bounds_checks_its_byte_budget_before_allocating, and per grid
-    # node its shifted samples, the samples of the family and of the 79
-    # scanned modes, and the one-pass values of <= 3 components per mixture
-    family = F + 3 * F + 79
-    assert _frame_bounds_bytes(one, cfg, _symmetry(one)) == 16 * (N * N + family * N + (3 * F) ** 2
-                                                   + (N + family) * 512)
-
-    # a two-dimensional grid is refused before anything is sampled on it
-    window2 = sample_state(standard_gaussian(2, HBAR), 5.0, 32)
-    sys2 = GaborSystem(window2, np.zeros((1, 4)), HBAR)
-    need = 16 * (1 + 4 * F + (3 * F) ** 2 + (1 + 4 * F) * 32**2)
-    assert _frame_bounds_bytes(sys2, cfg, _symmetry(sys2)) == need
-    calls = counting_calls(monkeypatch, "_component_values")
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
-    with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
-        frame_bounds(sys2, cfg)
-    assert calls == []
-
-
 def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     import gaborflow.frames as frames
 
@@ -666,6 +585,37 @@ def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     with pytest.raises(ResourceLimit):
         frame_bounds(sys, EstimationConfig(family_size=9))
     assert built == []
+
+
+def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
+    import gaborflow.frames as frames
+    from gaborflow.deformation import invariance_check
+    from gaborflow.dynamics import builtin_hamiltonian
+
+    sys = standard_system(radius=4.0)
+    N = len(sys.points)
+    family = build_test_family(1, HBAR, EstimationConfig(family_size=8))
+    # one row of overlaps per state and per mode of the longest HermiteState,
+    # and per mixture component one of kernel overlaps at 80 bytes each (n = 1)
+    components = sum(len(s.components) for s in family if isinstance(s, GaussianMixture))
+    modes = max(len(s.coefficients) for s in family if isinstance(s, HermiteState))
+    need = N * (16 * (len(family) + modes) + 80 * components)
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need)
+    assert frame_terms(sys, family).shape == (len(family), N)
+    calls = counting_calls(monkeypatch, "_overlap_core")
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
+        frame_terms(sys, family)
+    # the matched-pair checks run on frame_terms
+    mixtures = [s for s in family if isinstance(s, GaussianMixture)]
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 16 * N)
+    for check in (lambda: covariance_check(sys, rotation(0.3), mixtures),
+                  lambda: translation_check(sys, [0.1, 0.2], [0.3, 0.0], mixtures),
+                  lambda: rescaling_check(sys, 0.5, mixtures),
+                  lambda: invariance_check(sys, builtin_hamiltonian("harmonic"), 0.5, mixtures)):
+        with pytest.raises(ResourceLimit):
+            check()
+    assert calls == []
 
 
 def test_residual_estimate_is_small_at_defaults():
@@ -733,13 +683,6 @@ def test_covariance_term_multisets(rng):
     assert np.max(np.abs(np.sort(t1) - np.sort(t2))) < 1e-9
 
 
-def test_covariance_requires_gaussian_window():
-    window = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
-    sys = GaborSystem(window, np.array([[0.0, 0.0]]), HBAR)
-    with pytest.raises(InvalidMatrix):
-        covariance_check(sys, np.eye(2), [standard_gaussian(1, HBAR)])
-
-
 def test_translation_identity_cases(rng):
     sys = standard_system()
     cases = [
@@ -788,14 +731,6 @@ def test_system_validates_hbar_and_dimension():
         GaborSystem(g, separable_lattice([1.0], [1.0], 2.0), 1.0)
     with pytest.raises(DimensionMismatch):
         GaborSystem(g, separable_lattice([1.0, 1.0], [1.0, 1.0], 2.0), HBAR)
-
-
-def test_frame_bounds_unresolved_grid_rejected():
-    # only a sampled window has a grid to resolve the scanned modes on
-    window = sample_state(standard_gaussian(1, HBAR), 10.0, 64)
-    sys = GaborSystem(window, standard_system().points, HBAR)
-    with pytest.raises(ResolutionError, match="resolve"):
-        frame_bounds(sys, EstimationConfig())
 
 
 def test_frame_bounds_empty_family_rejected():

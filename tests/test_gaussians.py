@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 from gaborflow.errors import (
     DimensionMismatch,
     GaborflowError,
-    GridDomainError,
     InvalidMatrix,
     NumericalDegeneracy,
     ResolutionError,
@@ -165,14 +164,6 @@ def test_metaplectic_covariance_modulus(rng):
 # Heisenberg-Weyl operators
 # ---------------------------------------------------------------------------
 
-def test_pure_position_shift_on_sampled_window():
-    g = standard_gaussian(1, HBAR)
-    w = sample_state(g, 10.0, 1024)
-    shifted = heisenberg_weyl_apply([w.step * 16, 0.0], w)
-    assert np.allclose(shifted.values, np.roll(w.values, 16))
-    assert shifted.shift_residual == 0.0
-
-
 def test_commutation_phase(rng):
     # T(z) T(z') = exp(i sigma(z, z')/hbar) T(z') T(z)
     g = random_gaussian(rng)
@@ -192,22 +183,6 @@ def test_addition_phase(rng):
     assert split.phase - combined.phase == pytest.approx(
         0.5 * symplectic_form(z, w), abs=1e-12
     )
-
-
-def test_sampled_shift_against_exact_gaussian(rng):
-    g = standard_gaussian(1, HBAR)
-    w = sample_state(g, 10.0, 1024)
-    z = np.array([17 * w.step, 0.83])
-    shifted = heisenberg_weyl_apply(z, w)
-    exact = sample_state(heisenberg_weyl_apply(z, g), 10.0, 1024)
-    overlap = sampled_inner_product(shifted, exact)
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sampled_shift_domain_error():
-    w = sample_state(standard_gaussian(1, HBAR), 5.0, 256)
-    with pytest.raises(GridDomainError):
-        heisenberg_weyl_apply([6.0, 0.0], w)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +369,10 @@ def test_one_pass_sampling_matches_per_state_sampling(rng):
             assert np.max(np.abs(row - alone)) <= 1e-14
 
 
-def test_transforms_reject_a_hermite_state():
-    h = HermiteState([0.0, 1.0], HBAR)
+@pytest.mark.parametrize("h", [HermiteState([0.0, 1.0], HBAR),
+                               sample_state(standard_gaussian(1, HBAR), 10.0, 64)],
+                         ids=["hermite", "sampled"])
+def test_transforms_reject_a_hermite_state(h):
     with pytest.raises(DimensionMismatch):
         heisenberg_weyl_apply([0.1, 0.2], h)
     with pytest.raises(DimensionMismatch):
