@@ -11,7 +11,7 @@ from gaborflow.deformation import (
     weak_deform,
 )
 from gaborflow.dynamics import builtin_hamiltonian, quadratic_hamiltonian
-from gaborflow.errors import InvalidMatrix
+from gaborflow.errors import DimensionMismatch, InvalidMatrix
 from gaborflow.frames import (
     EstimationConfig,
     GaborSystem,
@@ -20,7 +20,7 @@ from gaborflow.frames import (
     rescaling_check,
     translation_check,
 )
-from gaborflow.gaussians import GaussianMixture, GaussianState, standard_gaussian
+from gaborflow.gaussians import GaussianMixture, GaussianState, sample_state, standard_gaussian
 from gaborflow.symplectic import rotation, separable_lattice
 
 from conftest import HBAR, random_symplectic
@@ -122,6 +122,15 @@ def test_exact_nonlinear_moves_the_lattice_in_one_flow_map_call(monkeypatch):
     # numpy's SIMD power may round the batch's powers unlike libm pow
     per_point = np.array([flow(H, z, 0.0, 0.3, steps=16) for z in sys.points])
     np.testing.assert_allclose(result.lattice, per_point, rtol=1e-13, atol=1e-15)
+
+
+def test_requires_gaussian_window():
+    # a sampled window cannot reach weak_deform: the system it takes refuses
+    # to be built around one
+    window = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
+    with pytest.raises(DimensionMismatch, match="takes a GaussianState window"):
+        weak_deform(GaborSystem(window, np.array([[0.0, 0.0]]), HBAR),
+                    builtin_hamiltonian("harmonic"), 0.5)
 
 
 def test_group_compatibility_autonomous_quadratic():

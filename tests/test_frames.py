@@ -683,6 +683,15 @@ def test_covariance_term_multisets(rng):
     assert np.max(np.abs(np.sort(t1) - np.sort(t2))) < 1e-9
 
 
+def test_covariance_requires_gaussian_window():
+    # a sampled window cannot reach covariance_check: the system it takes
+    # refuses to be built around one
+    window = sample_state(standard_gaussian(1, HBAR), 10.0, 256)
+    with pytest.raises(DimensionMismatch, match="takes a GaussianState window"):
+        covariance_check(GaborSystem(window, np.array([[0.0, 0.0]]), HBAR),
+                         np.eye(2), [standard_gaussian(1, HBAR)])
+
+
 def test_translation_identity_cases(rng):
     sys = standard_system()
     cases = [
