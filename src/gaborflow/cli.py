@@ -189,7 +189,9 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     z0 = parse_float_list(args.z0)
     method = auto_method(H, symplectic=True) if cfg.method == "auto" else cfg.method
     steps = default_steps(cfg.t) if cfg.steps is None else cfg.steps
-    traj = integrate(H, z0, cfg.t, steps, method=method, variational=args.dump_matrices)
+    # CSV has no column for S_t, so only JSON output pays for the tangent pass
+    dump = args.dump_matrices and args.format == "json"
+    traj = integrate(H, z0, cfg.t, steps, method=method, variational=dump)
     payload = {
         "method": method,
         "steps": steps,
@@ -197,7 +199,7 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
         "points": traj.points,
         "action": traj.action,
     }
-    if args.dump_matrices:
+    if dump:
         payload["linear_flow"] = traj.matrices
     dim = traj.points.shape[1]
     header = ("time",) + tuple(f"z{i}" for i in range(dim)) + ("action",)
@@ -342,7 +344,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="integrate a Hamiltonian trajectory")
     _add_system_flags(p)
     p.add_argument("--z0", type=str, required=True, help="initial phase point, 2n floats")
-    p.add_argument("--dump-matrices", action="store_true")
+    p.add_argument("--dump-matrices", action="store_true",
+                   help="also write the linearized flow S_t at every node (JSON output only)")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("sweep", help="frame reports over a deformation or density grid")

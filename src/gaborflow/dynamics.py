@@ -20,10 +20,11 @@ from .errors import (DimensionMismatch, DivergenceError, InvalidMatrix, InverseI
 from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standard_j
 
 OVERFLOW_GUARD = 1e8
+GUARD_BLOCK = 256       # integrator steps between two overflow-guard checks
 FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
-# Bytes of the arrays that a caller's count sizes (integrate's times, points
-# and S_t; a CLI sweep grid), checked before they are allocated.
+# Bytes of the arrays that a caller's count sizes (integrate's times, points,
+# S_t and step derivatives; a CLI sweep grid), checked before they are allocated.
 ARRAY_BYTE_BUDGET = 1 << 30
 # constant Hessians of the builtin family, shared by every evaluation
 _EYE1, _EYE2 = np.eye(1), np.eye(2)
@@ -297,38 +298,52 @@ _SPLITTINGS = {"euler": (("k", 1.0), ("d", 1.0)),
                "verlet": (("d", 0.5), ("k", 1.0), ("d", 0.5))}
 
 
-def _split_step(H: Hamiltonian, method: str, z, h: float, S=None):
-    """One kick/drift step (z, S) -> (z', S') of a separable H; S is None when
-    the tangent map is not carried.  A kick p -= c V'(x) moves S by
-    Sp -= c V''(x) Sx, and a drift x += c U'(p) by Sx += c U''(p) Sp.  Each is
-    a symplectic shear, so S' = DPhi_h(z) S is symplectic to rounding at any h.
-    """
+def _split_step(H: Hamiltonian, method: str, z: np.ndarray, h: float, stages=None) -> np.ndarray:
+    """One kick/drift step z -> z' of a separable H: a kick p -= c V'(x), a
+    drift x += c U'(p).  A list `stages` collects each stage's (kind, c, x or
+    p that it reads), from which _split_jacobians builds the step's
+    derivative."""
     if H.separable is None:
         raise InvalidMatrix("this integrator requires a separable Hamiltonian U(p) + V(x)")
     sep, n = H.separable, H.n
-    z = _points(z, n)
     x, p = z[..., :n], z[..., n:]
-    Sx, Sp = (None, None) if S is None else (S[..., :n, :], S[..., n:, :])
     for stage, frac in _SPLITTINGS[method]:
         c = frac * h
+        if stages is not None:
+            stages.append((stage, c, x if stage == "k" else p))
         if stage == "k":
             p = p - c * sep.dv(x)
-            Sp = None if S is None else Sp - c * (sep.d2v(x) @ Sx)
         else:
             x = x + c * sep.du(p)
-            Sx = None if S is None else Sx + c * (sep.d2u(p) @ Sp)
-    z_new = np.concatenate([x, p], axis=-1)
-    return z_new, None if S is None else np.concatenate([Sx, Sp], axis=-2)
+    return np.concatenate([x, p], axis=-1)
+
+
+def _split_jacobians(H: Hamiltonian, method: str, z: np.ndarray, h: float) -> np.ndarray:
+    """DPhi_h of a kick/drift step at each point of z, in one pass over the
+    batch: the product of the stage shears, Dp -= c V''(x) Dx for a kick and
+    Dx += c U''(p) Dp for a drift.  Each shear is symplectic, so DPhi_h is
+    symplectic to rounding at any h."""
+    stages = []
+    _split_step(H, method, z, h, stages)
+    n = H.n
+    eye = np.eye(2 * n)
+    Dx, Dp = eye[:n], eye[n:]
+    for stage, c, arg in stages:
+        if stage == "k":
+            Dp = Dp - c * (H.separable.d2v(arg) @ Dx)
+        else:
+            Dx = Dx + c * (H.separable.d2u(arg) @ Dp)
+    return np.concatenate(np.broadcast_arrays(Dx, Dp), axis=-2)
 
 
 def symplectic_euler_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """First-order kick-drift step: p1 = p - V'(x) dt, x1 = x + U'(p1) dt."""
-    return _split_step(H, "euler", z, dt)[0]
+    return _split_step(H, "euler", _points(z, H.n), dt)
 
 
 def verlet_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """Second-order position-Verlet step (drift, kick, drift)."""
-    return _split_step(H, "verlet", z, dt)[0]
+    return _split_step(H, "verlet", _points(z, H.n), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +454,9 @@ def _variational_rk4_step(S, h, A1, A2, A3, A4):
     return S + h / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
 
 
-def _rk4_state_step(H: Hamiltonian, J, z, S, t, h):
-    """One RK4 step of the coupled system (z, S); S is None when the
-    variational flow is not carried."""
+def _rk4_step(H: Hamiltonian, z, t, h, inner=None):
+    """One RK4 step z -> z'.  An array `inner` of shape (3,) + z.shape
+    receives the inner stage points z2, z3, z4."""
     k1 = H.velocity(z, t)
     z2 = z + 0.5 * h * k1
     k2 = H.velocity(z2, t + 0.5 * h)
@@ -449,34 +464,74 @@ def _rk4_state_step(H: Hamiltonian, J, z, S, t, h):
     k3 = H.velocity(z3, t + 0.5 * h)
     z4 = z + h * k3
     k4 = H.velocity(z4, t + h)
-    z_new = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if S is None:
-        return z_new, None
-    stages = ((z, t), (z2, t + 0.5 * h), (z3, t + 0.5 * h), (z4, t + h))
-    return z_new, _variational_rk4_step(S, h, *(J @ H.hessian(zz, tt) for zz, tt in stages))
+    if inner is not None:
+        inner[0], inner[1], inner[2] = z2, z3, z4
+    return z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _step_map(H: Hamiltonian, method: str, t0: float, h: float):
-    """The one-step map (z, S, t) -> (z', S') of a method with step h; S is
-    None when the variational flow is not carried."""
+def _rk4_jacobians(H: Hamiltonian, z: np.ndarray, inner: np.ndarray, times: np.ndarray,
+                   h: float) -> np.ndarray:
+    """DPhi_h of RK4 at each node z_k (the leading axis of z), given the
+    inner stage points inner[k] of its step: RK4's tangent map of the
+    identity, with A = J Hess H at the four stages.  An autonomous H is
+    evaluated once per stage on all steps, a time-dependent one once per
+    stage node, since its callables take a scalar t."""
+    stages = (z, inner[:, 0], inner[:, 1], inner[:, 2])
+    if H.autonomous:
+        hessians = [H.hessian(zs, times[0]) for zs in stages]
+    else:
+        offsets = (0.0, 0.5 * h, 0.5 * h, h)
+        hessians = [np.stack([H.hessian(zk, tk + dt) for zk, tk in zip(zs, times)])
+                    for zs, dt in zip(stages, offsets)]
+        # a Hessian without the batch axes (one that z does not change) gets
+        # unit axes after the step axis, so it broadcasts over the batch
+        hessians = [a.reshape(a.shape[:1] + (1,) * (z.ndim + 1 - a.ndim) + a.shape[1:])
+                    for a in hessians]
+    J = standard_j(H.n)
+    return _variational_rk4_step(np.eye(2 * H.n), h, *(J @ a for a in hessians))
+
+
+def _step_map(H: Hamiltonian, method: str, times: np.ndarray, h: float, inner=None):
+    """The one-step map (z, k) -> z' of a method with step h from node k, and
+    the map from the nodes z_k (k < steps) to the derivatives DPhi_h(z_k) of
+    their steps, batched over the leading axis.  For rk4 the derivatives need
+    `inner`, a (steps, 3, ..., 2n) array that the steps fill with their
+    inner stage points."""
     if method == "exact":
         if not has_exact_flow(H):
             raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
-        flow = quadratic_flow(H.quadratic.matrix(t0), H.quadratic.vector(t0), h)
+        flow = quadratic_flow(H.quadratic.matrix(times[0]), H.quadratic.vector(times[0]), h)
 
-        def step(z, S, t):
-            return _matvec(flow.linear, z) + flow.shift, None if S is None else flow.linear @ S
+        def step(z, k):
+            return _matvec(flow.linear, z) + flow.shift
+
+        def jacobians(z):
+            return flow.linear
     elif method in _SPLITTINGS:
-        def step(z, S, t):
-            return _split_step(H, method, z, h, S)
-    elif method == "rk4":
-        J = standard_j(H.n)
+        def step(z, k):
+            return _split_step(H, method, z, h)
 
-        def step(z, S, t):
-            return _rk4_state_step(H, J, z, S, t, h)
+        def jacobians(z):
+            return _split_jacobians(H, method, z, h)
+    elif method == "rk4":
+        def step(z, k):
+            return _rk4_step(H, z, times[k], h, None if inner is None else inner[k])
+
+        def jacobians(z):
+            return _rk4_jacobians(H, z, inner, times[:-1], h)
     else:
         raise InvalidMatrix(f"unknown method {method!r}")
-    return step
+    return step, jacobians
+
+
+def _prefix_products(M: np.ndarray) -> None:
+    """M[k] <- M[k] M[k-1] ... M[0] in place along the leading axis, in
+    ceil(log2 len(M)) batched matmuls (a Hillis-Steele scan): after the
+    pass with stride d, M[k] is the product of its last 2d factors."""
+    d = 1
+    while d < len(M):
+        M[d:] = M[d:] @ M[:-d]
+        d *= 2
 
 
 def integrate(
@@ -493,18 +548,26 @@ def integrate(
 
     Methods: "euler" and "verlet" (symplectic, separable H only), "rk4"
     (non-symplectic reference, any H), "exact" (autonomous quadratic H only).
-    With variational, S_t is carried by each step's derivative, so it is the
-    Jacobian of the computed z_t in z0: symplectic to rounding but for rk4.
-    The symmetrized action gamma_t, by cumulative Simpson on the same nodes,
-    is computed on the first read of Trajectory.action.  Raises ResourceLimit
-    when the times, points and S_t would exceed ARRAY_BYTE_BUDGET.
+    The loop moves the points only; the overflow guard checks them a block of
+    GUARD_BLOCK steps at a time.  With variational, the derivatives DPhi_h of
+    all steps are built afterwards in one batched pass over the nodes, and
+    S_t = DPhi_h(z_{k-1}) ... DPhi_h(z_0) is their prefix product, so it is
+    the Jacobian of the computed z_t in z0: symplectic to rounding but for
+    rk4.  The symmetrized action gamma_t, by cumulative Simpson on the same
+    nodes, is computed on the first read of Trajectory.action.  Raises
+    ResourceLimit when the times, points and S_t, with the stack of step
+    derivatives (and RK4's inner stage points and four stage Hessians), would
+    exceed ARRAY_BYTE_BUDGET.
     """
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
     z0 = _points(z0, H.n)
     _check_overflow(z0)  # before the first step sees a diverged point
     dim = 2 * H.n
-    need = 8 * (int(steps) + 1) * (1 + z0.size + (z0.size * dim if variational else 0))
+    tangent = z0.size * dim  # floats of one node's S_t
+    need = 8 * (int(steps) + 1) * (1 + z0.size + (tangent if variational else 0))
+    if variational:  # the step derivatives, and RK4's inner stage points and stage Hessians
+        need += 8 * int(steps) * (tangent + (3 * z0.size + 4 * tangent if method == "rk4" else 0))
     if need > ARRAY_BYTE_BUDGET:
         raise ResourceLimit(f"{steps} steps of {z0.size // dim} points need {need} bytes "
                             f"(budget {ARRAY_BYTE_BUDGET}); reduce steps or points")
@@ -512,19 +575,30 @@ def integrate(
     times = t0 + h * np.arange(steps + 1)
     points = np.zeros((steps + 1,) + z0.shape)
     points[0] = z0
-    S = np.broadcast_to(np.eye(dim), z0.shape + (dim,)) if variational else None
-    matrices = np.zeros((steps + 1,) + S.shape) if variational else None
-    if variational:
-        matrices[0] = S
 
-    step = _step_map(H, method, t0, h)
+    inner = np.empty((steps, 3) + z0.shape) if variational and method == "rk4" else None
+    step, jacobians = _step_map(H, method, times, h, inner)
     z = z0
-    for k in range(1, steps + 1):
-        z, S = step(z, S, times[k - 1])
-        _check_overflow(z)
-        points[k] = z
-        if variational:
-            matrices[k] = S
+    # steps past a diverged point may overflow; the guard reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, steps + 1, GUARD_BLOCK):
+            stop = min(start + GUARD_BLOCK, steps + 1)
+            try:
+                for k in range(start, stop):
+                    z = step(z, k - 1)
+                    points[k] = z
+            except Exception:
+                if k > start:  # a diverged point can make the step itself fail
+                    _check_overflow(points[start:k])
+                raise
+            _check_overflow(points[start:stop])
+
+    matrices = None
+    if variational:
+        matrices = np.empty((steps + 1,) + z0.shape + (dim,))
+        matrices[0] = np.eye(dim)
+        matrices[1:] = jacobians(points[:-1])
+        _prefix_products(matrices[1:])
     return Trajectory(times, points, matrices, method, h, H)
 
 

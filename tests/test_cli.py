@@ -233,6 +233,20 @@ def test_diverging_initial_point_prints_only_the_error_line(capsys):
     assert err == "error: trajectory exceeded the overflow guard\n"
 
 
+def test_expression_divergence_mid_block_prints_the_guard_error(capsys):
+    # the trajectory leaves the guard mid-block, and a later step of the block
+    # overflows inside the expression; the guard's error is reported, and no
+    # numpy warning is emitted on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "integrate", "--hamiltonian", "p1^2/2 - x1^4/4",
+                                 "--z0=2,2", "--t", "10", "--steps", "1000", "--method", "rk4")
+    assert caught == []
+    assert code == 1
+    assert out == ""
+    assert err == "error: trajectory exceeded the overflow guard\n"
+
+
 def test_expression_overflow_prints_one_error_line_with_span(capsys):
     code, out, err = run_cli(capsys, "integrate", "--hamiltonian", "p1^2/2 + x1^40",
                              "--z0", "9e7,0", "--t", "1", "--steps", "2", "--method", "rk4")
@@ -246,24 +260,29 @@ def test_integrate_carries_the_linear_flow_only_for_dump_matrices(capsys, monkey
     import gaborflow.dynamics as dynamics
 
     calls = []
-    step = dynamics._split_step
+    jacobians = dynamics._split_jacobians
 
-    def counting(H, method, z, h, S=None):
-        if S is not None:  # one tangent-map step
-            calls.append(1)
-        return step(H, method, z, h, S)
+    def counting(*args):  # one tangent pass over all steps
+        calls.append(1)
+        return jacobians(*args)
 
-    monkeypatch.setattr(dynamics, "_split_step", counting)
+    monkeypatch.setattr(dynamics, "_split_jacobians", counting)
     argv = ("integrate", "--hamiltonian", "anharmonic", "--z0", "1,0", "--t", "1",
             "--steps", "6", "--method", "verlet")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == []
+    # CSV has no column for S_t, so it skips the tangent pass
+    code, csv_out, _ = run_cli(capsys, *argv, "--dump-matrices", "--format", "csv")
+    assert code == 0
+    assert calls == []
+    assert csv_out == run_cli(capsys, *argv, "--format", "csv")[1]
     code, dumped, _ = run_cli(capsys, *argv, "--dump-matrices")
     assert code == 0
-    assert len(calls) == 6
+    assert len(calls) == 1
     plain, full = json.loads(out)["result"], json.loads(dumped)["result"]
     assert "linear_flow" not in plain
+    assert np.shape(full["linear_flow"]) == (7, 2, 2)
     assert full["points"] == plain["points"] and full["action"] == plain["action"]
 
 

@@ -177,13 +177,22 @@ def test_integrate_checks_its_bytes_before_allocating(monkeypatch):
 
     H = builtin_hamiltonian("anharmonic", 1)
     z0 = np.zeros((3, 2))
-    # times, then 3 points and 3 S_t of 2 x 2 per node
-    need = 8 * 11 * (1 + 6 + 12)
+    # times, then 3 points and 3 S_t of 2 x 2 per node, and the 10 steps'
+    # derivatives of 3 x 2 x 2
+    need = 8 * 11 * (1 + 6 + 12) + 8 * 10 * 12
     monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need)
     assert integrate(H, z0, 1.0, 10).points.shape == (11, 3, 2)
     monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         integrate(H, z0, 1.0, 10)
+    # RK4 adds its three inner stage points of 3 x 2 and four stage Hessians
+    # of 3 x 2 x 2 per step
+    need_rk4 = need + 8 * 10 * (3 * 6 + 4 * 12)
+    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need_rk4)
+    integrate(H, z0, 1.0, 10, method="rk4")
+    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need_rk4 - 1)
+    with pytest.raises(ResourceLimit, match=f"need {need_rk4} bytes"):
+        integrate(H, z0, 1.0, 10, method="rk4")
     # without S_t only the times and points count
     integrate(H, z0, 1.0, 10, variational=False)
     monkeypatch.undo()
@@ -524,6 +533,118 @@ def test_initial_point_checked_before_first_step(method):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
             integrate(builtin_hamiltonian("anharmonic"), [1e120, 0.0], 10.0, 10, method=method)
+
+
+@pytest.mark.parametrize("block", [256, 2])
+def test_divergence_mid_block_raises_without_a_warning(monkeypatch, block):
+    # Verlet from (20, 0) at h = 0.1 first leaves the guard at step 3, and the
+    # steps after it in the same block overflow to inf and nan; with a block
+    # of 2 it is the first row of the second block
+    import gaborflow.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "GUARD_BLOCK", block)
+    # recorded, not raised: the guard would turn a raised warning into its own error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="overflow guard"):
+            integrate(builtin_hamiltonian("anharmonic"), [20.0, 0.0], 10.0, 100,
+                      method="verlet")
+    assert caught == []
+
+
+def test_a_step_that_raises_with_every_row_inside_the_guard_reraises(monkeypatch):
+    # the guard runs over the block's finished rows first, and none diverged
+    import gaborflow.dynamics as dynamics
+
+    calls = []
+
+    def failing(z, k):
+        calls.append(1)
+        if len(calls) == 5:
+            raise ValueError("step failed")
+        return z
+
+    monkeypatch.setattr(dynamics, "_step_map", lambda *a: (failing, None))
+    with pytest.raises(ValueError, match="step failed"):
+        integrate(builtin_hamiltonian("anharmonic"), [2.0, 2.0], 1.0, 10, method="verlet",
+                  variational=False)
+
+
+# ---------------------------------------------------------------------------
+# Step derivatives and their prefix product
+# ---------------------------------------------------------------------------
+
+def quartic_separable(n):
+    """U = |p|^2/2 and V = sum x_i^4/4 + x_1^2 x_n^2/2, with exact Hessians."""
+    def dv(x):
+        first, last = x[..., :1], x[..., -1:]
+        coupling = np.zeros_like(x)
+        coupling[..., :1] += first * last ** 2
+        coupling[..., -1:] += first ** 2 * last
+        return x ** 3 + coupling
+
+    def d2v(x):
+        out = np.zeros(x.shape + (n,))
+        out[..., range(n), range(n)] = 3 * x ** 2
+        first, last = x[..., 0], x[..., -1]
+        out[..., 0, 0] += last ** 2
+        out[..., -1, -1] += first ** 2
+        out[..., 0, -1] += 2 * first * last
+        out[..., -1, 0] += 2 * first * last
+        return out
+
+    return separable_hamiltonian(
+        n, u=lambda p: 0.5 * np.sum(p * p, axis=-1), du=lambda p: p,
+        v=lambda x: np.sum(x ** 4, axis=-1) / 4 + (x[..., 0] * x[..., -1]) ** 2 / 2, dv=dv,
+        d2u=lambda p: np.eye(n), d2v=d2v)
+
+
+def prefix_case(method, n):
+    if method == "exact":
+        M = np.eye(2 * n) if n == 1 else np.array([[1.0, 0.2, 0.0, 0.1], [0.2, 0.8, 0.3, 0.0],
+                                                     [0.0, 0.3, 1.2, 0.0], [0.1, 0.0, 0.0, 0.9]])
+        return quadratic_hamiltonian(M)
+    if method == "rk4":
+        return expression_hamiltonian("p1^2/2 + x1^4/4 + 0.1*sin(t)*x1" if n == 1 else
+                                      "p1^2/2 + p2^2/2 + x1^4/4 + x2^2/2 + 0.3*x1*p2", n)
+    return quartic_separable(n)
+
+
+@pytest.mark.parametrize("method", ["euler", "verlet", "rk4", "exact"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 7, 1000])
+def test_prefix_product_equals_the_sequential_product(monkeypatch, method, n, steps):
+    import gaborflow.dynamics as dynamics
+
+    scan, stacks = dynamics._prefix_products, []
+
+    def keeping(M):  # keeps the step derivatives that integrate built
+        stacks.append(M.copy())
+        scan(M)
+
+    monkeypatch.setattr(dynamics, "_prefix_products", keeping)
+    H = prefix_case(method, n)
+    Z = np.random.default_rng(steps + n).normal(0.0, 0.6, (3, 2 * n))
+    dim = 2 * n
+    traj = integrate(H, Z, 0.8, steps, method=method, t0=0.1)
+    D = stacks[0]
+    assert D.shape == (steps,) + Z.shape + (dim,)
+    S = np.broadcast_to(np.eye(dim), Z.shape + (dim,))
+    for k in range(steps):
+        S = D[k] @ S
+        got = traj.matrices[k + 1]
+        assert np.max(np.abs(got - S)) <= 1e-12 * np.max(np.abs(S))
+    # the batch's prefix product is each row's, bit for bit
+    for row in range(len(Z)):
+        single = D[:, row].copy()
+        scan(single)
+        assert np.array_equal(single, traj.matrices[1:, row])
+
+
+def test_long_verlet_linear_flow_stays_symplectic():
+    traj = integrate(builtin_hamiltonian("anharmonic"), [1.0, 0.5], 10.0, 10**4, method="verlet")
+    S, J = traj.matrices, standard_j(1)
+    assert np.max(np.abs(np.swapaxes(S, -1, -2) @ J @ S - J)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
