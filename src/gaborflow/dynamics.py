@@ -273,8 +273,6 @@ def quadratic_flow(M, m=None, t: float = 1.0) -> AffineSymplectic:
     Computed as the exponential of the augmented matrix ((JM, Jm), (0, 0)),
     which stays valid when M is singular.
     """
-    from scipy.linalg import expm  # imported here, so only the exact flow loads scipy
-
     M = np.atleast_2d(np.asarray(M, dtype=float))
     dim = M.shape[0]
     n = dim // 2
@@ -285,8 +283,71 @@ def quadratic_flow(M, m=None, t: float = 1.0) -> AffineSymplectic:
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = J @ M
     aug[:dim, dim] = J @ m
-    full = expm(t * aug)
+    full = _expm(aug, t)
     return AffineSymplectic(full[:dim, :dim], full[:dim, dim])
+
+
+# Higham's Pade degrees with the largest 1-norm each approximates to double
+# precision, and the numerator coefficients b_0..b_m of each degree's
+# approximant (the denominator's are the same with alternating signs).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+# Each squaring can double the relative rounding of the scaled exponential, so
+# after s squarings a rounding of eps has grown like (1 + eps)^(2^s) ~ e^(eps 2^s).
+# Past s = floor(log2(log(float max) / eps)) = floor(log2(709.78 / 2.22e-16))
+# that factor alone leaves the float range.
+_MAX_SQUARINGS = 61
+
+
+def _expm(A: np.ndarray, t: float) -> np.ndarray:
+    """exp(tA) of a small square matrix by scaling and squaring with a Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Algorithm 2.3).
+    Raises DivergenceError, naming the exact quadratic flow at t, when tA or
+    its exponential leaves the float range."""
+    overflow = DivergenceError(f"exact quadratic flow at t = {t:g} leaves the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = t * A
+        norm = np.abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise overflow
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
+    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
+    if s > _MAX_SQUARINGS:
+        raise overflow
+    A = 2.0 ** -s * A
+    b, eye, A2 = _PADE_B[m], np.eye(len(A)), A @ A
+    if m < 13:
+        powers = [eye, A2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the solve rounds only the
+        # correction, so a short step's exponential near I is rounded once
+        X = eye + 2.0 * np.linalg.solve(V - U, U)
+        for _ in range(s):
+            X = X @ X
+    if not np.isfinite(X).all():
+        raise overflow
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class GridDomainError(GaborflowError, ValueError):
 
 
 class DivergenceError(GaborflowError, ArithmeticError):
-    """A trajectory exceeded the overflow guard."""
+    """A trajectory exceeded the overflow guard, or a flow left the float range."""
 
 
 class InverseIterationError(GaborflowError, ArithmeticError):

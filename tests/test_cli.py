@@ -21,6 +21,7 @@ from gaborflow.config import (
     parse_complex_list,
     parse_float_list,
 )
+from gaborflow.symplectic import rotation
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,24 @@ def test_diverging_initial_point_prints_only_the_error_line(capsys):
     assert err == "error: trajectory exceeded the overflow guard\n"
 
 
+@pytest.mark.parametrize("argv, t", [
+    (("integrate", "--hamiltonian", "shear", "--z0=1,0", "--t", "1e200", "--steps", "2",
+      "--method", "exact"), "5e+199"),
+    (("integrate", "--hamiltonian", "harmonic", "--z0=1,0", "--t", "1e300", "--steps", "4",
+      "--method", "exact"), "2.5e+299"),
+    (("invariance", "--hamiltonian", "harmonic", "--t", "1e300", "--steps", "2",
+      "--trials", "1"), "5e+299"),
+])
+def test_exact_flow_past_the_float_range_prints_one_error_line(capsys, argv, t):
+    # the flow of each step is refused before its squarings overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: exact quadratic flow at t = {t} leaves the float range\n"
+
+
 def test_expression_divergence_mid_block_prints_the_guard_error(capsys):
     # the trajectory leaves the guard mid-block, and a later step of the block
     # overflows inside the expression; the guard's error is reported, and no
@@ -284,6 +303,17 @@ def test_integrate_carries_the_linear_flow_only_for_dump_matrices(capsys, monkey
     assert "linear_flow" not in plain
     assert np.shape(full["linear_flow"]) == (7, 2, 2)
     assert full["points"] == plain["points"] and full["action"] == plain["action"]
+
+
+def test_exact_harmonic_flow_is_the_rotation_at_every_node(capsys):
+    z0 = np.array([1.0, 0.5])
+    code, out, _ = run_cli(capsys, "integrate", "--hamiltonian", "harmonic", "--z0=1,0.5",
+                           "--t", "20", "--steps", "256", "--method", "exact", "--dump-matrices")
+    assert code == 0
+    result = json.loads(out)["result"]
+    exact = np.stack([rotation(t) for t in result["times"]])
+    assert np.abs(np.asarray(result["linear_flow"]) - exact).max() <= 1e-13
+    assert np.abs(np.asarray(result["points"]) - exact @ z0).max() <= 1e-13
 
 
 def test_path_hamiltonian_rotation(capsys):
@@ -501,7 +531,7 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_loads_only_for_the_exact_quadratic_flow():
+def test_no_cli_path_loads_scipy():
     calls = [
         ["criterion", "--alpha", "0.9", "--beta", "0.9"],
         ["frame-check", "--alpha", "0.9", "--beta", "0.9"],
@@ -509,18 +539,17 @@ def test_scipy_loads_only_for_the_exact_quadratic_flow():
         ["invariance", "--hamiltonian", "anharmonic", "--t", "0.5", "--trials", "2"],
         ["integrate", "--hamiltonian", "anharmonic", "--z0", "1,0", "--method", "rk4",
          "--steps", "8"],
+        # the exact quadratic flow
         ["integrate", "--hamiltonian", "harmonic", "--z0", "1,0", "--method", "exact",
          "--steps", "4"],
+        ["invariance", "--hamiltonian", "harmonic", "--t", "0.5", "--trials", "2"],
+        ["deform", "--hamiltonian", "harmonic", "--t", "0.5"],
     ]
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
                           capture_output=True, text=True, env=child_env(), check=True)
-    report = json.loads(proc.stdout)
-    *scipy_free, (_, exact_code, exact_modules) = report
-    for label, code, modules in scipy_free:
+    for label, code, modules in json.loads(proc.stdout):
         assert code == 0, label
         assert modules == [], label
-    assert exact_code == 0
-    assert "scipy.linalg" in exact_modules
 
 
 def test_frame_check_output_does_not_depend_on_the_blas_thread_count():

@@ -34,6 +34,7 @@ from gaborflow.dynamics import (
     verlet_step,
     _cumulative_simpson,
     _dot,
+    _expm,
 )
 from gaborflow.errors import DivergenceError, InvalidMatrix, ResourceLimit
 from gaborflow.expressions import expression_hamiltonian
@@ -92,6 +93,59 @@ def test_quadratic_flow_singular_mass():
     M = np.diag([0.0, 1.0])
     aff = quadratic_flow(M, t=0.7)
     assert np.allclose(aff([1.0, 2.0]), [1.0 + 0.7 * 2.0, 2.0], atol=1e-12)
+
+
+def random_generator(rng, n, norm):
+    """A Hamiltonian generator J M, with M symmetric, scaled to 1-norm `norm`."""
+    M = rng.normal(size=(2 * n, 2 * n))
+    A = standard_j(n) @ (M + M.T)
+    return A * (norm / np.abs(A).sum(axis=0).max())
+
+
+# 1-norms on both sides of the thresholds of Pade degrees 3, 5, 7 and 9; the
+# large ones take degree 13 with 0 to 4 squarings
+EXPM_NORMS = [1e-3, 0.0149, 0.016, 0.25, 0.26, 0.95, 0.96, 1.5, 2.0]
+EXPM_LARGE_NORMS = [2.1, 5.3, 5.4, 11.0, 25.0, 50.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expm_matches_scipy_on_hamiltonian_generators(n, rng):
+    from scipy.linalg import expm
+
+    for norms, tol in ((EXPM_NORMS, 1e-14), (EXPM_LARGE_NORMS, 1e-11)):
+        for norm in norms:
+            for _ in range(10):
+                A = random_generator(rng, n, norm)
+                S, expected = _expm(A, 1.0), expm(A)
+                scale = np.abs(expected).max()
+                assert np.abs(S - expected).max() <= tol * scale, norm
+                defect = np.abs(S.T @ standard_j(n) @ S - standard_j(n)).max()
+                assert defect <= 1e-13 * max(1.0, scale ** 2), norm
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(_expm(np.zeros((5, 5)), 1.0), np.eye(5))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 3.0, 40.0, 1e4])
+def test_expm_of_the_free_generator_is_its_first_order_term(t):
+    # A = J M for H = p^2/2 is nilpotent, so exp(tA) = I + tA
+    A = standard_j(1) @ np.diag([0.0, 1.0])
+    assert np.abs(_expm(A, t) - (np.eye(2) + t * A)).max() <= 1e-15 * max(1.0, t)
+
+
+def test_expm_of_the_harmonic_generator_is_the_rotation():
+    # the scaled angle's rounding doubles with each squaring, so past the
+    # squaring-free range the error grows like t eps
+    for t in np.linspace(0.0, 50.0, 501):
+        err = np.abs(_expm(standard_j(1), t) - rotation(t)).max()
+        assert err <= 2e-15 + t * np.finfo(float).eps, t
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, 1e300])
+def test_expm_outside_the_float_range_raises(t):
+    with pytest.raises(DivergenceError, match="exact quadratic flow at t = "):
+        _expm(standard_j(1), t)
 
 
 # ---------------------------------------------------------------------------
