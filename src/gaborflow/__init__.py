@@ -23,6 +23,7 @@ from .symplectic import (
     GeneratingFunctionData,
     Lattice,
     PhasePoint,
+    adjoint_lattice,
     affine_compose,
     affine_inverse,
     from_generating_function,
@@ -83,12 +84,24 @@ from .deformation import (
     invariance_check,
     weak_deform,
 )
-from .expressions import (
-    ParseError,
-    eval_with_derivatives,
-    expression_hamiltonian,
-    parse_hamiltonian,
-    to_source,
+
+# The expression parser loads on first use of one of its names, so that calls
+# that take no expression Hamiltonian do not import it.
+_EXPRESSION_NAMES = (
+    "ParseError",
+    "eval_with_derivatives",
+    "expression_hamiltonian",
+    "parse_hamiltonian",
+    "to_source",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name in _EXPRESSION_NAMES:
+        from . import expressions
+
+        return getattr(expressions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_EXPRESSION_NAMES)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -50,10 +51,11 @@ def _fmt(x: float) -> str:
 
 
 def _report_dict(report) -> dict:
+    # JSON has no infinity: a report with a_est = 0 has no ratio
     return {
         "a_est": report.a_est,
         "b_est": report.b_est,
-        "ratio": report.ratio,
+        "ratio": report.ratio if math.isfinite(report.ratio) else None,
         "is_frame": report.is_frame,
         "method": report.method,
         "truncation": {

@@ -8,7 +8,6 @@ command-line flags override file values, which override defaults.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
@@ -18,7 +17,6 @@ import numpy as np
 
 from .dynamics import Hamiltonian, builtin_hamiltonian
 from .errors import ConfigError
-from .expressions import expression_hamiltonian
 from .frames import EstimationConfig, GaborSystem, default_radius
 from .gaussians import GaussianState
 from .symplectic import Lattice, separable_lattice
@@ -128,6 +126,9 @@ def build_hamiltonian(cfg: RunConfig) -> Hamiltonian:
     name = cfg.hamiltonian.strip()
     if name in BUILTIN_HAMILTONIANS:
         return builtin_hamiltonian(name, cfg.dimension)
+    # the expression parser loads only for a call that has an expression
+    from .expressions import expression_hamiltonian
+
     return expression_hamiltonian(name, cfg.dimension)
 
 
@@ -207,8 +208,9 @@ PARAMETERS = (
     Parameter("steps", "integrator", "steps", int, "integrator steps"),
     Parameter("t", "integrator", "t", float, "evolution time"),
     Parameter("grid_extent", "estimation", "grid_extent", float,
-              "half-width of the test states' central region"),
-    Parameter("family_size", "estimation", "family_size", int, "test states for bounds"),
+              "half-width of the test states' central region (point sets only)"),
+    Parameter("family_size", "estimation", "family_size", int,
+              "test states for the lower bound (point sets only)"),
     Parameter("frame_floor", "estimation", "frame_floor", float,
               f"a/b verdict threshold (default {_ESTIMATION.frame_floor:g})"),
 )
@@ -216,6 +218,8 @@ PARAMETERS = (
 
 def load_config_file(path: str) -> dict:
     """Read an INI-style config file into a RunConfig field dict."""
+    import configparser  # only a call with --config pays for its import
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

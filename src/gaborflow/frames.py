@@ -1,8 +1,26 @@
 """Frame sums, numerical frame-bound estimation, the Gaussian frame
 criterion, and the matched-pair covariance checks.
 
-The upper bound is estimated from the largest eigenvalue of the Gram matrix
-of the (truncated) Gabor system.  For a Gaussian window, symplectic
+A lattice system G(phi, Lambda) gets both bounds from the Gram of its adjoint
+lattice Lambda^o (symplectic.adjoint_lattice), by the duality principle (Ron &
+Shen, J. Funct. Anal. 148, 1997; Janssen, J. Fourier Anal. Appl. 1, 1995):
+G(phi, Lambda) is a frame with bounds A, B iff G(phi, Lambda^o) is a Riesz
+sequence with bounds vol(Lambda) A/(2 pi hbar)^n and vol(Lambda) B/(2 pi hbar)^n,
+and those are the extreme eigenvalues of the Gram of Lambda^o.  The Gram of
+Lambda^o truncated at the system's own radius is a compression of that
+operator, so its least eigenvalue lies above the Riesz bound and its largest
+below: a_est >= A and b_est <= B.  A lattice of volume (2 pi hbar)^n or more
+carries no frame (the density theorem; at equality, Balian-Low for Gaussian
+windows), so there a_est is 0 without a solve.
+
+An explicit point set (an exact-nonlinear image, say) has no adjoint lattice.
+Its upper bound is the largest eigenvalue of the Gram matrix of the points,
+and its lower bound the smallest Rayleigh quotient of the frame quadratic form
+over the span of a seeded family of centrally supported test states;
+restricting to central states keeps the estimate meaningful although the
+truncated frame operator itself has finite rank.
+
+Every Gram is solved in symmetry sectors.  For a Gaussian window, symplectic
 covariance mu(S) T(z) = T(Sz) mu(S) turns every point map z -> Sz whose
 metaplectic operator fixes the window into a symmetry of the Gram: the parity
 z -> -z on centred points, and the quarter turn z -> Jz as well when the
@@ -11,10 +29,7 @@ square lattice).  A real window (imaginary M) adds the reflection
 (x, p) -> (x, -p), an antiunitary symmetry.  The Gram is then built from the
 rows of orbit representatives only and solved in one block per character of
 the turn, each real symmetric under the reflection: four real blocks of about
-N/4 on a square lattice.  The lower bound is the smallest Rayleigh quotient of
-the frame quadratic form over the span of a seeded family of centrally
-supported test states; restricting to central states keeps the estimate
-meaningful although the truncated frame operator itself has finite rank.
+N/4 on a square lattice.
 
 The window is a GaussianState.  Test states are analytic: Gaussian mixtures
 and, for n = 1, HermiteStates (the oscillator-mode ladder and the witnesses of
@@ -49,6 +64,7 @@ from .gaussians import (
 )
 from .symplectic import (
     Lattice,
+    adjoint_lattice,
     as_phase_vector,
     check_symplectic,
     lattice_points,
@@ -99,11 +115,13 @@ class GaborSystem:
 class EstimationConfig:
     """Parameters of frame-bound estimation.
 
-    grid_extent sets the central region of the test states (the highest
-    oscillator mode and the box of mixture centers).  family_size test
-    states are generated
-    deterministically from the seed (prefix-stable: smaller families are
-    prefixes of larger ones).
+    grid_extent, family_size and seed serve explicit point sets only, whose
+    lower bound comes from a test family; a lattice system's bounds come
+    from its adjoint lattice.  grid_extent sets the central region of the
+    test states (the highest oscillator mode and the box of mixture
+    centers).  family_size test states are generated deterministically from
+    the seed (prefix-stable: smaller families are prefixes of larger ones).
+    frame_floor sets every verdict: a frame when a_est > frame_floor * b_est.
     """
 
     grid_extent: float = 10.0
@@ -386,11 +404,14 @@ def _sector_blocks(rows: np.ndarray, sym: _Sectors):
         yield block
 
 
-def _largest_eigenvalue(rows: np.ndarray, sym: _Sectors) -> float:
-    """Largest eigenvalue of the Gram whose representative rows _gram_matrix
-    built, over its _sector_blocks."""
-    return max((float(np.linalg.eigvalsh(b)[-1]) for b in _sector_blocks(rows, sym)),
-               default=0.0)
+def _eigenvalue_range(rows: np.ndarray, sym: _Sectors) -> tuple[float, float]:
+    """Least and largest eigenvalue of the Gram whose representative rows
+    _gram_matrix built, over its _sector_blocks; (0, 0) for no points."""
+    ends = [np.linalg.eigvalsh(b)[[0, -1]] for b in _sector_blocks(rows, sym)]
+    if not ends:
+        return 0.0, 0.0
+    ends = np.array(ends)
+    return float(ends[:, 0].min()), float(ends[:, 1].max())
 
 
 def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
@@ -450,19 +471,17 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
 
 # Bytes frame_bounds may allocate for its Gram rows and blocks and test family,
 # and frame_terms for its overlaps, checked before any of them is built.  The
-# 1609 points of the largest benchmark system (alpha*beta = 1/2, R = 16) need
-# about 61 MB.
+# largest benchmark system (alpha*beta = 1/2, R = 16: 405 adjoint points)
+# needs about 6.5 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
-def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) -> int:
-    """Bytes of the largest arrays of frame_bounds: the Gram rows of sym's
-    representatives, one row chunk of kernel temporaries, the gathered orbit
-    columns and their m character sums, the m sector blocks (real under the
-    reflection) with up to five complex arrays of block 0's side for the one
-    being built, and the test family's frame vectors (with the mode columns
-    of the witness scan at n = 1), their component overlaps and the
-    component block of the family Gram, at most 3 components per mixture."""
+def _gram_bytes(sys: GaborSystem, sym: _Sectors) -> int:
+    """Bytes of the largest arrays of a sector solve of the Gram of sys: the
+    Gram rows of sym's representatives, one row chunk of kernel temporaries,
+    the gathered orbit columns and their m character sums, and the m sector
+    blocks (real under the reflection) with up to five complex arrays of
+    block 0's side for the one being built."""
     N = sys.points.shape[0]
     m, reps = sym.turns.shape
     gram = 16 * reps * N + min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
@@ -471,38 +490,65 @@ def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) 
     if m > 1 or sym.flip is not None:
         gram += 5 * 16 * sym.sizes[0] ** 2
         gram += (16 if sym.flip is None else 8) * sum(k**2 for k in sym.sizes)
+    return gram
+
+
+def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) -> int:
+    """Bytes of the largest arrays of frame_bounds on a point set: those of
+    the sector solve of its Gram (_gram_bytes), and the test family's frame
+    vectors (with the mode columns of the witness scan at n = 1), their
+    component overlaps and the component block of the family Gram, at most 3
+    components per mixture."""
+    N = sys.points.shape[0]
     components = 3 * cfg.family_size
     modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
     family = cfg.family_size + components + modes
-    return gram + 16 * (family * N + components**2)
+    return _gram_bytes(sys, sym) + 16 * (family * N + components**2)
+
+
+def _check_bytes(sys: GaborSystem, need: int, remedy: str):
+    if need > FRAME_BOUNDS_BYTE_BUDGET:
+        raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
+                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); {remedy}")
 
 
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
-    """Estimate frame bounds of a truncated Gabor system (reported as method
-    "eig").
+    """Estimate the frame bounds of a truncated Gabor system.
 
-    The upper bound is the largest eigenvalue of the Gram matrix of the
-    truncated system, solved in real or complex symmetry sectors from the
-    rows of orbit representatives only (see _symmetry and
-    _largest_eigenvalue).  The lower bound is the minimal Rayleigh quotient
-    of the frame form over the span of the test family (whitened generalized
-    eigenvalue problem).  Every solve runs on one BLAS thread, so the output
-    does not depend on the core count.  Raises ResourceLimit when the arrays
-    would exceed FRAME_BOUNDS_BYTE_BUDGET.
+    A system on a Lattice takes the dual route (method "dual"): a_est and
+    b_est are (2 pi hbar)^n/vol(Lambda) times the least and the largest
+    eigenvalue of the Gram of the adjoint lattice, truncated at the system's
+    own radius, so a_est >= A and b_est <= B.  The lattice's shift and the
+    window's centre do not enter, as they move the system by a unitary.  When
+    vol(Lambda) >= (2 pi hbar)^n (to relative 1e-12) no Gabor system on the
+    lattice is a frame: a_est is 0 without a solve, and b_est is the largest
+    eigenvalue of the Gram of the truncated lattice itself, again <= B.
+    grid_extent, family_size and seed do not enter.
+
+    An explicit point set takes the test-family route (method "eig"): b_est
+    is the largest eigenvalue of the Gram of the points, and a_est the
+    minimal Rayleigh quotient of the frame form over the span of the test
+    family (whitened generalized eigenvalue problem), an estimate of the
+    truncated system's A from above.
+
+    Either Gram is solved in real or complex symmetry sectors from the rows
+    of orbit representatives only (see _symmetry and _eigenvalue_range).
+    Every solve runs on one BLAS thread, so the output does not depend on the
+    core count.  Raises ResourceLimit when the arrays would exceed
+    FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
+    if isinstance(sys.lattice, Lattice):
+        return _dual_bounds(sys, cfg)
     if cfg.family_size < 1:
         raise InvalidMatrix("test family is empty")
     sym = _symmetry(sys)
-    need = _frame_bounds_bytes(sys, cfg, sym)
-    if need > FRAME_BOUNDS_BYTE_BUDGET:
-        raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
-                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius or family size")
+    _check_bytes(sys, _frame_bounds_bytes(sys, cfg, sym), "reduce radius or family size")
     with blas_threads(1):
         witnesses = deficiency_witnesses(sys, cfg)
         family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
         m = _frame_vectors(sys, family)
-        b_est = _largest_eigenvalue(_gram_matrix(sys, sym), sym)
+        b_est = _eigenvalue_range(_gram_matrix(sys, sym), sym)[1]
         A = m @ m.conj().T
         G = _family_gram(family)
         w, V = np.linalg.eigh(G)
@@ -510,15 +556,39 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         T = V[:, keep] / np.sqrt(w[keep])
         compressed = T.conj().T @ A @ T
         a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
-    a_est = min(a_est, b_est)
-    ratio = float("inf") if a_est == 0 else b_est / a_est
+    return _report(sys, cfg, min(a_est, b_est), b_est, "eig", cfg.grid_extent)
+
+
+def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
+    """frame_bounds of a lattice system, from the Gram of its adjoint lattice."""
+    cell = (2.0 * np.pi * sys.hbar) ** sys.n
+    volume = abs(float(np.linalg.det(sys.lattice.generator)))
+    frame_density = volume < cell * (1.0 - 1e-12)
+    gram_sys = sys
+    if frame_density:
+        gram_sys = GaborSystem(sys.window, adjoint_lattice(sys.lattice, sys.hbar), sys.hbar)
+    sym = _symmetry(gram_sys)
+    _check_bytes(gram_sys, _gram_bytes(gram_sys, sym), "reduce radius")
+    with blas_threads(1):
+        least, largest = _eigenvalue_range(_gram_matrix(gram_sys, sym), sym)
+    if frame_density:
+        # rounding may take the least eigenvalue of a Gram near the critical
+        # density below 0, which no Gram reaches
+        a_est, b_est = cell / volume * max(least, 0.0), cell / volume * largest
+    else:
+        a_est, b_est = 0.0, largest
+    return _report(sys, cfg, a_est, b_est, "dual", None)
+
+
+def _report(sys: GaborSystem, cfg: EstimationConfig, a_est: float, b_est: float,
+            method: str, grid_extent) -> FrameReport:
     return FrameReport(
         a_est=a_est,
         b_est=b_est,
-        ratio=ratio,
+        ratio=float("inf") if a_est == 0 else b_est / a_est,
         is_frame=bool(a_est > cfg.frame_floor * b_est),
-        method="eig",
-        truncation=(sys.truncation_radius, cfg.grid_extent),
+        method=method,
+        truncation=(sys.truncation_radius, grid_extent),
         residual_estimate=residual_tail_estimate(sys),
     )
 

@@ -333,6 +333,15 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     return pts + lat.shift
 
 
+def adjoint_lattice(lat: Lattice, hbar: float) -> Lattice:
+    """The adjoint lattice Lambda^o = {mu : sigma(mu, lam) in 2 pi hbar Z for
+    every lam in lat}, generated by 2 pi hbar J^T L^-T, whose columns are the
+    dual basis: sigma(L^o e_i, L e_j) = 2 pi hbar delta_ij.  Truncated at lat's
+    radius and unshifted, since a translate of a lattice has the same adjoint."""
+    return Lattice(2.0 * np.pi * hbar * standard_j(lat.n).T @ np.linalg.inv(lat.generator).T,
+                   lat.radius)
+
+
 def planck_scaling(hbar: float, n: int) -> np.ndarray:
     """The block matrix diag(I, 2*pi*hbar*I) mapping standard lattices to their
     hbar-rescaled counterparts."""

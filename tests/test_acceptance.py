@@ -77,7 +77,7 @@ def test_criterion_1_gaussian_frame_threshold():
     with criterion(1, "gaussian frame threshold"):
         cfg = EstimationConfig(family_size=64, seed=0)
         ratios = {}
-        for ab in (0.36, 0.64, 0.81, 0.9025, 1.1025, 1.44):
+        for ab in (0.36, 0.64, 0.81, 0.9025, 1.0, 1.1025, 1.44):
             side = float(np.sqrt(ab))
             sys = GaborSystem(standard_gaussian(1, HBAR),
                               separable_lattice([side], [side], 8.0), HBAR)

@@ -24,6 +24,15 @@ from gaborflow.config import (
 from gaborflow.symplectic import rotation
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def loads(text):
+    """json.loads that refuses NaN and Infinity."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -34,7 +43,7 @@ def test_criterion_positive(capsys):
     code, out, _ = run_cli(capsys, "criterion", "--alpha", "0.9", "--beta", "0.9",
                            "--hbar", "0.159155")
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["result"]["per_axis"] == [True]
     assert doc["meta"]["seed"] == 0
     assert "config_hash" in doc["meta"]
@@ -43,7 +52,7 @@ def test_criterion_positive(capsys):
 def test_criterion_negative_exit_code(capsys):
     code, out, _ = run_cli(capsys, "criterion", "--alpha", "1.2", "--beta", "1.2")
     assert code == 3
-    assert json.loads(out)["result"]["all_axes"] is False
+    assert loads(out)["result"]["all_axes"] is False
 
 
 def test_criterion_csv(capsys):
@@ -63,7 +72,7 @@ def test_criterion_broadcasts_a_single_spacing_to_every_axis(capsys, fmt):
     def run(alpha):
         code, out, err = run_cli(capsys, "criterion", "--dimension", "3", "--alpha", alpha,
                                  "--format", fmt)
-        return code, json.loads(out)["result"] if fmt == "json" else out, err
+        return code, loads(out)["result"] if fmt == "json" else out, err
 
     one = run("0.9")
     assert one == run("0.9,0.9,0.9")
@@ -73,7 +82,7 @@ def test_criterion_broadcasts_a_single_spacing_to_every_axis(capsys, fmt):
 def test_frame_check_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 0
-    assert json.loads(out)["result"]["is_frame"] is True
+    assert loads(out)["result"]["is_frame"] is True
     code, out, _ = run_cli(capsys, "frame-check", "--alpha", "1.1", "--beta", "1.1")
     assert code == 3
 
@@ -81,13 +90,28 @@ def test_frame_check_exit_codes(capsys):
 def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
     import gaborflow.frames as frames
 
-    # 241 points at the default radius need 4,183,016 bytes
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 2_000_000)
+    # the 161 adjoint-lattice points of 241 lattice points at the default
+    # radius need 1,035,192 bytes
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 1_000_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
-    assert err == ("error: frame bounds of 241 points need 4183016 bytes "
-                   "(budget 2000000); reduce radius or family size\n")
+    assert err == ("error: frame bounds of 161 points need 1035192 bytes "
+                   "(budget 1000000); reduce radius\n")
+
+
+def test_frame_check_at_the_critical_density_is_not_a_frame(capsys):
+    # alpha*beta = 2 pi hbar: the criterion's strict inequality fails, and
+    # the density theorem gives a_est = 0 without a solve
+    for argv in (("criterion",), ("frame-check",)):
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "1", "--beta", "1")
+        assert code == 3
+    result = loads(out)["result"]
+    assert (result["a_est"], result["ratio"], result["is_frame"]) == (0.0, None, False)
+    code, out, _ = run_cli(capsys, "frame-check", "--alpha", "1", "--beta", "1",
+                           "--format", "csv")
+    assert code == 3
+    assert out.splitlines()[1].startswith("0,") and out.splitlines()[1].endswith(",inf,False")
 
 
 def test_frame_check_with_a_huge_family_exits_1_before_building_it(capsys, monkeypatch):
@@ -96,9 +120,11 @@ def test_frame_check_with_a_huge_family_exits_1_before_building_it(capsys, monke
     def refuse(*args):
         raise AssertionError("a test state was built")
 
-    # a budget that let the family through would fail here, not run out of memory
+    # a budget that let the family through would fail here, not run out of
+    # memory; a lattice system takes no family, so the t = 0 image of the
+    # same 241 points does
     monkeypatch.setattr(frames, "_family_member", refuse)
-    code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9",
+    code, out, err = run_cli(capsys, "sweep", "--t-grid", "0", "--alpha", "0.9", "--beta", "0.9",
                              "--family-size", "100000000")
     assert (code, out) == (1, "")
     assert err.startswith("error: frame bounds of 241 points need ")
@@ -109,7 +135,7 @@ def test_invariance_command(capsys):
                            "--t", "0.5", "--alpha", "0.9", "--beta", "0.9",
                            "--trials", "4")
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["result"]["max_deviation"] < 1e-8
 
 
@@ -130,7 +156,7 @@ def test_integrate_auto_picks_verlet_for_separable(capsys):
     code, out, _ = run_cli(capsys, "integrate", "--hamiltonian", "anharmonic",
                            "--z0", "1,0", "--t", "0.1", "--steps", "4")
     assert code == 0
-    assert json.loads(out)["result"]["method"] == "verlet"
+    assert loads(out)["result"]["method"] == "verlet"
 
 
 def test_deform_summary(capsys):
@@ -138,7 +164,7 @@ def test_deform_summary(capsys):
                            "--window-center", "0,1", "--t", "0.5",
                            "--alpha", "0.9", "--beta", "0.9")
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["result"]["trajectory_end"] == pytest.approx([0.5, 1.0], abs=1e-12)
     assert doc["result"]["lattice_size"] > 0
 
@@ -157,7 +183,7 @@ def test_sweep_t_grid(capsys):
                            "--hamiltonian", "harmonic", "--alpha", "0.9",
                            "--beta", "0.9")
     assert code == 0
-    rows = json.loads(out)["result"]["rows"]
+    rows = loads(out)["result"]["rows"]
     assert len(rows) == 3
     assert all(row["is_frame"] for row in rows)
 
@@ -218,7 +244,7 @@ def test_invariance_deforms_once_for_all_trials(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "invariance", "--hamiltonian", "anharmonic",
                            "--steps", "64", "--trials", "8")
     assert code == 0
-    assert len(json.loads(out)["result"]["deviations"]) == 8
+    assert len(loads(out)["result"]["deviations"]) == 8
     assert len(calls) == 1
 
 
@@ -299,7 +325,7 @@ def test_integrate_carries_the_linear_flow_only_for_dump_matrices(capsys, monkey
     code, dumped, _ = run_cli(capsys, *argv, "--dump-matrices")
     assert code == 0
     assert len(calls) == 1
-    plain, full = json.loads(out)["result"], json.loads(dumped)["result"]
+    plain, full = loads(out)["result"], loads(dumped)["result"]
     assert "linear_flow" not in plain
     assert np.shape(full["linear_flow"]) == (7, 2, 2)
     assert full["points"] == plain["points"] and full["action"] == plain["action"]
@@ -310,7 +336,7 @@ def test_exact_harmonic_flow_is_the_rotation_at_every_node(capsys):
     code, out, _ = run_cli(capsys, "integrate", "--hamiltonian", "harmonic", "--z0=1,0.5",
                            "--t", "20", "--steps", "256", "--method", "exact", "--dump-matrices")
     assert code == 0
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     exact = np.stack([rotation(t) for t in result["times"]])
     assert np.abs(np.asarray(result["linear_flow"]) - exact).max() <= 1e-13
     assert np.abs(np.asarray(result["points"]) - exact @ z0).max() <= 1e-13
@@ -320,7 +346,7 @@ def test_path_hamiltonian_rotation(capsys):
     code, out, _ = run_cli(capsys, "path-hamiltonian", "--path-name", "rotation",
                            "--t", "0.5")
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     Q = np.array(doc["result"]["quadratic_form"])
     assert np.allclose(Q, np.eye(2), atol=1e-6)
     for entry in doc["result"]["isotopy_values"]:
@@ -373,13 +399,13 @@ def test_json_text_is_json_dumps_with_arrays_as_lists(doc):
 
 
 def assert_canonical_json(text: str):
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert text == json.dumps(loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_json_output_is_json_dumps_sort_keys_indent_2(capsys):
     from test_golden_cli import CASES, GOLDEN, STATUS
 
-    status = json.loads(STATUS.read_text())
+    status = loads(STATUS.read_text())
     json_cases = [name for name, argv in CASES.items()
                   if "csv" not in argv and status[name]["code"] != 1]
     assert len(json_cases) == 14
@@ -389,7 +415,7 @@ def test_json_output_is_json_dumps_sort_keys_indent_2(capsys):
                            "--method", "verlet", "--t", "1", "--steps", "2000",
                            "--dump-matrices")
     assert code == 0
-    assert len(json.loads(out)["result"]["linear_flow"]) == 2001
+    assert len(loads(out)["result"]["linear_flow"]) == 2001
     assert_canonical_json(out)
 
 
@@ -401,7 +427,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     # config file alone: not a frame
     code, out, _ = run_cli(capsys, "frame-check", "--config", str(cfg))
     assert code == 3
-    assert json.loads(out)["meta"]["seed"] == 9
+    assert loads(out)["meta"]["seed"] == 9
     # flags override the file
     code, out, _ = run_cli(capsys, "frame-check", "--config", str(cfg),
                            "--alpha", "0.9", "--beta", "0.9")
@@ -515,20 +541,31 @@ def child_env(**overrides) -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-SCIPY_PROBE = """
+MODULE_PROBE = """
 import contextlib, io, json, sys
 from gaborflow.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+calls, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 
-report = [["import", 0, scipy_modules()]]
-for argv in json.loads(sys.argv[1]):
+def loaded():
+    return sorted(m for m in sys.modules if any(m == k or m.startswith(k + ".") for k in names))
+
+report = [["import", 0, loaded()]]
+for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    report.append([" ".join(argv), code, scipy_modules()])
+    report.append([" ".join(argv), code, loaded()])
 print(json.dumps(report))
 """
+
+
+def modules_after(calls, names):
+    """[label, exit code, loaded modules among names and their submodules]
+    after a fresh `import gaborflow.cli` and after each call in turn."""
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(calls),
+                           json.dumps(names)], capture_output=True, text=True, env=child_env(),
+                          check=True)
+    return loads(proc.stdout)
 
 
 def test_no_cli_path_loads_scipy():
@@ -545,11 +582,24 @@ def test_no_cli_path_loads_scipy():
         ["invariance", "--hamiltonian", "harmonic", "--t", "0.5", "--trials", "2"],
         ["deform", "--hamiltonian", "harmonic", "--t", "0.5"],
     ]
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
-                          capture_output=True, text=True, env=child_env(), check=True)
-    for label, code, modules in json.loads(proc.stdout):
+    for label, code, modules in modules_after(calls, ["scipy"]):
         assert code == 0, label
         assert modules == [], label
+
+
+def test_expression_parser_and_configparser_load_only_when_used(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lattice]\nalpha = 0.9\nbeta = 0.9\n")
+    calls = [
+        ["frame-check", "--alpha", "0.9", "--beta", "0.9"],
+        ["invariance", "--hamiltonian", "harmonic", "--t", "0.5", "--trials", "2"],
+        ["frame-check", "--config", str(ini)],
+        ["deform", "--hamiltonian", "p1^2/2 + x1^4/4", "--t", "0.25"],
+    ]
+    report = modules_after(calls, ["configparser", "gaborflow.expressions"])
+    assert [code for _, code, _ in report] == [0] * 5
+    assert [modules for _, _, modules in report] == [
+        [], [], [], ["configparser"], ["configparser", "gaborflow.expressions"]]
 
 
 def test_frame_check_output_does_not_depend_on_the_blas_thread_count():

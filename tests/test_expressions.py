@@ -261,3 +261,15 @@ def test_expression_hamiltonian_integrates():
     H = expression_hamiltonian("(x1^2 + p1^2)/2", 1)
     traj = integrate(H, [1.0, 0.0], 1.0, 400, method="rk4")
     assert np.linalg.norm(traj.final_point - [np.cos(1.0), -np.sin(1.0)]) < 1e-8
+
+
+def test_package_exports_the_expression_names_on_first_use():
+    import gaborflow
+    import gaborflow.expressions as expressions
+
+    for name in ("ParseError", "eval_with_derivatives", "expression_hamiltonian",
+                 "parse_hamiltonian", "to_source"):
+        assert getattr(gaborflow, name) is getattr(expressions, name)
+        assert name in gaborflow.__all__
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        gaborflow.not_a_name

@@ -15,11 +15,12 @@ from gaborflow.frames import (
     rescaling_check,
     residual_tail_estimate,
     translation_check,
+    _eigenvalue_range,
     _family_gram,
     _frame_bounds_bytes,
     _frame_vectors,
+    _gram_bytes,
     _gram_matrix,
-    _largest_eigenvalue,
     _sector_blocks,
     _symmetry,
     _upper_gamma_q,
@@ -31,6 +32,7 @@ from gaborflow.gaussians import (
     heisenberg_weyl_apply,
     hermite_functions,
     inner_product,
+    metaplectic_apply,
     mixture_norm,
     sample_state,
     sampled_norm,
@@ -39,6 +41,7 @@ from gaborflow.gaussians import (
 )
 from gaborflow.symplectic import (
     Lattice,
+    adjoint_lattice,
     lattice_points,
     make_generator,
     rotation,
@@ -57,6 +60,13 @@ GOLDEN_B = 1.6980420678954562
 def standard_system(side=0.9, radius=8.0):
     window = standard_gaussian(1, HBAR)
     return GaborSystem(window, separable_lattice([side], [side], radius), HBAR)
+
+
+def standard_points(side=0.9, radius=8.0):
+    """standard_system's points as an explicit array, which frame_bounds
+    bounds through the test family, not through the adjoint lattice."""
+    window = standard_gaussian(1, HBAR)
+    return GaborSystem(window, lattice_points(separable_lattice([side], [side], radius)), HBAR)
 
 
 def shifted_window_samples(sys, L, N):
@@ -193,11 +203,15 @@ def test_lattice_enumerated_once_per_system(monkeypatch):
         return lattice_points(lat)
 
     monkeypatch.setattr(frames, "lattice_points", counting)
-    frame_bounds(standard_system(radius=4.0), EstimationConfig(family_size=8))
-    assert len(calls) == 1
+    sys = standard_system(radius=4.0)
+    frame_bounds(sys, EstimationConfig(family_size=8))
+    # the system's lattice and its adjoint lattice, once each
+    assert len(calls) == 2
+    assert calls[0] is sys.lattice and calls[1] is not sys.lattice
 
 
-# a standard window on a shifted lattice: no symmetry, so one Gram block of
+# a standard window on the points of a shifted lattice, given as an array (a
+# Lattice would take its smaller adjoint): no symmetry, so one Gram block of
 # side 933, large enough for the OpenBLAS thread split to move b_est
 SHIFTED_933 = Lattice(np.diag([0.7, 0.7]), 12.0, shift=[0.1, 0.2])
 
@@ -214,13 +228,13 @@ def test_frame_bounds_runs_every_solve_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(frames, "blas_threads", recording)
     cfg = EstimationConfig(family_size=8)
-    small = standard_system(radius=4.0)
-    large = GaborSystem(standard_gaussian(1, HBAR), SHIFTED_933, HBAR)
+    small = standard_points(radius=4.0)
+    large = GaborSystem(standard_gaussian(1, HBAR), lattice_points(SHIFTED_933), HBAR)
     assert _symmetry(small).sizes[0] == (len(small.points) + 3) // 4
     assert _symmetry(large).sizes == (933,)
-    for sys_ in (small, large):
+    for sys_ in (small, large, standard_system(radius=4.0)):
         frame_bounds(sys_, cfg)
-    assert limits == [1, 1]
+    assert limits == [1, 1, 1]
 
 
 def test_frame_bounds_do_not_depend_on_the_blas_thread_count():
@@ -230,7 +244,7 @@ def test_frame_bounds_do_not_depend_on_the_blas_thread_count():
     if funcs is None:
         pytest.skip("numpy is not linked to OpenBLAS")
     set_threads, get_threads = funcs
-    sys_ = GaborSystem(standard_gaussian(1, HBAR), SHIFTED_933, HBAR)
+    sys_ = GaborSystem(standard_gaussian(1, HBAR), lattice_points(SHIFTED_933), HBAR)
     before = get_threads()
     b_est = []
     try:
@@ -261,7 +275,7 @@ def test_blas_threads_sets_and_restores_the_openblas_count():
 
 
 def test_frame_bounds_goldens():
-    report = frame_bounds(standard_system(), EstimationConfig())
+    report = frame_bounds(standard_points(), EstimationConfig())
     assert report.a_est == pytest.approx(GOLDEN_A, rel=1e-6)
     assert report.b_est == pytest.approx(GOLDEN_B, rel=1e-6)
     assert report.is_frame
@@ -270,7 +284,7 @@ def test_frame_bounds_goldens():
 
 def test_upper_bound_against_dense_oracle():
     # brute force: largest eigenvalue of the grid-discretized frame operator
-    sys = standard_system()
+    sys = standard_points()
     L, N = 10.0, 1024
     step = 2 * L / N
     shifted = shifted_window_samples(sys, L, N)
@@ -283,7 +297,7 @@ def test_upper_bound_against_dense_oracle():
 def test_lower_bound_against_dense_mode_oracle():
     # brute force: smallest eigenvalue of the frame form compressed onto the
     # full oscillator-mode space that fits the central region
-    sys = standard_system()
+    sys = standard_points()
     L, N = 10.0, 1024
     step = 2 * L / N
     axis = -L + step * np.arange(N)
@@ -298,18 +312,20 @@ def test_lower_bound_against_dense_mode_oracle():
 
 
 def test_verdicts_match_criterion_across_densities():
+    # each lattice through its adjoint lattice, and its points through the
+    # test family
     cfg = EstimationConfig(grid_extent=14.0)
     for ab in (0.6, 0.8, 0.95, 1.05, 1.3):
         side = float(np.sqrt(ab))
-        sys = GaborSystem(standard_gaussian(1, HBAR),
-                          separable_lattice([side], [side], 11.0), HBAR)
-        report = frame_bounds(sys, cfg)
+        lattice = separable_lattice([side], [side], 11.0)
         expected = bool(gaussian_frame_criterion([side], [side], HBAR)[0])
-        assert report.is_frame == expected, f"verdict mismatch at alpha*beta={ab}"
+        for points in (lattice, lattice_points(lattice)):
+            report = frame_bounds(GaborSystem(standard_gaussian(1, HBAR), points, HBAR), cfg)
+            assert report.is_frame == expected, f"verdict mismatch at alpha*beta={ab}"
 
 
 def test_family_growth_never_raises_lower_bound():
-    sys = standard_system()
+    sys = standard_points()
     small = frame_bounds(sys, EstimationConfig(family_size=24))
     large = frame_bounds(sys, EstimationConfig(family_size=64))
     assert large.a_est <= small.a_est + 1e-12
@@ -374,7 +390,9 @@ def check_sector_solve(window, lattice, m, reflection):
     blocks = list(_sector_blocks(rows, sym))
     assert all(np.isrealobj(b) == reflection for b in blocks)
     full = np.linalg.eigvalsh(shifted_gram(window, sys.points))
-    assert _largest_eigenvalue(rows, sym) == pytest.approx(full[-1], rel=1e-13)
+    least, largest = _eigenvalue_range(rows, sym)
+    assert largest == pytest.approx(full[-1], rel=1e-13)
+    assert abs(least - full[0]) < 1e-13 * full[-1]
     spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     assert np.max(np.abs(spectrum - full)) < 1e-13 * full[-1]
 
@@ -451,7 +469,7 @@ def _record_eigvalsh(monkeypatch):
 
 
 @pytest.mark.parametrize("lattice", [
-    Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
+    lattice_points(Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2])),
     np.array([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.9], [1.1, -0.2], [-0.5, -0.3]]),
 ], ids=["shifted-lattice", "asymmetric-points"])
 def test_parity_split_falls_back_to_the_full_solve(monkeypatch, lattice):
@@ -477,7 +495,7 @@ def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_real_blocks(monkey
         return rows
 
     monkeypatch.setattr(frames, "_gram_matrix", recording)
-    sys = standard_system(np.sqrt(0.5), radius=16.0)
+    sys = standard_points(np.sqrt(0.5), radius=16.0)
     N = len(sys.points)
     assert N == 1609
     report = frame_bounds(sys, EstimationConfig(family_size=8))
@@ -486,7 +504,7 @@ def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_real_blocks(monkey
     sym = _symmetry(sys)
     inputs = _record_eigvalsh(monkeypatch)
     with frames.blas_threads(1):
-        assert _largest_eigenvalue(real(sys, sym), sym) == report.b_est
+        assert _eigenvalue_range(real(sys, sym), sym)[1] == report.b_est
     assert len(inputs) == 4
     assert all(np.isrealobj(a) and a.shape[-1] <= quarter for a in inputs)
 
@@ -510,7 +528,7 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
 
     for name in ("_component_values", "hermite_functions", "sample_state", "_state_values"):
         record(gaussians, name)
-    sys = standard_system(radius=4.0)
+    sys = standard_points(radius=4.0)
     cfg = EstimationConfig(family_size=8)
     frame_bounds(sys, cfg)
     assert calls == []
@@ -539,7 +557,7 @@ def test_system_rejects_unsupported_windows():
 def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     import gaborflow.frames as frames
 
-    sys = standard_system()
+    sys = standard_points()
     cfg = EstimationConfig()
     F = cfg.family_size
 
@@ -579,7 +597,7 @@ def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
 
     built = []
     monkeypatch.setattr(frames, "build_test_family", lambda *a, **k: built.append(a))
-    sys = standard_system(radius=4.0)
+    sys = standard_points(radius=4.0)
     small = EstimationConfig(family_size=8)
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, small, _symmetry(sys)))
     with pytest.raises(ResourceLimit):
@@ -618,6 +636,115 @@ def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
     assert calls == []
 
 
+# ---------------------------------------------------------------------------
+# Lattice systems: bounds from the Gram of the adjoint lattice
+# ---------------------------------------------------------------------------
+
+# Exact bounds of the standard Gaussian on alpha = beta = sqrt(1/q) at
+# hbar = 1/(2 pi), to 6 decimals, from the Ron-Shen symbol (Ron & Shen,
+# J. Funct. Anal. 148, 1997); the benchmark's independent oracle reproduces
+# them to 1e-6
+EXACT_BOUNDS = {2: (1.669254, 2.360681), 3: (2.891232, 3.106831), 4: (3.970177, 4.029935)}
+ROUNDING = 5e-7
+
+
+@pytest.mark.parametrize("q, radius, a_gap, b_gap", [
+    (2, 16.0, 0.0025, -0.002),
+    (2, 8.0, 0.008, -0.0065),
+    (3, 8.0, 0.0025, -0.002),
+    (4, 16.0, 0.0002, -0.0002),
+])
+def test_dual_bounds_lie_inside_the_exact_bounds(q, radius, a_gap, b_gap):
+    # a finite section of the adjoint Gram raises its least eigenvalue and
+    # lowers its largest: a_est from above, b_est from below
+    A, B = EXACT_BOUNDS[q]
+    report = frame_bounds(standard_system(np.sqrt(1.0 / q), radius))
+    assert report.method == "dual" and report.is_frame
+    assert A - ROUNDING <= report.a_est <= A * (1.0 + a_gap)
+    assert B * (1.0 + b_gap) <= report.b_est <= B + ROUNDING
+
+
+def test_dual_bounds_tighten_with_the_radius():
+    reports = [frame_bounds(standard_system(np.sqrt(0.5), R)) for R in (4.0, 6.0, 8.0, 12.0)]
+    a = [r.a_est for r in reports]
+    b = [r.b_est for r in reports]
+    assert all(x >= y for x, y in zip(a, a[1:]))
+    assert all(x <= y for x, y in zip(b, b[1:]))
+
+
+def assert_same_bounds(first: GaborSystem, second: GaborSystem):
+    one, two = frame_bounds(first), frame_bounds(second)
+    assert one.method == two.method == "dual"
+    assert one.a_est == pytest.approx(two.a_est, rel=1e-12)
+    assert one.b_est == pytest.approx(two.b_est, rel=1e-12)
+
+
+def test_dual_bounds_are_the_same_at_every_hbar():
+    # the same system up to a symplectic scaling, so the same bounds
+    systems = []
+    for hbar in (0.3, 0.05):
+        c = np.sqrt(2.0 * np.pi * hbar)
+        systems.append(GaborSystem(standard_gaussian(1, hbar),
+                                   separable_lattice([0.6 * c], [0.7 * c], 16.0 * c), hbar))
+    assert_same_bounds(*systems)
+    assert frame_bounds(systems[0]).a_est == pytest.approx(2.184360, abs=ROUNDING)
+
+
+def test_dual_bounds_are_symplectically_covariant():
+    # a lattice rotated together with its window keeps its bounds; a rotation
+    # keeps the truncation ball as well
+    window = GaussianState(np.array([[0.3 + 1.6j]]), [0.0, 0.0], 0.0, HBAR)
+    S = rotation(0.7)
+    assert_same_bounds(GaborSystem(window, Lattice(SHEARED, 8.0), HBAR),
+                       GaborSystem(metaplectic_apply(S, window), Lattice(S @ SHEARED, 8.0), HBAR))
+
+
+def test_dual_bounds_ignore_the_shift_and_the_window_centre():
+    off_centre = GaussianState(SKEW_WINDOW.M, [0.8, -0.3], 1.1, HBAR)
+    plain = GaussianState(SKEW_WINDOW.M, [0.0, 0.0], 0.0, HBAR)
+    assert_same_bounds(GaborSystem(off_centre, Lattice(SHEARED, 8.0, shift=[0.3, -0.45]), HBAR),
+                       GaborSystem(plain, Lattice(SHEARED, 8.0), HBAR))
+
+
+@pytest.mark.parametrize("side", [1.0, 1.1, float(np.nextafter(1.0, 0.0))])
+def test_no_lattice_at_or_past_the_critical_density_carries_a_frame(monkeypatch, side):
+    # the density theorem needs no solve for a_est; b_est comes from the
+    # Gram of the lattice itself, the smaller of the two there
+    import gaborflow.frames as frames
+
+    built = []
+    real = frames._gram_matrix
+    monkeypatch.setattr(frames, "_gram_matrix", lambda s, sym: built.append(s) or real(s, sym))
+    sys = standard_system(side)
+    report = frame_bounds(sys)
+    assert (report.a_est, report.ratio, report.is_frame, report.method) == (
+        0.0, float("inf"), False, "dual")
+    assert [s.lattice for s in built] == [sys.lattice]
+    full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
+    assert report.b_est == pytest.approx(full[-1], rel=1e-13)
+
+
+def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
+    import gaborflow.frames as frames
+
+    sys = standard_system()
+    dual = GaborSystem(sys.window, adjoint_lattice(sys.lattice, HBAR), HBAR)
+    # the adjoint of the square lattice is square: the quarter turn and the
+    # reflection, as in test_frame_bounds_checks_its_byte_budget_before_allocating
+    N = len(dual.points)
+    R = (N + 3) // 4
+    need = (16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 5 * 16 * R * R
+            + 8 * (R * R + 3 * (R - 1) ** 2))
+    assert _gram_bytes(dual, _symmetry(dual)) == need
+    calls = counting_calls(monkeypatch, "_overlap_core")
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    with pytest.raises(ResourceLimit, match=f"of {N} points need {need} bytes"):
+        frame_bounds(sys)
+    assert calls == []
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need)
+    assert frame_bounds(sys).is_frame
+
+
 def test_residual_estimate_is_small_at_defaults():
     assert residual_tail_estimate(standard_system()) < 1e-10
 
@@ -632,9 +759,15 @@ def test_upper_gamma_q_matches_scipy(n):
 
 
 def test_report_fields_consistent():
+    # a lattice system is truncated at its radius and has no test family; a
+    # point set at its largest norm, with the family's grid extent
     report = frame_bounds(standard_system(), EstimationConfig())
     assert report.a_est <= report.b_est
-    assert report.truncation == (8.0, 10.0)
+    assert (report.method, report.truncation) == ("dual", (8.0, None))
+    sys = standard_points()
+    report = frame_bounds(sys, EstimationConfig())
+    assert report.a_est <= report.b_est
+    assert (report.method, report.truncation) == ("eig", (sys.truncation_radius, 10.0))
 
 
 def test_family_prefix_stability():
@@ -744,4 +877,4 @@ def test_system_validates_hbar_and_dimension():
 
 def test_frame_bounds_empty_family_rejected():
     with pytest.raises(InvalidMatrix):
-        frame_bounds(standard_system(), EstimationConfig(family_size=0))
+        frame_bounds(standard_points(), EstimationConfig(family_size=0))

@@ -23,6 +23,7 @@ number by number, as long as the text around the numbers is unchanged.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -215,6 +216,40 @@ def test_diff_compares_json_as_documents():
     assert compare("x,y\n1,2\n", "x,y\n1,3\n") == [
         "1 of 2 numbers differ, largest relative change 0.5 (2 -> 3)"]
     assert compare("x\n1\n", "y\n1\n") == ["text other than numbers differs"]
+
+
+def frame_verdicts(argv, out: str) -> list:
+    """(alpha*beta of the row or None, is_frame) of every frame report in the
+    output of argv, JSON or CSV."""
+    if "csv" in argv:
+        return [(float(row["alpha_beta"]) if "alpha_beta" in row else None,
+                 row["is_frame"] == "True") for row in csv.DictReader(io.StringIO(out))]
+    result = json.loads(out)["result"]
+    return [(row.get("alpha_beta"), row["is_frame"]) for row in result.get("rows", [result])]
+
+
+def test_every_golden_frame_verdict_follows_the_criterion():
+    # every golden frame report is of the standard Gaussian on a separable
+    # lattice (an ab-grid row's, or a t-grid source's), whose verdict the
+    # Gaussian frame criterion gives
+    from gaborflow.cli import _config_from_args, build_arg_parser
+    from gaborflow.config import lattice_spacings
+    from gaborflow.frames import gaussian_frame_criterion
+
+    status = json.loads(STATUS.read_text())
+    checked = 0
+    for name, argv in CASES.items():
+        if argv[0] not in ("frame-check", "sweep") or status[name]["code"] == 1:
+            continue
+        cfg = _config_from_args(build_arg_parser().parse_args(argv))
+        assert cfg.window_m is None and cfg.generator is None
+        for ab, is_frame in frame_verdicts(argv, (GOLDEN / f"{name}.out").read_text()):
+            alpha, beta = lattice_spacings(cfg)
+            if ab is not None:
+                alpha = beta = (math.sqrt(ab),) * cfg.dimension
+            assert is_frame == bool(gaussian_frame_criterion(alpha, beta, cfg.hbar).all()), name
+            checked += 1
+    assert checked == 10
 
 
 def test_every_golden_has_a_case():

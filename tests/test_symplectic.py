@@ -13,6 +13,7 @@ from gaborflow.symplectic import (
     PhasePoint,
     affine_compose,
     affine_inverse,
+    adjoint_lattice,
     as_phase_vector,
     fractional_fourier_data,
     from_generating_function,
@@ -332,6 +333,32 @@ def test_shifted_lattice_enumeration():
     a = lattice_points(base)
     b = lattice_points(shifted)
     assert np.allclose(b - a, [10.0, -3.0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_adjoint_lattice_is_the_symplectic_dual_basis(rng, n):
+    hbar = 0.3
+    gen = random_symplectic(rng, n) @ np.diag(rng.uniform(0.5, 1.5, 2 * n))
+    lat = Lattice(gen, 5.0, shift=rng.normal(size=2 * n))
+    dual = adjoint_lattice(lat, hbar)
+    sigma = np.array([[symplectic_form(mu, lam) for lam in gen.T] for mu in dual.generator.T])
+    np.testing.assert_allclose(sigma, 2.0 * np.pi * hbar * np.eye(2 * n), atol=1e-12)
+    assert dual.radius == 5.0 and not dual.shift.any()
+    # the adjoint of the adjoint is the lattice again (generated by -L), and
+    # S moves it with S
+    np.testing.assert_allclose(adjoint_lattice(dual, hbar).generator, -gen, atol=1e-12)
+    S = random_symplectic(rng, n)
+    np.testing.assert_allclose(adjoint_lattice(Lattice(S @ gen, 5.0), hbar).generator,
+                               S @ dual.generator, atol=1e-12)
+
+
+def test_adjoint_of_a_separable_lattice():
+    # 2 pi hbar (Z/beta x Z/alpha): at 2 pi hbar = 1, alpha Z x beta Z has
+    # the adjoint Z/beta x Z/alpha
+    pts = lattice_points(adjoint_lattice(separable_lattice([0.5], [0.8], 6.0), 1 / (2 * np.pi)))
+    ref = lattice_points(separable_lattice([1 / 0.8], [1 / 0.5], 6.0))
+    order = np.lexsort(pts.T)
+    np.testing.assert_allclose(pts[order], ref[np.lexsort(ref.T)], atol=1e-14)
 
 
 def test_operations_accept_phase_points():
