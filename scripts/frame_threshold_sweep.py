@@ -10,7 +10,6 @@ import argparse
 import numpy as np
 
 from gaborflow import (
-    EstimationConfig,
     GaborSystem,
     frame_bounds,
     gaussian_frame_criterion,
@@ -22,12 +21,10 @@ from gaborflow import (
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default=None, help="optional CSV output path")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     hbar = 1.0 / (2.0 * np.pi)
     window = standard_gaussian(1, hbar)
-    cfg = EstimationConfig(seed=args.seed)
     products = [0.36, 0.49, 0.64, 0.81, 0.9025, 1.0, 1.1025, 1.21, 1.44]
 
     rows = []
@@ -35,7 +32,7 @@ def main():
     for ab in products:
         side = np.sqrt(ab)
         lattice = separable_lattice([side], [side], 8.0)
-        report = frame_bounds(GaborSystem(window, lattice, hbar), cfg)
+        report = frame_bounds(GaborSystem(window, lattice, hbar))
         criterion = bool(gaussian_frame_criterion([side], [side], hbar)[0])
         print(f"{ab:8.4f} {report.a_est:12.4e} {report.b_est:12.6f} "
               f"{report.a_est / report.b_est:10.3e} {str(report.is_frame):>7} {str(criterion):>9}")

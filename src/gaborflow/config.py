@@ -221,13 +221,17 @@ def load_config_file(path: str) -> dict:
     import configparser  # only a call with --config pays for its import
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError("config", _ini_fault(path, exc)) from None
     if not read:
         raise ConfigError("config", f"cannot read config file {path!r}")
     by_key = {(p.section, p.key): p for p in PARAMETERS}
     out = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
+    for section, pairs in items.items():
+        for key, raw in pairs:
             p = by_key.get((section, key))
             if p is None:
                 raise ConfigError(f"{section}.{key}", "unknown config key")
@@ -236,6 +240,23 @@ def load_config_file(path: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(p.field, f"cannot parse {raw!r}") from exc
     return out
+
+
+def _ini_fault(path: str, exc) -> str:
+    """A configparser error as one line naming the file and, when the parser
+    knows it, the line."""
+    import configparser
+
+    where = f"config file {path!r}"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{where} line {exc.lineno}: a key before any [section] header"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{where} line {exc.lineno}: duplicate key {exc.option!r} in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{where} line {exc.lineno}: duplicate section [{exc.section}]"
+    if isinstance(exc, configparser.ParsingError):
+        return f"{where} line {exc.errors[0][0]}: not a key = value line"
+    return f"{where}: " + " ".join(str(exc).split())
 
 
 def merge_config(file_values: dict | None, flag_values: dict) -> RunConfig:

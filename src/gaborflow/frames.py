@@ -22,14 +22,13 @@ truncated frame operator itself has finite rank.
 
 Every Gram is solved in symmetry sectors.  For a Gaussian window, symplectic
 covariance mu(S) T(z) = T(Sz) mu(S) turns every point map z -> Sz whose
-metaplectic operator fixes the window into a symmetry of the Gram: the parity
-z -> -z on centred points, and the quarter turn z -> Jz as well when the
-window is the standard Gaussian and J maps the points onto themselves (a
-square lattice).  A real window (imaginary M) adds the reflection
-(x, p) -> (x, -p), an antiunitary symmetry.  The Gram is then built from the
-rows of orbit representatives only and solved in one block per character of
-the turn, each real symmetric under the reflection: four real blocks of about
-N/4 on a square lattice.
+metaplectic operator fixes the window into a unitary symmetry of the Gram:
+the parity z -> -z on centred points, and the quarter turn z -> Jz as well
+when the window is the standard Gaussian and J maps the points onto
+themselves (a square lattice).  The Gram is then built from the rows of
+orbit representatives only and solved as one complex Hermitian block per
+character of the turn or the parity: four blocks of about N/4 on a square
+lattice, two of about N/2 on other centred points.
 
 The window is a GaussianState.  Test states are analytic: Gaussian mixtures
 and, for n = 1, HermiteStates (the oscillator-mode ladder and the witnesses of
@@ -252,27 +251,21 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
 # ---------------------------------------------------------------------------
 
 class _Sectors(NamedTuple):
-    """The point symmetries of a Gram that its sector solve uses.
+    """The unitary point symmetry of a Gram that its sector solve uses.
 
-    r is a point permutation of order m (the quarter turn z -> Jz for m = 4,
-    the parity z -> -z for m = 2, none for m = 1) and p the reflection
-    (x, p) -> (x, -p), when it applies.  Both act on the Gram of `window`
-    (the system's window moved to the origin unless m = 1 without p): r as a
-    unitary symmetry G[r i, r j] = G[i, j], p as an antiunitary one
-    G[p i, p j] = conj(G[i, j]).  turns[d, o] is the point index of r^d z_o
-    for each orbit representative o (turns[0] are the representatives).
-    Every orbit has length m but that of the origin, which r fixes and which
-    comes last; it carries only the character 1, so sizes, the side of the
-    block of each character w^j (w = exp(2 pi i/m)), is all representatives
-    for j = 0 and all but the origin for j > 0.  Under p, the representative
-    o maps to r^flip_power[o] of representative flip[o].
+    r is a point permutation of order m: the quarter turn z -> Jz for m = 4,
+    the parity z -> -z for m = 2, none for m = 1.  It acts on the Gram of the
+    system's window moved to the origin as G[r i, r j] = G[i, j].  turns[d, o]
+    is the point index of r^d z_o for each orbit representative o (turns[0]
+    are the representatives).  Every orbit has length m but that of the
+    origin, which r fixes and which comes last; it carries only the character
+    1, so sizes, the side of the block of each character w^j
+    (w = exp(2 pi i/m)), is all representatives for j = 0 and all but the
+    origin for j > 0.
     """
 
-    window: object
     turns: np.ndarray
     sizes: tuple
-    flip: np.ndarray | None = None
-    flip_power: np.ndarray | None = None
 
 
 def _index_map(pts: np.ndarray, order: np.ndarray, image: np.ndarray):
@@ -287,40 +280,33 @@ def _index_map(pts: np.ndarray, order: np.ndarray, image: np.ndarray):
 
 
 def _symmetry(sys: GaborSystem) -> _Sectors:
-    """The symmetries of the Gram of a Gaussian window, found from exact data:
-    the window matrix and an exact index permutation of the points, never the
-    Gram entries, which hold them only to rounding.
+    """The unitary symmetry of the Gram of a Gaussian window, found from exact
+    data: the window matrix and an exact index permutation of the points,
+    never the Gram entries, which hold it only to rounding.
 
     The Gram of T(z_i)phi is D* G0 D, with D the diagonal of phases
     exp(i sigma(z_i, c)/hbar) and G0 the Gram of the window moved to the
     origin, so G0 has the same spectrum.  A point map z -> Sz is a symmetry of
     G0 when the metaplectic operator mu(S), with mu(S) T(z) = T(Sz) mu(S),
     fixes that window up to a phase: the parity always; the quarter turn J
-    when M @ M == -I, since J acts on M as M -> -M^-1.  Complex conjugation
-    maps T(x, p) to T(x, -p) and the window of M to the window of -conj(M),
-    so the reflection applies when M is imaginary.  Point lists with repeated
-    points take no symmetry.
+    when M @ M == -I, since J acts on M as M -> -M^-1.  Point lists with
+    repeated points take no symmetry.
     """
     pts = sys.points
     N, n = pts.shape[0], sys.n
-    window = sys.window
-    none = _Sectors(window, np.arange(N)[None], (N,))
+    none = _Sectors(np.arange(N)[None], (N,))
     if N == 0:
         return none
     order = np.lexsort(pts.T)
     ordered = pts[order]
     if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         return none
-    x, p = pts[:, :n], pts[:, n:]
     turn, m = None, 4
-    if np.array_equal(window.M @ window.M, -np.eye(n)):
-        turn = _index_map(pts, order, np.hstack([p, -x]))
+    if np.array_equal(sys.window.M @ sys.window.M, -np.eye(n)):
+        turn = _index_map(pts, order, np.hstack([pts[:, n:], -pts[:, :n]]))
     if turn is None:
         turn, m = _index_map(pts, order, -pts), 2
     if turn is None:
-        turn, m = np.arange(N), 1
-    flip = None if window.M.real.any() else _index_map(pts, order, np.hstack([x, -p]))
-    if m == 1 and flip is None:
         return none
     turns = [np.arange(N)]
     for _ in range(m - 1):
@@ -329,65 +315,31 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     # each orbit is represented by its smallest point index; J and -I fix
     # only the origin, which goes last
     turns = turns[:, turns.min(axis=0) == turns[0]]
-    fixed = (turns[-1] == turns[0]) & (m > 1)
+    fixed = turns[-1] == turns[0]
     turns = turns[:, np.argsort(fixed, kind="stable")]
     reps = turns.shape[1]
-    sizes = (reps,) + (reps - int(fixed.sum()),) * (m - 1)
-    centred = GaussianState(window.M, np.zeros(2 * n), 0.0, window.hbar)
-    if flip is None:
-        return _Sectors(centred, turns, sizes)
-    image = flip[turns[0]]
-    rep_of = np.empty(N, dtype=int)
-    rep_of[turns] = np.arange(turns.shape[1])
-    partner = rep_of[image]
-    power = np.argmax(turns[:, partner] == image, axis=0)
-    return _Sectors(centred, turns, sizes, partner, power)
+    return _Sectors(turns, (reps,) + (reps - int(fixed.sum()),) * (m - 1))
 
 
 def _gram_matrix(sys: GaborSystem, sym: _Sectors) -> np.ndarray:
     """The Gram rows G_ij = <T(z_i) phi | T(z_j) phi> that the sector solve
-    of sym needs: those of the orbit representatives sym.turns[0], of the
-    Gram of sym.window."""
-    return shifted_gram(sym.window, sys.points, sym.turns[0])
-
-
-def _real_block(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """A sector block in a basis of vectors that the reflection fixes, where it
-    is real symmetric.  The reflection maps the sector basis vector of o to
-    phase[o] times that of flip[o]; it fixes sqrt(phase) v_o when flip[o] = o,
-    and (v_o + phase v_q)/sqrt2 and i(v_o - phase v_q)/sqrt2 for a pair
-    o < q = flip[o].  Each of these vectors has at most two entries in the old
-    basis, at rows i1 and i2 with coefficients c1 and c2.  Returns a
-    contiguous real array, so the complex products are freed."""
-    own = np.flatnonzero(flip == np.arange(len(flip)))
-    pair = np.flatnonzero(flip > np.arange(len(flip)))
-    h = np.sqrt(0.5)
-    i1 = np.concatenate([own, pair, pair])
-    i2 = np.concatenate([own, flip[pair], flip[pair]])
-    c1 = np.concatenate([np.sqrt(phase[own]), np.full(len(pair), h), np.full(len(pair), 1j * h)])
-    c2 = np.concatenate([np.zeros(len(own)), h * phase[pair], -1j * h * phase[pair]])
-    cols = block[:, i1] * c1
-    cols += block[:, i2] * c2
-    real = c1.conj()[:, None] * cols[i1]
-    real += c2.conj()[:, None] * cols[i2]
-    return np.ascontiguousarray(real.real)
-
-
-# w^k = exp(2 pi i k/m) for m in (1, 2, 4) is _ROOTS[4 // m * k % 4], exactly
-_ROOTS = np.array([1.0, 1j, -1.0, -1j])
+    of sym needs, those of the orbit representatives sym.turns[0], with the
+    window phi moved to the origin."""
+    window = sys.window
+    centred = GaussianState(window.M, np.zeros(2 * sys.n), 0.0, window.hbar)
+    return shifted_gram(centred, sys.points, sym.turns[0])
 
 
 def _sector_blocks(rows: np.ndarray, sym: _Sectors):
-    """The blocks of the Gram whose representative rows _gram_matrix built,
-    one per character of r, real symmetric under the reflection.
+    """The complex Hermitian blocks of the Gram whose representative rows
+    _gram_matrix built, one per character of r.
 
     The orbit of a representative o under r of order m spans, for each
     character w^j with w^(jL) = 1 (L the orbit length), the vector
     v_oj = L^(-1/2) sum_{k<L} w^(-jk) e_(r^k o) with r v = w^j v.  In these the
     Gram splits into the m blocks
     B_j[o, o'] = sqrt(L L')/m sum_{d<m} w^(-jd) G[o, r^d o'], one FFT over d
-    of the gathered columns G[o, r^d o'].  As p r p = r^-1, the reflection
-    maps every sector onto itself, and _real_block makes each block real.
+    of the gathered columns G[o, r^d o'].
     """
     m = sym.turns.shape[0]
     sums = rows[:, None, :] if m == 1 else np.fft.fft(rows[:, sym.turns], axis=1)
@@ -399,8 +351,6 @@ def _sector_blocks(rows: np.ndarray, sym: _Sectors):
             # block 0 holds the origin, of orbit length 1
             lengths = np.where(np.arange(k) < sym.sizes[-1], m, 1)
             block = block * (np.sqrt(np.outer(lengths, lengths)) / m)
-        if sym.flip is not None:
-            block = _real_block(block, sym.flip[:k], _ROOTS[4 // m * j * sym.flip_power[:k] % 4])
         yield block
 
 
@@ -472,24 +422,20 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
 # Bytes frame_bounds may allocate for its Gram rows and blocks and test family,
 # and frame_terms for its overlaps, checked before any of them is built.  The
 # largest benchmark system (alpha*beta = 1/2, R = 16: 405 adjoint points)
-# needs about 6.5 MB.
+# needs about 6.0 MB.
 FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
 
 
 def _gram_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     """Bytes of the largest arrays of a sector solve of the Gram of sys: the
     Gram rows of sym's representatives, one row chunk of kernel temporaries,
-    the gathered orbit columns and their m character sums, and the m sector
-    blocks (real under the reflection) with up to five complex arrays of
-    block 0's side for the one being built."""
+    and under a symmetry the gathered orbit columns, their m character sums
+    and the m complex sector blocks."""
     N = sys.points.shape[0]
     m, reps = sym.turns.shape
     gram = 16 * reps * N + min(_gram_chunk_rows(sys.n, N), reps) * N * _overlap_bytes(sys.n)
     if m > 1:
-        gram += 2 * 16 * m * reps**2
-    if m > 1 or sym.flip is not None:
-        gram += 5 * 16 * sym.sizes[0] ** 2
-        gram += (16 if sym.flip is None else 8) * sum(k**2 for k in sym.sizes)
+        gram += 2 * 16 * m * reps**2 + 16 * sum(k**2 for k in sym.sizes)
     return gram
 
 
@@ -531,8 +477,9 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     family (whitened generalized eigenvalue problem), an estimate of the
     truncated system's A from above.
 
-    Either Gram is solved in real or complex symmetry sectors from the rows
-    of orbit representatives only (see _symmetry and _eigenvalue_range).
+    Either Gram is solved in the complex blocks of its quarter turn or
+    parity, from the rows of orbit representatives only (see _symmetry and
+    _sector_blocks).
     Every solve runs on one BLAS thread, so the output does not depend on the
     core count.  Raises ResourceLimit when the arrays would exceed
     FRAME_BOUNDS_BYTE_BUDGET.

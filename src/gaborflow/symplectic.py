@@ -272,7 +272,9 @@ class Lattice:
             raise DimensionMismatch(f"generator must be 2n x 2n, got {gen.shape}")
         if not np.all(np.isfinite(gen)):
             raise InvalidMatrix("lattice generator must be finite")
-        if abs(np.linalg.det(gen)) < 1e-14:
+        # |det L| is at most the product of the column norms (Hadamard), so
+        # their ratio tells a singular generator from a small one at any scale
+        if abs(np.linalg.det(gen)) <= 1e-14 * np.prod(np.linalg.norm(gen, axis=0)):
             raise InvalidMatrix("lattice generator must be invertible")
         if not (np.isfinite(self.radius) and self.radius >= 0):
             raise InvalidMatrix("truncation radius must be finite and >= 0")
@@ -326,7 +328,7 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     axes = [np.arange(-b, b + 1) for b in bounds]
     ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     pts = ks @ gen.T
-    keep = np.linalg.norm(pts, axis=1) <= R * (1 + 1e-12) + 1e-12
+    keep = np.linalg.norm(pts, axis=1) <= R * (1 + 1e-12)
     pts = pts[keep]
     if pts.shape[0] > POINT_CAP:
         raise ResourceLimit(f"lattice has {pts.shape[0]} points (cap {POINT_CAP})")

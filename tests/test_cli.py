@@ -91,13 +91,13 @@ def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
     import gaborflow.frames as frames
 
     # the 161 adjoint-lattice points of 241 lattice points at the default
-    # radius need 1,035,192 bytes
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 1_000_000)
+    # radius need 952,560 bytes
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 950_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
-    assert err == ("error: frame bounds of 161 points need 1035192 bytes "
-                   "(budget 1000000); reduce radius\n")
+    assert err == ("error: frame bounds of 161 points need 952560 bytes "
+                   "(budget 950000); reduce radius\n")
 
 
 def test_frame_check_at_the_critical_density_is_not_a_frame(capsys):
@@ -446,6 +446,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
     assert code == 1
     assert "wavelength" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("hbar = 0.2\n", 1),
+    ("[system]\nhbar = 0.2\nhbar = 0.3\n", 3),
+    ("[system]\nhbar\n", 2),
+], ids=["no-section-header", "duplicate-key", "no-equals-sign"])
+def test_malformed_ini_file_exits_1_naming_the_file_and_line(tmp_path, capsys, text, line):
+    ini = tmp_path / "f.ini"
+    ini.write_text(text)
+    code, out, err = run_cli(capsys, "criterion", "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: config: config file {str(ini)!r} line {line}: ")
 
 
 def test_grid_points_is_not_a_setting(tmp_path, capsys):

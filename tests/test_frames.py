@@ -377,18 +377,17 @@ CENTRED_SYSTEMS = {
 }
 
 
-def check_sector_solve(window, lattice, m, reflection):
-    """The symmetries found, the rows built, the real or complex blocks, and
-    their top eigenvalue and whole spectrum against the full complex solve."""
+def check_sector_solve(window, lattice, m):
+    """The symmetry found, the rows built, the complex blocks, and their top
+    eigenvalue and whole spectrum against the full complex solve."""
     sys = GaborSystem(window, lattice, HBAR)
     N = len(sys.points)
     sym = _symmetry(sys)
     assert sym.turns.shape[0] == m
-    assert (sym.flip is not None) == reflection
     rows = _gram_matrix(sys, sym)
     assert rows.shape == ((N + m - 1) // m, N)
     blocks = list(_sector_blocks(rows, sym))
-    assert all(np.isrealobj(b) == reflection for b in blocks)
+    assert len(blocks) == min(m, N) and all(np.iscomplexobj(b) for b in blocks)
     full = np.linalg.eigvalsh(shifted_gram(window, sys.points))
     least, largest = _eigenvalue_range(rows, sym)
     assert largest == pytest.approx(full[-1], rel=1e-13)
@@ -399,11 +398,10 @@ def check_sector_solve(window, lattice, m, reflection):
 
 @pytest.mark.parametrize("name", sorted(CENTRED_SYSTEMS))
 def test_parity_split_matches_the_full_solve(name):
-    # the standard window on the square lattice also takes the quarter turn
-    # and the reflection; the other systems take the parity only
+    # the standard window on the square lattice also takes the quarter turn;
+    # the other systems take the parity only
     window, lattice = CENTRED_SYSTEMS[name]
-    square = name == "separable"
-    check_sector_solve(window, lattice, 4 if square else 2, square)
+    check_sector_solve(window, lattice, 4 if name == "separable" else 2)
 
 
 SQUARE = separable_lattice([0.9], [0.9], 6.0)
@@ -414,28 +412,26 @@ def without_origin(lattice):
     return pts[np.any(pts != 0.0, axis=1)]
 
 
-# name: (window, points, order m of the unitary symmetry, reflection); the
-# shifted lattice without either is test_parity_split_falls_back_to_the_full_solve
+# name: (window, points, order m of the unitary symmetry); the shifted
+# lattice without one is test_parity_split_falls_back_to_the_full_solve
 SECTOR_SYSTEMS = {
-    "square": (standard_gaussian(1, HBAR), SQUARE, 4, True),
-    "square-no-origin": (standard_gaussian(1, HBAR), without_origin(SQUARE), 4, True),
+    "square": (standard_gaussian(1, HBAR), SQUARE, 4),
+    "square-no-origin": (standard_gaussian(1, HBAR), without_origin(SQUARE), 4),
     # another point order picks other representatives, and other phases
     "square-shuffled": (standard_gaussian(1, HBAR),
-                        np.random.default_rng(3).permutation(lattice_points(SQUARE)), 4, True),
+                        np.random.default_rng(3).permutation(lattice_points(SQUARE)), 4),
     "square-off-centre-window": (GaussianState(np.array([[1j]]), [0.3, -0.2], 0.4, HBAR),
-                                 SQUARE, 4, True),
-    "square-wide-window": (GaussianState(np.array([[2j]]), [0.0, 0.0], 0.0, HBAR), SQUARE,
-                           2, True),
-    "rectangular": (standard_gaussian(1, HBAR), separable_lattice([0.9], [0.7], 6.0), 2, True),
+                                 SQUARE, 4),
+    "square-wide-window": (GaussianState(np.array([[2j]]), [0.0, 0.0], 0.0, HBAR), SQUARE, 2),
+    "rectangular": (standard_gaussian(1, HBAR), separable_lattice([0.9], [0.7], 6.0), 2),
     "rectangular-no-origin": (standard_gaussian(1, HBAR),
-                              without_origin(separable_lattice([0.9], [0.7], 6.0)), 2, True),
-    "n2-square": (standard_gaussian(2, HBAR), separable_lattice([0.9, 0.9], [0.9, 0.9], 2.4),
-                  4, True),
+                              without_origin(separable_lattice([0.9], [0.7], 6.0)), 2),
+    "n2-square": (standard_gaussian(2, HBAR), separable_lattice([0.9, 0.9], [0.9, 0.9], 2.4), 4),
     "n2-squeezed": (GaussianState(np.diag([0.5j, 2j]), np.zeros(4), 0.0, HBAR),
-                    separable_lattice([0.9, 0.8], [0.7, 0.9], 2.4), 2, True),
+                    separable_lattice([0.9, 0.8], [0.7, 0.9], 2.4), 2),
     "shifted-in-x": (standard_gaussian(1, HBAR),
-                     Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.0]), 1, True),
-    "repeated-point": (standard_gaussian(1, HBAR), np.array([[0.0, 0.0], [0.0, 0.0]]), 1, False),
+                     Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.0]), 1),
+    "repeated-point": (standard_gaussian(1, HBAR), np.array([[0.0, 0.0], [0.0, 0.0]]), 1),
 }
 
 
@@ -452,8 +448,7 @@ def test_symmetries_come_from_exact_data_only():
     on_axis = np.flatnonzero((pts[:, 1] == 0.0) & (np.abs(pts[:, 0]) == pts[:, 0].max()))
     assert len(on_axis) == 2
     pts[on_axis, 0] *= np.nextafter(1.0, 2.0)
-    sym = _symmetry(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR))
-    assert sym.turns.shape[0] == 2 and sym.flip is not None
+    assert _symmetry(GaborSystem(standard_gaussian(1, HBAR), pts, HBAR)).turns.shape[0] == 2
 
 
 def _record_eigvalsh(monkeypatch):
@@ -483,7 +478,7 @@ def test_parity_split_falls_back_to_the_full_solve(monkeypatch, lattice):
     assert report.b_est == pytest.approx(float(np.max(full)), rel=1e-13)
 
 
-def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_real_blocks(monkeypatch):
+def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_quarter_blocks(monkeypatch):
     import gaborflow.frames as frames
 
     shapes = []
@@ -502,11 +497,12 @@ def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_real_blocks(monkey
     quarter = -(-N // 4) + 1
     assert len(shapes) == 1 and shapes[0][0] <= quarter
     sym = _symmetry(sys)
+    rows = real(sys, sym)
     inputs = _record_eigvalsh(monkeypatch)
     with frames.blas_threads(1):
-        assert _eigenvalue_range(real(sys, sym), sym)[1] == report.b_est
+        assert _eigenvalue_range(rows, sym)[1] == report.b_est
     assert len(inputs) == 4
-    assert all(np.isrealobj(a) and a.shape[-1] <= quarter for a in inputs)
+    assert all(np.iscomplexobj(a) and a.shape[-1] <= quarter for a in inputs)
 
 
 def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
@@ -566,15 +562,13 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
         # of the 79 scanned modes, and the component block of the family Gram
         return (F + 3 * F + 79) * N + (3 * F) ** 2
 
-    # the quarter turn and the reflection: the rows of the R orbit
-    # representatives, one chunk of kernel temporaries (80 bytes per overlap
-    # at n = 1; all R rows fit one chunk), the gathered orbit columns and
-    # their four character sums, five complex temporaries of side R for the
-    # block being built and four real blocks of sides R, R - 1, R - 1, R - 1
+    # the quarter turn: the rows of the R orbit representatives, one chunk
+    # of kernel temporaries (80 bytes per overlap at n = 1; all R rows fit
+    # one chunk), the gathered orbit columns and their four character sums,
+    # and four complex blocks of sides R, R - 1, R - 1, R - 1
     N = len(sys.points)
     R = (N + 3) // 4
-    gram = (16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 5 * 16 * R * R
-            + 8 * (R * R + 3 * (R - 1) ** 2))
+    gram = 16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 16 * (R * R + 3 * (R - 1) ** 2)
     need = gram + 16 * family(N)
     assert _frame_bounds_bytes(sys, cfg, _symmetry(sys)) == need
     # no symmetry: all rows, solved as they are
@@ -680,13 +674,15 @@ def assert_same_bounds(first: GaborSystem, second: GaborSystem):
 
 
 def test_dual_bounds_are_the_same_at_every_hbar():
-    # the same system up to a symplectic scaling, so the same bounds
+    # the same system up to a symplectic scaling, so the same bounds; the
+    # lattice checks are relative to the lattice's own scale
     systems = []
-    for hbar in (0.3, 0.05):
+    for hbar in (0.3, 0.05, 1e-20, 1e-30):
         c = np.sqrt(2.0 * np.pi * hbar)
         systems.append(GaborSystem(standard_gaussian(1, hbar),
                                    separable_lattice([0.6 * c], [0.7 * c], 16.0 * c), hbar))
-    assert_same_bounds(*systems)
+    for other in systems[1:]:
+        assert_same_bounds(systems[0], other)
     assert frame_bounds(systems[0]).a_est == pytest.approx(2.184360, abs=ROUNDING)
 
 
@@ -729,12 +725,11 @@ def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
 
     sys = standard_system()
     dual = GaborSystem(sys.window, adjoint_lattice(sys.lattice, HBAR), HBAR)
-    # the adjoint of the square lattice is square: the quarter turn and the
-    # reflection, as in test_frame_bounds_checks_its_byte_budget_before_allocating
+    # the adjoint of the square lattice is square: the quarter turn, as in
+    # test_frame_bounds_checks_its_byte_budget_before_allocating
     N = len(dual.points)
     R = (N + 3) // 4
-    need = (16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 5 * 16 * R * R
-            + 8 * (R * R + 3 * (R - 1) ** 2))
+    need = 16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 16 * (R * R + 3 * (R - 1) ** 2)
     assert _gram_bytes(dual, _symmetry(dual)) == need
     calls = counting_calls(monkeypatch, "_overlap_core")
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
@@ -743,6 +738,27 @@ def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
     assert calls == []
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need)
     assert frame_bounds(sys).is_frame
+
+
+@pytest.mark.parametrize("window, lattice, points, m", [
+    (standard_gaussian(1, HBAR), separable_lattice([np.sqrt(0.5)], [np.sqrt(0.5)], 16.0), 405, 4),
+    (standard_gaussian(2, HBAR), separable_lattice([0.9, 0.9], [0.9, 0.9], 3.2), 321, 4),
+    (GaussianState(np.array([[0.8j]]), [0.0, 0.0], 0.0, HBAR),
+     separable_lattice([0.7], [0.75], 16.0), 427, 2),
+], ids=["quarter-turn", "n2-quarter-turn", "parity"])
+def test_gram_bytes_cover_the_traced_peak_of_the_solve(window, lattice, points, m):
+    import tracemalloc
+
+    dual = GaborSystem(window, adjoint_lattice(lattice, HBAR), HBAR)
+    sym = _symmetry(dual)
+    assert (len(dual.points), sym.turns.shape[0]) == (points, m)
+    tracemalloc.start()
+    try:
+        _eigenvalue_range(_gram_matrix(dual, sym), sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _gram_bytes(dual, sym)
 
 
 def test_residual_estimate_is_small_at_defaults():

@@ -322,8 +322,12 @@ def test_lattice_map_affine_returns_lattice(rng):
 
 
 def test_lattice_rejects_singular_generator():
-    with pytest.raises(InvalidMatrix):
-        Lattice(np.zeros((2, 2)), 1.0)
+    # at any scale; a small generator is not a singular one
+    for scale in (1.0, 1e-20):
+        for gen in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(InvalidMatrix, match="invertible"):
+                Lattice(scale * gen, 1.0)
+        assert lattice_points(Lattice(scale * np.eye(2), 1.5 * scale)).shape == (9, 2)
 
 
 def test_shifted_lattice_enumeration():
