@@ -58,10 +58,7 @@ def _report_dict(report) -> dict:
         "ratio": report.ratio if math.isfinite(report.ratio) else None,
         "is_frame": report.is_frame,
         "method": report.method,
-        "truncation": {
-            "radius": report.truncation[0],
-            "grid_extent": report.truncation[1],
-        },
+        "truncation": {"radius": report.truncation},
         "residual_estimate": report.residual_estimate,
     }
 

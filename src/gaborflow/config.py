@@ -22,7 +22,6 @@ from .gaussians import GaussianState
 from .symplectic import Lattice, separable_lattice
 
 BUILTIN_HAMILTONIANS = ("harmonic", "free", "shear", "anharmonic", "driven")
-_ESTIMATION = EstimationConfig()
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,7 @@ class RunConfig:
     method: str = "auto"
     steps: int | None = None
     t: float = 1.0
-    grid_extent: float = _ESTIMATION.grid_extent
-    family_size: int = _ESTIMATION.family_size
-    frame_floor: float = _ESTIMATION.frame_floor
+    frame_floor: float = EstimationConfig.frame_floor
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
@@ -78,10 +75,6 @@ class RunConfig:
             raise ConfigError("window_center", f"needs {2 * n} entries")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps", "must be >= 1")
-        if not self.grid_extent > 0:
-            raise ConfigError("grid_extent", "must be positive")
-        if self.family_size < 1:
-            raise ConfigError("family_size", "must be >= 1")
         if not self.frame_floor > 0:
             raise ConfigError("frame_floor", "must be positive")
         return self
@@ -207,12 +200,8 @@ PARAMETERS = (
               "integrator: auto, euler, verlet, rk4, exact"),
     Parameter("steps", "integrator", "steps", int, "integrator steps"),
     Parameter("t", "integrator", "t", float, "evolution time"),
-    Parameter("grid_extent", "estimation", "grid_extent", float,
-              "half-width of the test states' central region (point sets only)"),
-    Parameter("family_size", "estimation", "family_size", int,
-              "test states for the lower bound (point sets only)"),
     Parameter("frame_floor", "estimation", "frame_floor", float,
-              f"a/b verdict threshold (default {_ESTIMATION.frame_floor:g})"),
+              f"a/b verdict threshold (default {EstimationConfig.frame_floor:g})"),
 )
 
 

@@ -135,15 +135,23 @@ def gaussian_corollary_check(M, sys: GaborSystem, H: Hamiltonian, t: float, psis
 def deform_sweep(sys: GaborSystem, H: Hamiltonian, t_grid,
                  cfg: DeformationConfig | None = None,
                  estimation: EstimationConfig | None = None):
-    """Frame reports of the deformed system along a monotone time grid."""
+    """Frame reports of the deformed system along a strictly increasing grid.
+
+    An affine image is the source moved by the unitary T(z_t) mu(S_t) T(-z_c)
+    (symplectic covariance), so every row is the source's report, computed
+    once; weak_deform still runs at every t, as its Siegel and overflow
+    checks decide whether the deformation exists there.  Exact-nonlinear
+    images are bounded from their points at each t."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise InvalidMatrix("t grid must be a non-empty vector")
     if np.any(np.diff(t_grid) <= 0) and t_grid.size > 1:
         raise InvalidMatrix("t grid must be strictly increasing")
+    cfg = cfg or DeformationConfig()
+    source = frame_bounds(sys, estimation) if cfg.lattice_mode == "affine" else None
     out: list[tuple[float, FrameReport]] = []
     for t in t_grid:
         result = weak_deform(sys, H, float(t), cfg)
-        report = frame_bounds(deformed_system(sys, result), estimation)
+        report = source or frame_bounds(deformed_system(sys, result), estimation)
         out.append((float(t), report))
     return out

@@ -18,7 +18,8 @@ Its upper bound is the largest eigenvalue of the Gram matrix of the points,
 and its lower bound the smallest Rayleigh quotient of the frame quadratic form
 over the span of a seeded family of centrally supported test states;
 restricting to central states keeps the estimate meaningful although the
-truncated frame operator itself has finite rank.
+truncated frame operator itself has finite rank.  The family is fixed
+(FAMILY_SIZE, FAMILY_EXTENT, FAMILY_SEED) and no CLI command reaches it.
 
 Every Gram is solved in symmetry sectors.  For a Gaussian window, symplectic
 covariance mu(S) T(z) = T(Sz) mu(S) turns every point map z -> Sz whose
@@ -112,31 +113,23 @@ class GaborSystem:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Parameters of frame-bound estimation.
+    """frame_floor sets every verdict: a frame when a_est > frame_floor * b_est."""
 
-    grid_extent, family_size and seed serve explicit point sets only, whose
-    lower bound comes from a test family; a lattice system's bounds come
-    from its adjoint lattice.  grid_extent sets the central region of the
-    test states (the highest oscillator mode and the box of mixture
-    centers).  family_size test states are generated deterministically from
-    the seed (prefix-stable: smaller families are prefixes of larger ones).
-    frame_floor sets every verdict: a frame when a_est > frame_floor * b_est.
-    """
-
-    grid_extent: float = 10.0
-    family_size: int = 64
-    seed: int = 0
     frame_floor: float = 1e-3
 
 
 @dataclass(frozen=True)
 class FrameReport:
+    """truncation is the radius R.  residual_estimate is the frame-sum tail
+    beyond R (residual_tail_estimate); for a "dual" report that is the tail of
+    Lambda, not the error of truncating Lambda^o, which sets the bound gaps."""
+
     a_est: float
     b_est: float
     ratio: float
     is_frame: bool
     method: str
-    truncation: tuple
+    truncation: float
     residual_estimate: float
 
 
@@ -177,16 +170,23 @@ def frame_sum(sys: GaborSystem, psi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test family for the lower bound
+# Test family for the lower bound of a point set
 # ---------------------------------------------------------------------------
+
+# FAMILY_SIZE states drawn from FAMILY_SEED, whose mixture centres and highest
+# oscillator mode fit the central region of width FAMILY_EXTENT
+FAMILY_SIZE = 64
+FAMILY_EXTENT = 10.0
+FAMILY_SEED = 0
+
 
 def _random_siegel_scalar(rng) -> complex:
     return complex(rng.normal(0.0, 0.3), np.exp(rng.normal(0.0, 0.3)))
 
 
-def _auto_mode_degree(cfg: EstimationConfig, hbar: float) -> int:
+def _auto_mode_degree(hbar: float) -> int:
     # largest oscillator mode whose turning radius fits the central region
-    support = cfg.grid_extent / 2.0
+    support = FAMILY_EXTENT / 2.0
     return max(8, min(int((support**2 / hbar - 1.0) / 2.0), 256))
 
 
@@ -195,7 +195,7 @@ def _mode(degree: int, hbar: float) -> HermiteState:
     return HermiteState(np.eye(degree + 1)[degree], hbar)
 
 
-def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
+def _family_member(index: int, n: int, hbar: float):
     """Deterministic test state number `index`.
 
     Even indices are random Gaussian mixtures with centers inside the central
@@ -203,8 +203,8 @@ def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
     standard window width as HermiteStates.  Both branches are prefix-stable
     in the family size.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
-    box = cfg.grid_extent / 4.0
+    rng = np.random.default_rng(np.random.SeedSequence([FAMILY_SEED, index]))
+    box = FAMILY_EXTENT / 4.0
     if index % 2 == 0 or n > 1:
         num = int(rng.integers(1, 4))
         comps = []
@@ -218,15 +218,17 @@ def _family_member(index: int, n: int, hbar: float, cfg: EstimationConfig):
     return _mode((index + 1) // 2, hbar)
 
 
-def build_test_family(n: int, hbar: float, cfg: EstimationConfig, witnesses=()):
-    """The seeded test family: Gaussian mixtures, and for n = 1 HermiteStates
-    at odd indices.  Any witness states are appended after the standard
-    members."""
-    num_standard = max(cfg.family_size - len(witnesses), 1)
-    return [_family_member(k, n, hbar, cfg) for k in range(num_standard)] + list(witnesses)
+def build_test_family(n: int, hbar: float, size: int, witnesses=()):
+    """The seeded test family of size states: Gaussian mixtures, and for n = 1
+    HermiteStates at odd indices.  Any witness states are appended after the
+    standard members, which are prefix-stable in size."""
+    if size < 1:
+        raise InvalidMatrix("test family is empty")
+    num_standard = max(size - len(witnesses), 1)
+    return [_family_member(k, n, hbar) for k in range(num_standard)] + list(witnesses)
 
 
-def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
+def deficiency_witnesses(sys: GaborSystem):
     """Scan the oscillator-mode space that fits the central region and return
     the eight states minimizing the frame Rayleigh quotient there.
 
@@ -237,7 +239,7 @@ def deficiency_witnesses(sys: GaborSystem, cfg: EstimationConfig):
     """
     if sys.n != 1:
         return []
-    degree = _auto_mode_degree(cfg, sys.hbar)
+    degree = _auto_mode_degree(sys.hbar)
     modes = [_mode(k, sys.hbar) for k in range(degree + 1)]
     m = _frame_vectors(sys, modes)
     A = (m @ m.conj().T).real
@@ -439,16 +441,16 @@ def _gram_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     return gram
 
 
-def _frame_bounds_bytes(sys: GaborSystem, cfg: EstimationConfig, sym: _Sectors) -> int:
+def _frame_bounds_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     """Bytes of the largest arrays of frame_bounds on a point set: those of
     the sector solve of its Gram (_gram_bytes), and the test family's frame
     vectors (with the mode columns of the witness scan at n = 1), their
     component overlaps and the component block of the family Gram, at most 3
     components per mixture."""
     N = sys.points.shape[0]
-    components = 3 * cfg.family_size
-    modes = _auto_mode_degree(cfg, sys.hbar) + 1 if sys.n == 1 else 0
-    family = cfg.family_size + components + modes
+    components = 3 * FAMILY_SIZE
+    modes = _auto_mode_degree(sys.hbar) + 1 if sys.n == 1 else 0
+    family = FAMILY_SIZE + components + modes
     return _gram_bytes(sys, sym) + 16 * (family * N + components**2)
 
 
@@ -469,7 +471,6 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     vol(Lambda) >= (2 pi hbar)^n (to relative 1e-12) no Gabor system on the
     lattice is a frame: a_est is 0 without a solve, and b_est is the largest
     eigenvalue of the Gram of the truncated lattice itself, again <= B.
-    grid_extent, family_size and seed do not enter.
 
     An explicit point set takes the test-family route (method "eig"): b_est
     is the largest eigenvalue of the Gram of the points, and a_est the
@@ -487,13 +488,11 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     cfg = cfg or EstimationConfig()
     if isinstance(sys.lattice, Lattice):
         return _dual_bounds(sys, cfg)
-    if cfg.family_size < 1:
-        raise InvalidMatrix("test family is empty")
     sym = _symmetry(sys)
-    _check_bytes(sys, _frame_bounds_bytes(sys, cfg, sym), "reduce radius or family size")
+    _check_bytes(sys, _frame_bounds_bytes(sys, sym), "reduce radius")
     with blas_threads(1):
-        witnesses = deficiency_witnesses(sys, cfg)
-        family = build_test_family(sys.n, sys.hbar, cfg, witnesses=witnesses)
+        witnesses = deficiency_witnesses(sys)
+        family = build_test_family(sys.n, sys.hbar, FAMILY_SIZE, witnesses=witnesses)
         m = _frame_vectors(sys, family)
         b_est = _eigenvalue_range(_gram_matrix(sys, sym), sym)[1]
         A = m @ m.conj().T
@@ -503,7 +502,7 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         T = V[:, keep] / np.sqrt(w[keep])
         compressed = T.conj().T @ A @ T
         a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
-    return _report(sys, cfg, min(a_est, b_est), b_est, "eig", cfg.grid_extent)
+    return _report(sys, cfg, min(a_est, b_est), b_est, "eig")
 
 
 def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
@@ -524,18 +523,18 @@ def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
         a_est, b_est = cell / volume * max(least, 0.0), cell / volume * largest
     else:
         a_est, b_est = 0.0, largest
-    return _report(sys, cfg, a_est, b_est, "dual", None)
+    return _report(sys, cfg, a_est, b_est, "dual")
 
 
 def _report(sys: GaborSystem, cfg: EstimationConfig, a_est: float, b_est: float,
-            method: str, grid_extent) -> FrameReport:
+            method: str) -> FrameReport:
     return FrameReport(
         a_est=a_est,
         b_est=b_est,
         ratio=float("inf") if a_est == 0 else b_est / a_est,
         is_frame=bool(a_est > cfg.frame_floor * b_est),
         method=method,
-        truncation=(sys.truncation_radius, grid_extent),
+        truncation=sys.truncation_radius,
         residual_estimate=residual_tail_estimate(sys),
     )
 

@@ -124,6 +124,12 @@ def _check_symmetric(M, name: str, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _is_singular(mat: np.ndarray) -> bool:
+    """|det| at most 1e-14 times the product of the column norms, its
+    Hadamard bound: a singular matrix told from a small one at any scale."""
+    return abs(np.linalg.det(mat)) <= 1e-14 * np.prod(np.linalg.norm(mat, axis=0))
+
+
 def make_generator(kind: str, *, n: int = 1, L=None, P=None) -> np.ndarray:
     """One of the standard Sp(n) generators.
 
@@ -137,7 +143,7 @@ def make_generator(kind: str, *, n: int = 1, L=None, P=None) -> np.ndarray:
         if L is None:
             raise InvalidMatrix("dilation requires L")
         L = np.atleast_2d(np.asarray(L, dtype=float))
-        if abs(np.linalg.det(L)) < 1e-14:
+        if _is_singular(L):
             raise InvalidMatrix("dilation requires invertible L")
         m = L.shape[0]
         Linv = np.linalg.inv(L)
@@ -172,7 +178,7 @@ class GeneratingFunctionData:
         L = np.atleast_2d(np.asarray(self.L, dtype=float))
         if L.shape != P.shape or Q.shape != P.shape:
             raise DimensionMismatch("P, L, Q must share shape")
-        if abs(np.linalg.det(L)) < 1e-14:
+        if _is_singular(L):
             raise InvalidMatrix("L must be invertible")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "L", L)
@@ -272,9 +278,7 @@ class Lattice:
             raise DimensionMismatch(f"generator must be 2n x 2n, got {gen.shape}")
         if not np.all(np.isfinite(gen)):
             raise InvalidMatrix("lattice generator must be finite")
-        # |det L| is at most the product of the column norms (Hadamard), so
-        # their ratio tells a singular generator from a small one at any scale
-        if abs(np.linalg.det(gen)) <= 1e-14 * np.prod(np.linalg.norm(gen, axis=0)):
+        if _is_singular(gen):
             raise InvalidMatrix("lattice generator must be invertible")
         if not (np.isfinite(self.radius) and self.radius >= 0):
             raise InvalidMatrix("truncation radius must be finite and >= 0")

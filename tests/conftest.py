@@ -32,18 +32,20 @@ def random_symplectic(rng, n=1, factors=3):
     return out
 
 
-def counting_calls(monkeypatch, name):
-    """Wrap gaussians.<name> so every call is recorded in the returned list."""
-    import gaborflow.gaussians as gaussians
+def counting_calls(monkeypatch, name, module=None):
+    """Wrap module.<name> (gaussians by default) so every call is recorded in
+    the returned list."""
+    if module is None:
+        import gaborflow.gaussians as module
 
     calls = []
-    fn = getattr(gaussians, name)
+    fn = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(gaussians, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 

@@ -114,22 +114,6 @@ def test_frame_check_at_the_critical_density_is_not_a_frame(capsys):
     assert out.splitlines()[1].startswith("0,") and out.splitlines()[1].endswith(",inf,False")
 
 
-def test_frame_check_with_a_huge_family_exits_1_before_building_it(capsys, monkeypatch):
-    import gaborflow.frames as frames
-
-    def refuse(*args):
-        raise AssertionError("a test state was built")
-
-    # a budget that let the family through would fail here, not run out of
-    # memory; a lattice system takes no family, so the t = 0 image of the
-    # same 241 points does
-    monkeypatch.setattr(frames, "_family_member", refuse)
-    code, out, err = run_cli(capsys, "sweep", "--t-grid", "0", "--alpha", "0.9", "--beta", "0.9",
-                             "--family-size", "100000000")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: frame bounds of 241 points need ")
-
-
 def test_invariance_command(capsys):
     code, out, _ = run_cli(capsys, "invariance", "--hamiltonian", "p1^2/2 + x1^4/4",
                            "--t", "0.5", "--alpha", "0.9", "--beta", "0.9",
@@ -186,6 +170,30 @@ def test_sweep_t_grid(capsys):
     rows = loads(out)["result"]["rows"]
     assert len(rows) == 3
     assert all(row["is_frame"] for row in rows)
+
+
+def test_sweep_t_grid_rows_are_the_frame_check_of_the_source(capsys):
+    # every affine image is unitarily equivalent to the source system
+    system = ("--alpha", "0.8", "--beta", "0.95", "--window-center=0.5,-0.3")
+    code, out, _ = run_cli(capsys, "sweep", "--t-grid", "0:1:3", "--hamiltonian", "anharmonic",
+                           *system)
+    assert code == 0
+    rows = loads(out)["result"]["rows"]
+    code, out, _ = run_cli(capsys, "frame-check", *system)
+    assert code == 0
+    source = loads(out)["result"]
+    assert source["method"] == "dual" and "grid_extent" not in source["truncation"]
+    assert [row.pop("t") for row in rows] == [0.0, 0.5, 1.0]
+    assert rows == [source] * 3
+
+
+def test_sweep_t_grid_still_fails_where_the_weak_deformation_does(capsys):
+    # the rows are the source's bounds, but each t still deforms the window,
+    # and RK4's coarse S_t fails its Siegel check at t = 1
+    code, out, err = run_cli(capsys, "sweep", "--t-grid", "1", "--hamiltonian", "anharmonic",
+                             "--steps", "64", "--window-center=1.0,0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: matrix is not symplectic within tolerance\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,15 +472,18 @@ def test_malformed_ini_file_exits_1_naming_the_file_and_line(tmp_path, capsys, t
 
 
 def test_grid_points_is_not_a_setting(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frame-check", "--grid-points", "64"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --grid-points 64" in capsys.readouterr().err
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[estimation]\ngrid_points = 64\n")
-    code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
-    assert code == 1
-    assert err == "error: estimation.grid_points: unknown config key\n"
+    # nor are the removed settings of the test family, which no command reaches
+    for key in ("grid_points", "grid_extent", "family_size"):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["frame-check", flag, "64"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[estimation]\n{key} = 64\n")
+        code, _, err = run_cli(capsys, "frame-check", "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: estimation.{key}: unknown config key\n"
 
 
 # a valid value, other than the default, for each run parameter set on its own
@@ -480,7 +491,7 @@ PARAMETER_TEXT = {
     "seed": "7", "hbar": "0.2", "dimension": "2", "alpha": "0.9", "beta": "0.8",
     "generator": "1,0.5,0,1", "radius": "3.5", "window_m": "0.5+2j", "window_center": "0.1,-0.2",
     "hamiltonian": "p1^2/2 + x1^4/4", "method": "verlet", "steps": "12", "t": "0.25",
-    "grid_extent": "8", "family_size": "16", "frame_floor": "0.01",
+    "frame_floor": "0.01",
 }
 LIST_PARAMETERS = [p for p in PARAMETERS if p.parse in (parse_float_list, parse_complex_list)]
 SCALAR_PARAMETERS = [p for p in PARAMETERS if p.parse in (int, float)]
@@ -491,6 +502,19 @@ def test_every_run_parameter_is_declared_once():
     assert sorted(declared) == sorted(f.name for f in dataclasses.fields(RunConfig))
     assert len({(p.section, p.key) for p in PARAMETERS}) == len(PARAMETERS)
     assert sorted(PARAMETER_TEXT) == sorted(declared)
+
+
+def test_readme_table_lists_every_run_parameter():
+    # each row of the README's run-parameter table is `--flag` | `[section] key`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("| Flag | INI `[section] key` | Default |")
+    rows = []
+    for line in readme[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        flag, key = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        rows.append((flag, key))
+    assert rows == [(p.flag, f"[{p.section}] {p.key}") for p in PARAMETERS]
 
 
 @pytest.mark.parametrize("param", PARAMETERS, ids=lambda p: p.field)
@@ -534,7 +558,7 @@ def test_malformed_scalar_flag_exits_2(capsys, param):
 def test_sweep_grid_count_is_checked_in_bytes(capsys, monkeypatch):
     import gaborflow.cli as cli
 
-    argv = ("sweep", "--ab-grid", "0.5:1:3", "--radius", "2", "--family-size", "8")
+    argv = ("sweep", "--ab-grid", "0.5:1:3", "--radius", "2")
     monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 8 * 3 - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from gaborflow.deformation import (
 from gaborflow.dynamics import builtin_hamiltonian, quadratic_hamiltonian
 from gaborflow.errors import DimensionMismatch, InvalidMatrix
 from gaborflow.frames import (
-    EstimationConfig,
     GaborSystem,
     covariance_check,
+    frame_bounds,
     frame_sum,
     rescaling_check,
     translation_check,
@@ -23,7 +25,7 @@ from gaborflow.frames import (
 from gaborflow.gaussians import GaussianMixture, GaussianState, sample_state, standard_gaussian
 from gaborflow.symplectic import rotation, separable_lattice
 
-from conftest import HBAR, random_symplectic
+from conftest import HBAR, counting_calls, random_symplectic
 
 
 def standard_system(side=0.9, radius=8.0):
@@ -355,10 +357,40 @@ def test_sweep_harmonic_bounds_stable():
     sys = standard_system()
     reports = deform_sweep(sys, builtin_hamiltonian("harmonic"),
                            np.linspace(0.0, 2.0 * np.pi, 5))
-    a = np.array([rep.a_est for _, rep in reports])
-    b = np.array([rep.b_est for _, rep in reports])
-    assert (a.max() - a.min()) / a.mean() < 0.02
-    assert (b.max() - b.min()) / b.mean() < 0.02
+    assert all(rep == frame_bounds(sys) for _, rep in reports)
+
+
+def test_sweep_affine_rows_are_the_bounds_of_the_source(monkeypatch):
+    import gaborflow.deformation as deformation
+
+    # by symplectic covariance each affine image is the source moved by a
+    # unitary, whatever the lattice, the window and its centre
+    window = GaussianState(np.array([[0.3 + 1.4j]]), np.array([0.5, -0.3]), 0.0, HBAR)
+    sys = GaborSystem(window, separable_lattice([0.8], [0.95], 6.0), HBAR)
+    source = frame_bounds(sys)
+    bounds = counting_calls(monkeypatch, "frame_bounds", deformation)
+    deforms = counting_calls(monkeypatch, "weak_deform", deformation)
+    reports = deform_sweep(sys, builtin_hamiltonian("anharmonic"), [0.0, 0.25, 0.5])
+    assert [t for t, _ in reports] == [0.0, 0.25, 0.5]
+    for _, rep in reports:
+        assert dataclasses.astuple(rep) == dataclasses.astuple(source)
+    assert source.method == "dual" and source.is_frame
+    assert len(bounds) == 1 and len(deforms) == 3
+
+
+def test_sweep_exact_nonlinear_rows_bound_each_image(monkeypatch):
+    import gaborflow.deformation as deformation
+    import gaborflow.frames as frames
+
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    sys = standard_system(radius=4.0)
+    H = builtin_hamiltonian("anharmonic")
+    cfg = DeformationConfig(lattice_mode="exact-nonlinear")
+    bounds = counting_calls(monkeypatch, "frame_bounds", deformation)
+    reports = deform_sweep(sys, H, [0.1, 0.2], cfg)
+    assert len(bounds) == 2 and all(rep.method == "eig" for _, rep in reports)
+    image = deformed_system(sys, weak_deform(sys, H, 0.2, cfg))
+    assert reports[1][1] == frame_bounds(image)
 
 
 def test_sweep_shear_family_keeps_frame():

@@ -204,7 +204,7 @@ def test_lattice_enumerated_once_per_system(monkeypatch):
 
     monkeypatch.setattr(frames, "lattice_points", counting)
     sys = standard_system(radius=4.0)
-    frame_bounds(sys, EstimationConfig(family_size=8))
+    frame_bounds(sys)
     # the system's lattice and its adjoint lattice, once each
     assert len(calls) == 2
     assert calls[0] is sys.lattice and calls[1] is not sys.lattice
@@ -227,13 +227,13 @@ def test_frame_bounds_runs_every_solve_on_one_blas_thread(monkeypatch):
         return real(limit)
 
     monkeypatch.setattr(frames, "blas_threads", recording)
-    cfg = EstimationConfig(family_size=8)
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
     small = standard_points(radius=4.0)
     large = GaborSystem(standard_gaussian(1, HBAR), lattice_points(SHIFTED_933), HBAR)
     assert _symmetry(small).sizes[0] == (len(small.points) + 3) // 4
     assert _symmetry(large).sizes == (933,)
     for sys_ in (small, large, standard_system(radius=4.0)):
-        frame_bounds(sys_, cfg)
+        frame_bounds(sys_)
     assert limits == [1, 1, 1]
 
 
@@ -311,23 +311,30 @@ def test_lower_bound_against_dense_mode_oracle():
     assert report.a_est == pytest.approx(dense_a, rel=1e-3)
 
 
-def test_verdicts_match_criterion_across_densities():
+def test_verdicts_match_criterion_across_densities(monkeypatch):
     # each lattice through its adjoint lattice, and its points through the
-    # test family
-    cfg = EstimationConfig(grid_extent=14.0)
+    # test family, whose central region must reach further than the default
+    # for the verdict at alpha*beta = 1.05 and R = 11
+    import gaborflow.frames as frames
+
+    monkeypatch.setattr(frames, "FAMILY_EXTENT", 14.0)
     for ab in (0.6, 0.8, 0.95, 1.05, 1.3):
         side = float(np.sqrt(ab))
         lattice = separable_lattice([side], [side], 11.0)
         expected = bool(gaussian_frame_criterion([side], [side], HBAR)[0])
         for points in (lattice, lattice_points(lattice)):
-            report = frame_bounds(GaborSystem(standard_gaussian(1, HBAR), points, HBAR), cfg)
+            report = frame_bounds(GaborSystem(standard_gaussian(1, HBAR), points, HBAR))
             assert report.is_frame == expected, f"verdict mismatch at alpha*beta={ab}"
 
 
-def test_family_growth_never_raises_lower_bound():
+def test_family_growth_never_raises_lower_bound(monkeypatch):
+    import gaborflow.frames as frames
+
     sys = standard_points()
-    small = frame_bounds(sys, EstimationConfig(family_size=24))
-    large = frame_bounds(sys, EstimationConfig(family_size=64))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 24)
+    small = frame_bounds(sys)
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 64)
+    large = frame_bounds(sys)
     assert large.a_est <= small.a_est + 1e-12
 
 
@@ -338,14 +345,14 @@ def test_radius_growth_never_lowers_upper_bound():
 
 
 def test_family_gram_n2_matches_elementwise_inner_products():
-    family = build_test_family(2, HBAR, EstimationConfig(family_size=12))
+    family = build_test_family(2, HBAR, 12)
     ref = np.array([[inner_product(a, b) for b in family] for a in family])
     assert np.max(np.abs(_family_gram(family) - ref)) <= 1e-12
 
 
 def test_gaussian_family_makes_one_kernel_call(monkeypatch):
     calls = counting_calls(monkeypatch, "_overlap_core")
-    family = build_test_family(2, HBAR, EstimationConfig(family_size=12))
+    family = build_test_family(2, HBAR, 12)
     sys = GaborSystem(standard_gaussian(2, HBAR), separable_lattice([0.9] * 2, [0.9] * 2, 2.0),
                       HBAR)
     for run in (lambda: _family_gram(family), lambda: _frame_vectors(sys, family)):
@@ -468,11 +475,14 @@ def _record_eigvalsh(monkeypatch):
     np.array([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.9], [1.1, -0.2], [-0.5, -0.3]]),
 ], ids=["shifted-lattice", "asymmetric-points"])
 def test_parity_split_falls_back_to_the_full_solve(monkeypatch, lattice):
+    import gaborflow.frames as frames
+
     sys = GaborSystem(standard_gaussian(1, HBAR), lattice, HBAR)
     N = len(sys.points)
     assert _gram_matrix(sys, _symmetry(sys)).shape == (N, N)
     inputs = _record_eigvalsh(monkeypatch)
-    report = frame_bounds(sys, EstimationConfig(family_size=8))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    report = frame_bounds(sys)
     assert N in [np.shape(a)[-1] for a in inputs]
     full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
     assert report.b_est == pytest.approx(float(np.max(full)), rel=1e-13)
@@ -493,7 +503,8 @@ def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_quarter_blocks(mon
     sys = standard_points(np.sqrt(0.5), radius=16.0)
     N = len(sys.points)
     assert N == 1609
-    report = frame_bounds(sys, EstimationConfig(family_size=8))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    report = frame_bounds(sys)
     quarter = -(-N // 4) + 1
     assert len(shapes) == 1 and shapes[0][0] <= quarter
     sym = _symmetry(sys)
@@ -525,18 +536,21 @@ def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
     for name in ("_component_values", "hermite_functions", "sample_state", "_state_values"):
         record(gaussians, name)
     sys = standard_points(radius=4.0)
-    cfg = EstimationConfig(family_size=8)
-    frame_bounds(sys, cfg)
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    frame_bounds(sys)
     assert calls == []
     assert "_held" not in vars(sys)
-    frame_terms(sys, build_test_family(1, HBAR, cfg))
+    frame_terms(sys, build_test_family(1, HBAR, 8))
     assert calls == []
 
 
-def test_frame_bounds_leaves_no_state_on_the_system():
+def test_frame_bounds_leaves_no_state_on_the_system(monkeypatch):
+    import gaborflow.frames as frames
+
     sys = GaborSystem(standard_gaussian(1, HBAR),
                       lattice_points(separable_lattice([0.9], [0.9], 4.0)), HBAR)
-    frame_bounds(sys, EstimationConfig(family_size=8))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    frame_bounds(sys)
     assert set(vars(sys)) <= {"window", "lattice", "hbar", "points"}
 
 
@@ -554,8 +568,7 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     import gaborflow.frames as frames
 
     sys = standard_points()
-    cfg = EstimationConfig()
-    F = cfg.family_size
+    F = frames.FAMILY_SIZE
 
     def family(N):
         # frame vectors of the family, of its <= 3 components per mixture and
@@ -570,19 +583,19 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     R = (N + 3) // 4
     gram = 16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 16 * (R * R + 3 * (R - 1) ** 2)
     need = gram + 16 * family(N)
-    assert _frame_bounds_bytes(sys, cfg, _symmetry(sys)) == need
+    assert _frame_bounds_bytes(sys, _symmetry(sys)) == need
     # no symmetry: all rows, solved as they are
     shifted = GaborSystem(sys.window, Lattice(np.diag([0.9, 0.9]), 4.0, shift=[0.1, 0.2]),
                           HBAR)
     M = len(shifted.points)
-    assert _frame_bounds_bytes(shifted, cfg, _symmetry(shifted)) == 96 * M * M + 16 * family(M)
+    assert _frame_bounds_bytes(shifted, _symmetry(shifted)) == 96 * M * M + 16 * family(M)
 
     built = []
     monkeypatch.setattr(frames, "deficiency_witnesses", lambda *a: built.append(a))
     calls = counting_calls(monkeypatch, "_overlap_core")
     monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
-        frame_bounds(sys, cfg)
+        frame_bounds(sys)
     assert built == [] and calls == []
 
 
@@ -592,11 +605,26 @@ def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     built = []
     monkeypatch.setattr(frames, "build_test_family", lambda *a, **k: built.append(a))
     sys = standard_points(radius=4.0)
-    small = EstimationConfig(family_size=8)
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, small, _symmetry(sys)))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
+    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, _symmetry(sys)))
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 9)
     with pytest.raises(ResourceLimit):
-        frame_bounds(sys, EstimationConfig(family_size=9))
+        frame_bounds(sys)
     assert built == []
+
+
+def test_frame_bounds_with_a_huge_family_raises_before_building_it(monkeypatch):
+    import gaborflow.frames as frames
+
+    def refuse(*args):
+        raise AssertionError("a test state was built")
+
+    # a budget that let the family through would fail here, not run out of
+    # memory
+    monkeypatch.setattr(frames, "_family_member", refuse)
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 100_000_000)
+    with pytest.raises(ResourceLimit, match="^frame bounds of 241 points need "):
+        frame_bounds(standard_points())
 
 
 def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
@@ -606,7 +634,7 @@ def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
 
     sys = standard_system(radius=4.0)
     N = len(sys.points)
-    family = build_test_family(1, HBAR, EstimationConfig(family_size=8))
+    family = build_test_family(1, HBAR, 8)
     # one row of overlaps per state and per mode of the longest HermiteState,
     # and per mixture component one of kernel overlaps at 80 bytes each (n = 1)
     components = sum(len(s.components) for s in family if isinstance(s, GaussianMixture))
@@ -775,20 +803,20 @@ def test_upper_gamma_q_matches_scipy(n):
 
 
 def test_report_fields_consistent():
-    # a lattice system is truncated at its radius and has no test family; a
-    # point set at its largest norm, with the family's grid extent
+    # a lattice system is truncated at its radius, a point set at its
+    # largest norm
     report = frame_bounds(standard_system(), EstimationConfig())
     assert report.a_est <= report.b_est
-    assert (report.method, report.truncation) == ("dual", (8.0, None))
+    assert (report.method, report.truncation) == ("dual", 8.0)
     sys = standard_points()
     report = frame_bounds(sys, EstimationConfig())
     assert report.a_est <= report.b_est
-    assert (report.method, report.truncation) == ("eig", (sys.truncation_radius, 10.0))
+    assert (report.method, report.truncation) == ("eig", sys.truncation_radius)
 
 
 def test_family_prefix_stability():
-    fam_small = build_test_family(1, HBAR, EstimationConfig(family_size=10))
-    fam_large = build_test_family(1, HBAR, EstimationConfig(family_size=20))
+    fam_small = build_test_family(1, HBAR, 10)
+    fam_large = build_test_family(1, HBAR, 20)
     assert {type(a) for a in fam_small} == {GaussianMixture, HermiteState}
     for a, b in zip(fam_small, fam_large):
         assert type(a) is type(b)
@@ -799,9 +827,8 @@ def test_family_prefix_stability():
 
 
 def test_family_gram_n1_matches_elementwise_inner_products():
-    cfg = EstimationConfig(family_size=12)
     sys = standard_system(radius=4.0)
-    family = build_test_family(1, HBAR, cfg, witnesses=deficiency_witnesses(sys, cfg))
+    family = build_test_family(1, HBAR, 12, witnesses=deficiency_witnesses(sys))
     assert {type(a) for a in family} == {GaussianMixture, HermiteState}
     ref = np.array([[inner_product(a, b) for b in family] for a in family])
     assert np.max(np.abs(_family_gram(family) - ref)) <= 1e-12
@@ -891,6 +918,11 @@ def test_system_validates_hbar_and_dimension():
         GaborSystem(g, separable_lattice([1.0, 1.0], [1.0, 1.0], 2.0), HBAR)
 
 
-def test_frame_bounds_empty_family_rejected():
-    with pytest.raises(InvalidMatrix):
-        frame_bounds(standard_points(), EstimationConfig(family_size=0))
+def test_frame_bounds_empty_family_rejected(monkeypatch):
+    import gaborflow.frames as frames
+
+    with pytest.raises(InvalidMatrix, match="test family is empty"):
+        build_test_family(1, HBAR, 0)
+    monkeypatch.setattr(frames, "FAMILY_SIZE", 0)
+    with pytest.raises(InvalidMatrix, match="test family is empty"):
+        frame_bounds(standard_points())

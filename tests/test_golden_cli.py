@@ -47,7 +47,7 @@ CASES = {
     "frame_check_csv": ["frame-check", "--alpha", "1.1", "--beta", "1.1", "--radius", "5",
                         "--format", "csv"],
     "frame_check_n2": ["frame-check", "--dimension", "2", "--alpha", "0.9", "--beta", "0.9",
-                       "--radius", "1.5", "--family-size", "8"],
+                       "--radius", "1.5"],
     "deform_harmonic": ["deform", "--hamiltonian", "harmonic", "--t", "1.57",
                         "--alpha", "0.9", "--beta", "0.9"],
     "deform_anharmonic": ["deform", "--hamiltonian", "anharmonic", "--t", "0.5",
@@ -70,7 +70,7 @@ CASES = {
                                  "--t", "1", "--steps", "6"],
     "integrate_driven_csv": ["integrate", "--hamiltonian", "driven", "--z0", "0.5,0",
                              "--t", "0.5", "--steps", "4", "--format", "csv"],
-    "sweep_ab_default_radius": ["sweep", "--ab-grid", "0.64,1.21", "--family-size", "16"],
+    "sweep_ab_default_radius": ["sweep", "--ab-grid", "0.64,1.21"],
     "sweep_ab_radius_csv": ["sweep", "--ab-grid", "0.5:1.0:3", "--radius", "4",
                             "--format", "csv"],
     "sweep_t_descending": ["sweep", "--t-grid", "1:0:3", "--hamiltonian", "harmonic",

@@ -174,6 +174,20 @@ def test_generating_function_reduces_to_j():
     assert np.allclose(from_generating_function(data), standard_j(1))
 
 
+def test_generating_function_and_dilation_judge_l_by_its_own_scale():
+    # the test is relative, as for a lattice generator: a small L is not a
+    # singular one, and a singular L is rejected at any scale
+    data = GeneratingFunctionData(np.zeros((1, 1)), [[1e-15]], np.zeros((1, 1)))
+    assert data.L[0, 0] == 1e-15
+    assert make_generator("dilation", L=[[1e-15]])[1, 1] == 1e-15
+    for scale in (1.0, 1e-20):
+        L = scale * np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(InvalidMatrix, match="L must be invertible"):
+            GeneratingFunctionData(np.zeros((2, 2)), L, np.zeros((2, 2)))
+        with pytest.raises(InvalidMatrix, match="dilation requires invertible L"):
+            make_generator("dilation", L=L)
+
+
 def test_generating_function_symplectic(rng):
     for _ in range(10):
         P = rng.normal(size=(2, 2))
