@@ -258,10 +258,16 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _dilation_path(t):
+    # exp(t) is inf past t = 709.78, which make_generator refuses as not finite
+    with np.errstate(over="ignore"):
+        return make_generator("dilation", L=[[np.exp(t)]])
+
+
 _BUILTIN_PATHS = {
     "rotation": lambda t: rotation(t),
     "shear": lambda t: make_generator("shear", P=[[t]]),
-    "dilation": lambda t: make_generator("dilation", L=[[np.exp(t)]]),
+    "dilation": _dilation_path,
 }
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DimensionMismatch, DivergenceError, InvalidMatrix, InverseIterationError,
-                     ResourceLimit)
+                     ResolutionError, ResourceLimit)
 from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standard_j
 
 OVERFLOW_GUARD = 1e8
@@ -708,12 +708,24 @@ def suspended_flow(H: Hamiltonian, t: float, state, steps: int | None = None,
 # Hamiltonians from paths and isotopies
 # ---------------------------------------------------------------------------
 
+def _time_derivative(fn: Callable, t: float, step: float) -> np.ndarray:
+    """The central difference (fn(t + step) - fn(t - step)) / (2 step).
+    Raises ResolutionError when t + step or t - step rounds to t, where the
+    difference would read 0 (from |t| of about 2^53 step on)."""
+    if t + step == t or t - step == t:
+        raise ResolutionError(f"time step {step} does not resolve t = {t}")
+    return (np.asarray(fn(t + step), dtype=float)
+            - np.asarray(fn(t - step), dtype=float)) / (2 * step)
+
+
 def hamiltonian_from_linear_path(path: Callable, t: float, derivative=None,
                                  fd_step: float = 1e-5) -> np.ndarray:
     """Quadratic-form matrix Q (so H(z) = z.Qz/2) generating a symplectic path.
 
     The path must satisfy path(0) = I; the generator at time t is recovered
-    from Q = -sym(J dS/dt S^{-1}).
+    from Q = -sym(J dS/dt S^{-1}).  Without a derivative, dS/dt is the central
+    difference of step fd_step (_time_derivative), which raises
+    ResolutionError when t +- fd_step rounds to t.
     """
     S = np.asarray(path(t), dtype=float)
     if not is_symplectic(S, 1e-6):
@@ -721,8 +733,7 @@ def hamiltonian_from_linear_path(path: Callable, t: float, derivative=None,
     if derivative is not None:
         Sdot = np.asarray(derivative(t), dtype=float)
     else:
-        Sdot = (np.asarray(path(t + fd_step), dtype=float)
-                - np.asarray(path(t - fd_step), dtype=float)) / (2 * fd_step)
+        Sdot = _time_derivative(path, t, fd_step)
     n = S.shape[0] // 2
     M = standard_j(n) @ Sdot @ np.linalg.inv(S)
     Q = -0.5 * (M + M.T)
@@ -733,10 +744,10 @@ def quadratic_form_blocks(path: Callable, t: float, fd_step: float = 1e-5):
     """The (xx, px, pp) coefficient blocks of the reconstructed quadratic
     Hamiltonian, evaluated from the block derivative formula.  Returns
     (Dd Ct - Cd Dt, Dd At - Cd Bt, Bd At - Ad Bt) where Xd are the block
-    derivatives; cross-checks hamiltonian_from_linear_path."""
+    derivatives, from the same central difference of step fd_step;
+    cross-checks hamiltonian_from_linear_path."""
     S = np.asarray(path(t), dtype=float)
-    Sdot = (np.asarray(path(t + fd_step), dtype=float)
-            - np.asarray(path(t - fd_step), dtype=float)) / (2 * fd_step)
+    Sdot = _time_derivative(path, t, fd_step)
     n = S.shape[0] // 2
     A, B = S[:n, :n], S[:n, n:]
     C, D = S[n:, :n], S[n:, n:]
@@ -784,7 +795,9 @@ def hamiltonian_from_isotopy(f: Callable, t: float, z, nodes: int = 65,
 
         H(z, t) = -int_0^1 z.J (df/dt o f_t^{-1})(lambda z) dlambda
 
-    by composite Simpson with node doubling until the value settles.
+    by composite Simpson with node doubling until the value settles.  df/dt
+    is the central difference of step fd_step, which raises ResolutionError
+    when t +- fd_step rounds to t.
     """
     z = as_phase_vector(z)
     n = z.size // 2
@@ -792,9 +805,7 @@ def hamiltonian_from_isotopy(f: Callable, t: float, z, nodes: int = 65,
 
     def velocity(w):
         back = _local_inverse(lambda u: np.asarray(f(t, u), dtype=float), w)
-        wdot = (np.asarray(f(t + fd_step, back), dtype=float)
-                - np.asarray(f(t - fd_step, back), dtype=float)) / (2 * fd_step)
-        return wdot
+        return _time_derivative(lambda s: f(s, back), t, fd_step)
 
     def integrand(lam):
         return -float(z @ (J @ velocity(lam * z)))

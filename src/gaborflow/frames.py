@@ -11,7 +11,9 @@ Lambda^o truncated at the system's own radius is a compression of that
 operator, so its least eigenvalue lies above the Riesz bound and its largest
 below: a_est >= A and b_est <= B.  A lattice of volume (2 pi hbar)^n or more
 carries no frame (the density theorem; at equality, Balian-Low for Gaussian
-windows), so there a_est is 0 without a solve.
+windows), so there a_est is 0 without a solve and b_est comes from the Gram of
+Lambda without its shift.  No lattice report enumerates Lambda, and a shift of
+Lambda or of the window, a unitary, enters neither Gram, not even by rounding.
 
 An explicit point set (an exact-nonlinear image, say) has no adjoint lattice.
 Its upper bound is the largest eigenvalue of the Gram matrix of the points,
@@ -73,7 +75,8 @@ from .symplectic import (
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """A Gaussian window paired with a truncated lattice (or explicit point list)."""
+    """A Gaussian window paired with a truncated lattice (or explicit point
+    list); a Lattice is enumerated on the first read of points, not before."""
 
     window: GaussianState
     lattice: object
@@ -85,8 +88,9 @@ class GaborSystem:
                                     f"{type(self.window).__name__}")
         if abs(self.window.hbar - self.hbar) > 1e-15:
             raise DimensionMismatch("window hbar differs from system hbar")
-        pts = self.points
-        if pts.size and pts.shape[1] != 2 * self.window.n:
+        lat = self.lattice
+        dim = 2 * lat.n if isinstance(lat, Lattice) else self.points.shape[1]
+        if dim != 2 * self.window.n:
             raise DimensionMismatch("lattice dimension differs from window dimension")
         object.__setattr__(self, "hbar", float(self.hbar))
 
@@ -99,9 +103,7 @@ class GaborSystem:
         if isinstance(self.lattice, Lattice):
             return lattice_points(self.lattice)
         pts = np.asarray(self.lattice, dtype=float)
-        if pts.size == 0:
-            return pts.reshape(0, 2 * self.window.n)
-        return np.atleast_2d(pts)
+        return np.atleast_2d(pts) if pts.size else pts.reshape(0, 2 * self.window.n)
 
     @property
     def truncation_radius(self) -> float:
@@ -463,14 +465,15 @@ def _check_bytes(sys: GaborSystem, need: int, remedy: str):
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
     """Estimate the frame bounds of a truncated Gabor system.
 
-    A system on a Lattice takes the dual route (method "dual"): a_est and
-    b_est are (2 pi hbar)^n/vol(Lambda) times the least and the largest
-    eigenvalue of the Gram of the adjoint lattice, truncated at the system's
-    own radius, so a_est >= A and b_est <= B.  The lattice's shift and the
-    window's centre do not enter, as they move the system by a unitary.  When
+    A system on a Lattice takes the dual route (method "dual") and never reads
+    sys.points: a_est and b_est are (2 pi hbar)^n/vol(Lambda) times the least
+    and the largest eigenvalue of the Gram of the adjoint lattice, truncated at
+    the system's own radius, so a_est >= A and b_est <= B.  When
     vol(Lambda) >= (2 pi hbar)^n (to relative 1e-12) no Gabor system on the
     lattice is a frame: a_est is 0 without a solve, and b_est is the largest
-    eigenvalue of the Gram of the truncated lattice itself, again <= B.
+    eigenvalue of the Gram of the truncated lattice without its shift, again
+    <= B.  Both Grams are of unshifted lattices, so the report depends on the
+    window matrix, the generator, the radius and hbar only.
 
     An explicit point set takes the test-family route (method "eig"): b_est
     is the largest eigenvalue of the Gram of the points, and a_est the
@@ -480,10 +483,9 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
 
     Either Gram is solved in the complex blocks of its quarter turn or
     parity, from the rows of orbit representatives only (see _symmetry and
-    _sector_blocks).
-    Every solve runs on one BLAS thread, so the output does not depend on the
-    core count.  Raises ResourceLimit when the arrays would exceed
-    FRAME_BOUNDS_BYTE_BUDGET.
+    _sector_blocks).  Every solve runs on one BLAS thread, so the output
+    does not depend on the core count.  Raises ResourceLimit when the arrays
+    would exceed FRAME_BOUNDS_BYTE_BUDGET.
     """
     cfg = cfg or EstimationConfig()
     if isinstance(sys.lattice, Lattice):
@@ -506,13 +508,14 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
 
 
 def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
-    """frame_bounds of a lattice system, from the Gram of its adjoint lattice."""
+    """frame_bounds of a lattice system, from the Gram of an unshifted lattice."""
+    lat = sys.lattice
     cell = (2.0 * np.pi * sys.hbar) ** sys.n
-    volume = abs(float(np.linalg.det(sys.lattice.generator)))
+    volume = abs(float(np.linalg.det(lat.generator)))
     frame_density = volume < cell * (1.0 - 1e-12)
-    gram_sys = sys
-    if frame_density:
-        gram_sys = GaborSystem(sys.window, adjoint_lattice(sys.lattice, sys.hbar), sys.hbar)
+    gram_lat = (adjoint_lattice(lat, sys.hbar) if frame_density
+                else Lattice(lat.generator, lat.radius))
+    gram_sys = GaborSystem(sys.window, gram_lat, sys.hbar)
     sym = _symmetry(gram_sys)
     _check_bytes(gram_sys, _gram_bytes(gram_sys, sym), "reduce radius")
     with blas_threads(1):
@@ -575,10 +578,5 @@ def rescaling_check(sys: GaborSystem, hbar_new: float, psis):
     if hbar_new <= 0:
         raise InvalidMatrix("hbar must be positive")
     mu = np.sqrt(hbar_new / sys.hbar)
-    if isinstance(sys.lattice, Lattice):
-        lat = sys.lattice
-        scaled = Lattice(mu * lat.generator, mu * lat.radius, shift=mu * lat.shift)
-    else:
-        scaled = sys.points * mu
-    rescaled_sys = GaborSystem(rescale_window(sys.window, hbar_new), scaled, hbar_new)
+    rescaled_sys = GaborSystem(rescale_window(sys.window, hbar_new), sys.points * mu, hbar_new)
     return matched_pair(rescaled_sys, psis, sys, [rescale_window(psi, sys.hbar) for psi in psis])

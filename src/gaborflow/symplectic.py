@@ -88,15 +88,18 @@ def symplectic_form(z, z2) -> float:
 
 
 def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
-    """True iff ||S^T J S - J||_max <= tol * max(1, ||S||^2)."""
+    """True iff ||S^T J S - J||_max <= tol * max(1, ||S||^2), tested as
+    defect / max(1, ||S||) <= tol * max(1, ||S||) so that ||S||^2 cannot
+    overflow.  A defect that overflows (inf or nan) is not symplectic."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
         raise DimensionMismatch(f"expected a square even-dimension matrix, got {S.shape}")
     n = S.shape[0] // 2
     J = standard_j(n)
-    defect = np.max(np.abs(S.T @ J @ S - J))
-    scale = max(1.0, float(np.linalg.norm(S, 2)) ** 2)
-    return bool(defect <= tol * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(S.T @ J @ S - J))
+    scale = max(1.0, float(np.linalg.norm(S, 2)))
+    return bool(defect / scale <= tol * scale)
 
 
 def check_symplectic(S, tol: float = TOL_SYMPLECTIC) -> np.ndarray:
@@ -118,6 +121,8 @@ def _check_symmetric(M, name: str, tol: float = 1e-10) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidMatrix(f"{name} must be finite")
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M - M.T)) > tol * scale:
         raise InvalidMatrix(f"{name} must be symmetric")
@@ -126,7 +131,13 @@ def _check_symmetric(M, name: str, tol: float = 1e-10) -> np.ndarray:
 
 def _is_singular(mat: np.ndarray) -> bool:
     """|det| at most 1e-14 times the product of the column norms, its
-    Hadamard bound: a singular matrix told from a small one at any scale."""
+    Hadamard bound: a singular matrix told from a small one at any scale.
+    The ratio does not change when a column is scaled, so each column is
+    first divided by its largest entry, and neither product can overflow."""
+    scale = np.max(np.abs(mat), axis=0)
+    if not scale.all():
+        return True
+    mat = mat / scale
     return abs(np.linalg.det(mat)) <= 1e-14 * np.prod(np.linalg.norm(mat, axis=0))
 
 
@@ -143,6 +154,8 @@ def make_generator(kind: str, *, n: int = 1, L=None, P=None) -> np.ndarray:
         if L is None:
             raise InvalidMatrix("dilation requires L")
         L = np.atleast_2d(np.asarray(L, dtype=float))
+        if not np.all(np.isfinite(L)):
+            raise InvalidMatrix("dilation requires finite L")
         if _is_singular(L):
             raise InvalidMatrix("dilation requires invertible L")
         m = L.shape[0]
@@ -178,6 +191,8 @@ class GeneratingFunctionData:
         L = np.atleast_2d(np.asarray(self.L, dtype=float))
         if L.shape != P.shape or Q.shape != P.shape:
             raise DimensionMismatch("P, L, Q must share shape")
+        if not np.all(np.isfinite(L)):
+            raise InvalidMatrix("L must be finite")
         if _is_singular(L):
             raise InvalidMatrix("L must be invertible")
         object.__setattr__(self, "P", P)

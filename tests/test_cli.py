@@ -100,6 +100,19 @@ def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
                    "(budget 950000); reduce radius\n")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (("--hbar", "100", "--alpha", "0.5", "--beta", "0.5"), 2513.2741228718346),
+    (("--alpha", "0.01", "--beta", "0.01", "--radius", "8"), 9999.99999999999),
+], ids=["hbar-100", "dense-spacing"])
+def test_frame_check_past_the_point_cap_of_the_lattice(capsys, argv, bound):
+    # Lambda has 505,321 and 2,010,573 points, over symplectic.POINT_CAP; the
+    # report solves the one-point Gram of Lambda^o and never enumerates Lambda
+    code, out, err = run_cli(capsys, "frame-check", *argv)
+    assert (code, err) == (0, "")
+    result = loads(out)["result"]
+    assert (result["a_est"], result["b_est"], result["is_frame"]) == (bound, bound, True)
+
+
 def test_frame_check_at_the_critical_density_is_not_a_frame(capsys):
     # alpha*beta = 2 pi hbar: the criterion's strict inequality fails, and
     # the density theorem gives a_est = 0 without a solve
@@ -360,6 +373,16 @@ def test_path_hamiltonian_rotation(capsys):
     for entry in doc["result"]["isotopy_values"]:
         z = np.array(entry["z"])
         assert entry["value"] == pytest.approx(0.5 * float(z @ z), abs=1e-6)
+
+
+@pytest.mark.parametrize("path, t, message", [
+    ("rotation", "1e17", "time step 1e-05 does not resolve t = 1e+17"),
+    ("shear", "1e200", "time step 1e-05 does not resolve t = 1e+200"),
+    ("dilation", "800", "dilation requires finite L"),
+])
+def test_path_hamiltonian_out_of_range_ends_in_one_error_line(capsys, path, t, message):
+    code, out, err = run_cli(capsys, "path-hamiltonian", "--path-name", path, "--t", t)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_reproducible_output(tmp_path, capsys):

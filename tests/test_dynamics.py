@@ -36,7 +36,7 @@ from gaborflow.dynamics import (
     _dot,
     _expm,
 )
-from gaborflow.errors import DivergenceError, InvalidMatrix, ResourceLimit
+from gaborflow.errors import DivergenceError, InvalidMatrix, ResolutionError, ResourceLimit
 from gaborflow.expressions import expression_hamiltonian
 from gaborflow.symplectic import is_symplectic, rotation, standard_j, symplectic_form
 
@@ -812,6 +812,22 @@ def test_isotopy_translation_flow(rng):
 def test_isotopy_identity_flow():
     val = hamiltonian_from_isotopy(lambda t, z: np.asarray(z, dtype=float), 0.5, [1.0, 2.0])
     assert abs(val) < 1e-9
+
+
+def test_time_differences_that_cannot_resolve_t_raise():
+    # t +- 1e-5 rounds to t = 1e17, so the central difference would read 0
+    # and the rotation's Q = I and values |z|^2/2 would come out as zeros
+    def iso(t, z):
+        return rotation(t) @ np.asarray(z, dtype=float)
+
+    for call in (lambda: hamiltonian_from_linear_path(rotation, 1e17),
+                 lambda: quadratic_form_blocks(rotation, 1e17),
+                 lambda: hamiltonian_from_isotopy(iso, 1e17, [0.7, -0.4])):
+        with pytest.raises(ResolutionError, match="does not resolve t = 1e\\+17"):
+            call()
+    # the step still resolves t = 1e10 (ulp 1.9e-6)
+    Q = hamiltonian_from_linear_path(rotation, 1e10, fd_step=1e-3)
+    assert np.max(np.abs(Q - np.eye(2))) < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,45 @@ def test_lattice_enumerated_once_per_system(monkeypatch):
     monkeypatch.setattr(frames, "lattice_points", counting)
     sys = standard_system(radius=4.0)
     frame_bounds(sys)
-    # the system's lattice and its adjoint lattice, once each
-    assert len(calls) == 2
-    assert calls[0] is sys.lattice and calls[1] is not sys.lattice
+    # the adjoint lattice only: the report never reads the system's points
+    dual = adjoint_lattice(sys.lattice, HBAR)
+    assert len(calls) == 1 and calls[0] is not sys.lattice
+    assert np.array_equal(calls[0].generator, dual.generator)
+    assert (calls[0].radius, calls[0].shift.tolist()) == (dual.radius, [0.0, 0.0])
+    # the system's own lattice on the first read of its points, and only then
+    for _ in range(2):
+        sys.points
+    assert len(calls) == 2 and calls[1] is sys.lattice
+
+
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_lattice_bounds_enumerate_one_unshifted_lattice(monkeypatch, side):
+    # Lambda^o below the critical density, Lambda without its shift at or
+    # past it; never the system's own lattice
+    import gaborflow.frames as frames
+
+    calls = []
+    monkeypatch.setattr(frames, "lattice_points", lambda lat: calls.append(lat) or
+                        lattice_points(lat))
+    sys = GaborSystem(standard_gaussian(1, HBAR),
+                      Lattice(np.diag([side, side]), 6.0, shift=[0.3, -0.45]), HBAR)
+    frame_bounds(sys)
+    gram = adjoint_lattice(sys.lattice, HBAR) if side < 1 else sys.lattice
+    (lat,) = calls
+    assert lat is not sys.lattice
+    assert np.array_equal(lat.generator, gram.generator)
+    assert (lat.radius, lat.shift.tolist()) == (6.0, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.1, 1.1), (1.0, 2.0)], ids=["1.21", "2"])
+def test_lattice_reports_do_not_depend_on_the_shift(alpha, beta):
+    # past the critical density b_est comes from the Gram of the lattice
+    # without its shift, so the shift cannot move even its last bit
+    window = standard_gaussian(1, HBAR)
+    plain = Lattice(np.diag([alpha, beta]), 16.0)
+    shifted = Lattice(plain.generator, 16.0, shift=[0.3, -0.45])
+    assert frame_bounds(GaborSystem(window, shifted, HBAR)) == frame_bounds(
+        GaborSystem(window, plain, HBAR))
 
 
 # a standard window on the points of a shifted lattice, given as an array (a
@@ -743,7 +779,9 @@ def test_no_lattice_at_or_past_the_critical_density_carries_a_frame(monkeypatch,
     report = frame_bounds(sys)
     assert (report.a_est, report.ratio, report.is_frame, report.method) == (
         0.0, float("inf"), False, "dual")
-    assert [s.lattice for s in built] == [sys.lattice]
+    (lat,) = [s.lattice for s in built]
+    assert np.array_equal(lat.generator, sys.lattice.generator)
+    assert (lat.radius, lat.shift.tolist()) == (sys.lattice.radius, [0.0, 0.0])
     full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
     assert report.b_est == pytest.approx(full[-1], rel=1e-13)
 

@@ -188,6 +188,36 @@ def test_generating_function_and_dilation_judge_l_by_its_own_scale():
             make_generator("dilation", L=L)
 
 
+def test_generating_function_and_dilation_reject_a_non_finite_l():
+    # exp(800) is inf: refused as not finite, not as singular
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidMatrix, match="L must be finite"):
+            GeneratingFunctionData(np.zeros((1, 1)), [[bad]], np.zeros((1, 1)))
+        with pytest.raises(InvalidMatrix, match="dilation requires finite L"):
+            make_generator("dilation", L=[[bad]])
+        with pytest.raises(InvalidMatrix, match="P must be finite"):
+            make_generator("shear", P=[[bad]])
+
+
+def test_huge_finite_l_is_invertible():
+    # the column norms of exp(700) overflow when squared; the singularity
+    # test divides each column by its largest entry first
+    from gaborflow import symplectic
+
+    L = np.array([[np.exp(700.0), 0.0], [1.0, np.exp(-700.0)]])
+    assert not symplectic._is_singular(L)
+    M = make_generator("dilation", L=[[np.exp(700.0)]])
+    assert M[1, 1] == np.exp(700.0)
+    assert symplectic._is_singular(np.array([[1e300, 2e300], [1e300, 2e300]]))
+    assert symplectic._is_singular(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_is_symplectic_does_not_overflow_on_a_huge_matrix():
+    # ||S||^2 = 1e400 is out of float range
+    assert is_symplectic(make_generator("shear", P=[[1e200]]))
+    assert not is_symplectic(np.diag([1e200, 1e200]))
+
+
 def test_generating_function_symplectic(rng):
     for _ in range(10):
         P = rng.normal(size=(2, 2))
