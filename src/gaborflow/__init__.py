@@ -22,7 +22,6 @@ from .symplectic import (
     AffineSymplectic,
     GeneratingFunctionData,
     Lattice,
-    PhasePoint,
     adjoint_lattice,
     affine_compose,
     affine_inverse,

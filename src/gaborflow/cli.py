@@ -29,15 +29,14 @@ from .config import (
 )
 from .deformation import DeformationConfig, deform_sweep, invariance_check, weak_deform
 from .dynamics import (
-    ARRAY_BYTE_BUDGET,
     auto_method,
     default_steps,
     hamiltonian_from_isotopy,
     hamiltonian_from_linear_path,
     integrate,
 )
-from .errors import GaborflowError, ResourceLimit
-from .frames import EstimationConfig, frame_bounds, gaussian_frame_criterion
+from .errors import GaborflowError, check_bytes
+from .frames import EstimationConfig, check_frame_vectors, frame_bounds, gaussian_frame_criterion
 from .gaussians import GaussianState
 from .symplectic import rotation, make_generator
 
@@ -167,6 +166,9 @@ def cmd_invariance(args, cfg: RunConfig) -> int:
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise GaborflowError("--tol must be finite and >= 0")
     sys_ = build_system(cfg)
+    # before any state is built: the frame terms of the trials' one-component
+    # states outweigh the states themselves
+    check_frame_vectors(sys_, args.trials, args.trials, 0, "reduce --trials")
     H = build_hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
     psis = [_random_test_state(rng, cfg.dimension, cfg.hbar) for _ in range(args.trials)]
@@ -215,9 +217,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         if len(parts) != 3:
             raise GaborflowError(f"grid spec {spec!r} must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if 8 * count > ARRAY_BYTE_BUDGET:
-            raise ResourceLimit(f"grid spec {spec!r} needs {8 * count} bytes "
-                                f"(budget {ARRAY_BYTE_BUDGET})")
+        check_bytes(8 * count, f"grid spec {spec!r}", "reduce its count")
         grid = np.linspace(start, stop, count)
     else:
         grid = np.asarray(parse_float_list(spec))

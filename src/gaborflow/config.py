@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import Hamiltonian, builtin_hamiltonian
-from .errors import ConfigError
+from .errors import ConfigError, check_bytes
 from .frames import EstimationConfig, GaborSystem, default_radius
 from .gaussians import GaussianState
 from .symplectic import Lattice, separable_lattice
@@ -55,6 +55,8 @@ class RunConfig:
         if self.dimension < 1:
             raise ConfigError("dimension", "must be >= 1")
         n = self.dimension
+        # before any array that n sizes: the window's and S_t's are 2n x 2n
+        check_bytes(64 * n**2, f"a 2n x 2n complex matrix at dimension {n}", "reduce --dimension")
         for name in ("alpha", "beta"):
             vec = getattr(self, name)
             if vec is not None:

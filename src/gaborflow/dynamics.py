@@ -16,16 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DimensionMismatch, DivergenceError, InvalidMatrix, InverseIterationError,
-                     ResolutionError, ResourceLimit)
+                     ResolutionError, check_bytes)
 from .symplectic import AffineSymplectic, as_phase_vector, is_symplectic, standard_j
 
 OVERFLOW_GUARD = 1e8
 GUARD_BLOCK = 256       # integrator steps between two overflow-guard checks
 FD_STEP = 1e-6          # gradient / Jacobian central differences
 FD_HESSIAN_STEP = 1e-4  # second differences need a larger step
-# Bytes of the arrays that a caller's count sizes (integrate's times, points,
-# S_t and step derivatives; a CLI sweep grid), checked before they are allocated.
-ARRAY_BYTE_BUDGET = 1 << 30
 # constant Hessians of the builtin family, shared by every evaluation
 _EYE1, _EYE2 = np.eye(1), np.eye(2)
 _EYE1.setflags(write=False)
@@ -618,7 +615,7 @@ def integrate(
     nodes, is computed on the first read of Trajectory.action.  Raises
     ResourceLimit when the times, points and S_t, with the stack of step
     derivatives (and RK4's inner stage points and four stage Hessians), would
-    exceed ARRAY_BYTE_BUDGET.
+    exceed errors.BYTE_BUDGET.
     """
     if steps < 1:
         raise InvalidMatrix("steps must be >= 1")
@@ -629,9 +626,7 @@ def integrate(
     need = 8 * (int(steps) + 1) * (1 + z0.size + (tangent if variational else 0))
     if variational:  # the step derivatives, and RK4's inner stage points and stage Hessians
         need += 8 * int(steps) * (tangent + (3 * z0.size + 4 * tangent if method == "rk4" else 0))
-    if need > ARRAY_BYTE_BUDGET:
-        raise ResourceLimit(f"{steps} steps of {z0.size // dim} points need {need} bytes "
-                            f"(budget {ARRAY_BYTE_BUDGET}); reduce steps or points")
+    check_bytes(need, f"{steps} steps of {z0.size // dim} points", "reduce steps or points")
     h = t_final / steps
     times = t0 + h * np.arange(steps + 1)
     points = np.zeros((steps + 1,) + z0.shape)
@@ -709,13 +704,14 @@ def suspended_flow(H: Hamiltonian, t: float, state, steps: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _time_derivative(fn: Callable, t: float, step: float) -> np.ndarray:
-    """The central difference (fn(t + step) - fn(t - step)) / (2 step).
+    """The central difference (fn(t + step) - fn(t - step)), divided by the
+    distance (t + step) - (t - step) of the times as floats, not by 2 step.
     Raises ResolutionError when t + step or t - step rounds to t, where the
     difference would read 0 (from |t| of about 2^53 step on)."""
-    if t + step == t or t - step == t:
+    hi, lo = t + step, t - step
+    if hi == t or lo == t:
         raise ResolutionError(f"time step {step} does not resolve t = {t}")
-    return (np.asarray(fn(t + step), dtype=float)
-            - np.asarray(fn(t - step), dtype=float)) / (2 * step)
+    return (np.asarray(fn(hi), dtype=float) - np.asarray(fn(lo), dtype=float)) / (hi - lo)
 
 
 def hamiltonian_from_linear_path(path: Callable, t: float, derivative=None,
@@ -758,34 +754,39 @@ def quadratic_form_blocks(path: Callable, t: float, fd_step: float = 1e-5):
 
 def _local_inverse(fn: Callable, y: np.ndarray, tol: float = 1e-12,
                    max_iter: int = 60) -> np.ndarray:
-    """Solve fn(w) = y by damped Newton iteration starting from w = y."""
+    """Solve fn(w) = y by damped Newton iteration starting from w = y.  fn is
+    evaluated with overflow ignored; a step whose residual is not finite is
+    never taken, and InverseIterationError is raised when the start's is not."""
     y = np.asarray(y, dtype=float)
-    w = y.copy()
-    scale = max(1.0, float(np.max(np.abs(y))))
-    res = np.asarray(fn(w)) - y
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol * scale:
-            return w
-        Jac = finite_difference_jacobian(fn, w)
-        try:
-            delta = np.linalg.solve(Jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise InverseIterationError("singular Jacobian in inverse iteration",
-                                        residual=float(np.max(np.abs(res)))) from exc
-        damp = 1.0
-        for _ in range(30):
-            w_try = w - damp * delta
-            res_try = np.asarray(fn(w_try)) - y
-            if np.max(np.abs(res_try)) < np.max(np.abs(res)):
-                w, res = w_try, res_try
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = y.copy()
+        scale = max(1.0, float(np.max(np.abs(y))))
+        res = np.asarray(fn(w)) - y
+        if not np.all(np.isfinite(res)):
+            raise InverseIterationError("inverse iteration left the float range")
+        for _ in range(max_iter):
+            if np.max(np.abs(res)) <= tol * scale:
+                return w
+            Jac = finite_difference_jacobian(fn, w)
+            try:
+                delta = np.linalg.solve(Jac, res)
+            except np.linalg.LinAlgError as exc:
+                raise InverseIterationError("singular Jacobian in inverse iteration",
+                                            residual=float(np.max(np.abs(res)))) from exc
+            damp = 1.0
+            for _ in range(30):
+                w_try = w - damp * delta
+                res_try = np.asarray(fn(w_try)) - y
+                if np.max(np.abs(res_try)) < np.max(np.abs(res)):
+                    w, res = w_try, res_try
+                    break
+                damp *= 0.5
+            else:
                 break
-            damp *= 0.5
-        else:
-            break
-    if np.max(np.abs(res)) <= 1e-9 * scale:
-        return w
-    raise InverseIterationError("inverse iteration did not converge",
-                                residual=float(np.max(np.abs(res))))
+        if np.max(np.abs(res)) <= 1e-9 * scale:
+            return w
+        raise InverseIterationError("inverse iteration did not converge",
+                                    residual=float(np.max(np.abs(res))))
 
 
 def hamiltonian_from_isotopy(f: Callable, t: float, z, nodes: int = 65,
@@ -805,7 +806,8 @@ def hamiltonian_from_isotopy(f: Callable, t: float, z, nodes: int = 65,
 
     def velocity(w):
         back = _local_inverse(lambda u: np.asarray(f(t, u), dtype=float), w)
-        return _time_derivative(lambda s: f(s, back), t, fd_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _time_derivative(lambda s: f(s, back), t, fd_step)
 
     def integrand(lam):
         return -float(z @ (J @ velocity(lam * z)))

@@ -21,6 +21,23 @@ class ResourceLimit(GaborflowError, RuntimeError):
     """An enumeration or allocation would exceed the configured cap."""
 
 
+# Bytes that any one computation sized by a caller's count (lattice radius,
+# points, steps, grid, trials, dimension) may allocate, checked by check_bytes
+# before its arrays exist.  Read at call time, so a patch of this name reaches
+# every check.
+BYTE_BUDGET = 1 << 30
+
+
+def check_bytes(need, what: str, remedy: str):
+    """Raise ResourceLimit when `what` needs more than BYTE_BUDGET bytes.  need
+    is an int or a float (inf included); `what` takes "need" when it ends in
+    an s (a plural) and "needs" otherwise."""
+    if need > BYTE_BUDGET:
+        shown = f"{need:.0f}" if isinstance(need, float) else need
+        verb = "need" if what.endswith("s") else "needs"
+        raise ResourceLimit(f"{what} {verb} {shown} bytes (budget {BYTE_BUDGET}); {remedy}")
+
+
 class ResolutionError(GaborflowError, ValueError):
     """A sampled grid does not resolve the oscillation of the requested transform."""
 

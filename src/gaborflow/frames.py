@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import blas_threads
-from .errors import DimensionMismatch, InvalidMatrix, ResourceLimit
+from .errors import DimensionMismatch, InvalidMatrix, check_bytes
 from .gaussians import (
     GaussianMixture,
     GaussianState,
@@ -371,23 +371,31 @@ def _eigenvalue_range(rows: np.ndarray, sym: _Sectors) -> tuple[float, float]:
 def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
     """Matrix m[j, p] = <psi_j | T(z_p) phi> of Gaussian, mixture and Hermite
     states, in closed form.  Raises ResourceLimit before the kernel runs when
-    the overlaps of the states and their modes, and those of their Gaussian
-    components with the kernel's temporaries, would exceed
-    FRAME_BOUNDS_BYTE_BUDGET."""
+    its arrays would exceed errors.BYTE_BUDGET (check_frame_vectors)."""
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
     analytic = (GaussianState, GaussianMixture, HermiteState)
     if not all(isinstance(s, analytic) and s.n == sys.n for s in family):
         raise DimensionMismatch("test states must be Gaussian, mixture or Hermite states of "
                                 "the window's dimension")
-    N = sys.points.shape[0]
     components = sum(len(s._stack.coefficients) for s in family)
     modes = max((len(s.coefficients) for s in family if isinstance(s, HermiteState)), default=0)
-    need = N * (16 * (len(family) + modes) + components * _overlap_bytes(sys.n))
-    if need > FRAME_BOUNDS_BYTE_BUDGET:
-        raise ResourceLimit(f"frame terms of {len(family)} states at {N} points need {need} "
-                            f"bytes (budget {FRAME_BOUNDS_BYTE_BUDGET}); reduce radius")
+    check_frame_vectors(sys, len(family), components, modes, "reduce radius")
     return _shift_overlaps(family, sys.window, sys.points)
+
+
+def check_frame_vectors(sys: GaborSystem, states: int, components: int, modes: int,
+                        remedy: str):
+    """Raise ResourceLimit when _frame_vectors of `states` states with
+    `components` Gaussian components in all and `modes` oscillator modes would
+    exceed the budget: the overlaps of the states and their modes, and those
+    of the components with the kernel's temporaries, at every point, and the
+    state-by-component and state-by-mode coefficient blocks with their
+    zero-row padded copies."""
+    N = sys.points.shape[0]
+    need = (N * (16 * (states + modes) + components * _overlap_bytes(sys.n))
+            + 2 * 16 * states * (components + modes))
+    check_bytes(need, f"frame terms of {states} states at {N} points", remedy)
 
 
 def _family_gram(family) -> np.ndarray:
@@ -423,13 +431,6 @@ def residual_tail_estimate(sys: GaborSystem) -> float:
     return float(density * (2.0 * np.pi * s) ** n * _upper_gamma_q(n, R**2 / (2.0 * s)))
 
 
-# Bytes frame_bounds may allocate for its Gram rows and blocks and test family,
-# and frame_terms for its overlaps, checked before any of them is built.  The
-# largest benchmark system (alpha*beta = 1/2, R = 16: 405 adjoint points)
-# needs about 6.0 MB.
-FRAME_BOUNDS_BYTE_BUDGET = 1 << 30
-
-
 def _gram_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     """Bytes of the largest arrays of a sector solve of the Gram of sys: the
     Gram rows of sym's representatives, one row chunk of kernel temporaries,
@@ -456,12 +457,6 @@ def _frame_bounds_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     return _gram_bytes(sys, sym) + 16 * (family * N + components**2)
 
 
-def _check_bytes(sys: GaborSystem, need: int, remedy: str):
-    if need > FRAME_BOUNDS_BYTE_BUDGET:
-        raise ResourceLimit(f"frame bounds of {sys.points.shape[0]} points need {need} bytes "
-                            f"(budget {FRAME_BOUNDS_BYTE_BUDGET}); {remedy}")
-
-
 def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
     """Estimate the frame bounds of a truncated Gabor system.
 
@@ -485,13 +480,15 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     parity, from the rows of orbit representatives only (see _symmetry and
     _sector_blocks).  Every solve runs on one BLAS thread, so the output
     does not depend on the core count.  Raises ResourceLimit when the arrays
-    would exceed FRAME_BOUNDS_BYTE_BUDGET.
+    would exceed errors.BYTE_BUDGET; the largest benchmark system (alpha*beta =
+    1/2, R = 16: 405 adjoint points) needs about 6.0 MB.
     """
     cfg = cfg or EstimationConfig()
     if isinstance(sys.lattice, Lattice):
         return _dual_bounds(sys, cfg)
     sym = _symmetry(sys)
-    _check_bytes(sys, _frame_bounds_bytes(sys, sym), "reduce radius")
+    check_bytes(_frame_bounds_bytes(sys, sym), f"frame bounds of {sys.points.shape[0]} points",
+                "reduce radius")
     with blas_threads(1):
         witnesses = deficiency_witnesses(sys)
         family = build_test_family(sys.n, sys.hbar, FAMILY_SIZE, witnesses=witnesses)
@@ -517,7 +514,8 @@ def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
                 else Lattice(lat.generator, lat.radius))
     gram_sys = GaborSystem(sys.window, gram_lat, sys.hbar)
     sym = _symmetry(gram_sys)
-    _check_bytes(gram_sys, _gram_bytes(gram_sys, sym), "reduce radius")
+    check_bytes(_gram_bytes(gram_sys, sym), f"frame bounds of {gram_sys.points.shape[0]} points",
+                "reduce radius")
     with blas_threads(1):
         least, largest = _eigenvalue_range(_gram_matrix(gram_sys, sym), sym)
     if frame_density:

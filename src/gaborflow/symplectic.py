@@ -12,57 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMatrix, ResourceLimit
+from .errors import DimensionMismatch, InvalidMatrix, ResourceLimit, check_bytes
 
 TOL_SYMPLECTIC = 1e-10
 
 # Guard against runaway lattice enumerations.
 POINT_CAP = 500_000
-_ENUMERATION_BYTE_BUDGET = 1 << 30  # bytes of the index box of lattice_points
-
-
-@dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """A point z = (x, p) of R^{2n}."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if x.ndim != 1 or p.ndim != 1 or x.size != p.size or x.size < 1:
-            raise DimensionMismatch(
-                f"x and p must be equal-length vectors, got {x.shape} and {p.shape}"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
-
-    @classmethod
-    def from_z(cls, z) -> "PhasePoint":
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size % 2 != 0 or z.size == 0:
-            raise DimensionMismatch(f"phase vector must have even length, got {z.size}")
-        n = z.size // 2
-        return cls(z[:n], z[n:])
 
 
 def as_phase_vector(z, n: int | None = None) -> np.ndarray:
-    """Coerce a PhasePoint or array-like into a flat (2n,) vector."""
-    if isinstance(z, PhasePoint):
-        vec = z.z
-    else:
-        vec = np.asarray(z, dtype=float).ravel()
-        if vec.size % 2 != 0 or vec.size == 0:
-            raise DimensionMismatch(f"phase vector must have even length, got {vec.size}")
+    """Coerce an array-like into a flat (2n,) vector."""
+    vec = np.asarray(z, dtype=float).ravel()
+    if vec.size % 2 != 0 or vec.size == 0:
+        raise DimensionMismatch(f"phase vector must have even length, got {vec.size}")
     if n is not None and vec.size != 2 * n:
         raise DimensionMismatch(f"expected a phase vector of length {2 * n}, got {vec.size}")
     return vec
@@ -327,8 +289,8 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     """Enumerate the truncated lattice, shape (num_points, 2n).
 
     Deterministic lexicographic order in the integer index k.  Raises
-    ResourceLimit when the index box would exceed _ENUMERATION_BYTE_BUDGET or
-    the points POINT_CAP.
+    ResourceLimit when the index box would exceed errors.BYTE_BUDGET or the
+    points POINT_CAP.
     """
     gen = lat.generator
     dim = gen.shape[0]
@@ -340,9 +302,7 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     # alive at once, each holding dim float64s per candidate index; Python
     # floats overflow to inf without a numpy warning
     need = 24.0 * dim * math.prod(2.0 * float(h) + 1.0 for h in half_widths)
-    if need > _ENUMERATION_BYTE_BUDGET:
-        raise ResourceLimit(f"lattice enumeration needs {need:.0f} bytes "
-                            f"(budget {_ENUMERATION_BYTE_BUDGET}); reduce radius")
+    check_bytes(need, "lattice enumeration", "reduce radius")
     bounds = half_widths.astype(int)
     axes = [np.arange(-b, b + 1) for b in bounds]
     ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
+from gaborflow import errors
 from gaborflow.cli import _config_from_args, _json_text, build_arg_parser, main
 from gaborflow.config import (
     PARAMETERS,
@@ -21,6 +22,7 @@ from gaborflow.config import (
     parse_complex_list,
     parse_float_list,
 )
+from gaborflow.errors import ResourceLimit
 from gaborflow.symplectic import rotation
 
 
@@ -88,11 +90,9 @@ def test_frame_check_exit_codes(capsys):
 
 
 def test_frame_check_over_the_byte_budget_exits_1(capsys, monkeypatch):
-    import gaborflow.frames as frames
-
     # the 161 adjoint-lattice points of 241 lattice points at the default
     # radius need 952,560 bytes
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 950_000)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 950_000)
     code, out, err = run_cli(capsys, "frame-check", "--alpha", "0.9", "--beta", "0.9")
     assert code == 1
     assert out == ""
@@ -581,13 +581,19 @@ def test_malformed_scalar_flag_exits_2(capsys, param):
 def test_sweep_grid_count_is_checked_in_bytes(capsys, monkeypatch):
     import gaborflow.cli as cli
 
-    argv = ("sweep", "--ab-grid", "0.5:1:3", "--radius", "2")
-    monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 8 * 3 - 1)
-    code, out, err = run_cli(capsys, *argv)
+    # a budget under the 64 bytes of --dimension 1 stops a CLI call before
+    # its grid is parsed, so the bounds are taken on the parser
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * 3 - 1)
+    with pytest.raises(ResourceLimit, match=r"^grid spec '0\.5:1:3' needs 24 bytes \(budget 23\); "
+                                            r"reduce its count$"):
+        cli._parse_grid("0.5:1:3")
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * 3)
+    assert cli._parse_grid("0.5:1:3").tolist() == [0.5, 0.75, 1.0]
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "sweep", "--ab-grid", "0.5:1:200000000")
     assert (code, out) == (1, "")
-    assert err == "error: grid spec '0.5:1:3' needs 24 bytes (budget 23)\n"
-    monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 8 * 3)
-    assert run_cli(capsys, *argv)[0] == 0
+    assert err == ("error: grid spec '0.5:1:200000000' needs 1600000000 bytes "
+                   "(budget 1073741824); reduce its count\n")
 
 
 def test_expression_error_exit_code(capsys):
@@ -662,6 +668,57 @@ def test_expression_parser_and_configparser_load_only_when_used(tmp_path):
     assert [code for _, code, _ in report] == [0] * 5
     assert [modules for _, _, modules in report] == [
         [], [], [], ["configparser"], ["configparser", "gaborflow.expressions"]]
+
+
+def _limited_address_space():
+    import resource
+
+    # 4 GiB: a call that allocates what its input asks for fails here with a
+    # MemoryError instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariance", "--trials", "1000000000"],
+     "frame terms of 1000000000 states at 197 points need 32000018912000000000 bytes "
+     "(budget 1073741824); reduce --trials"),
+    # past the frame terms' own bytes, the states' coefficient block grows
+    # like trials^2: 11000 trials took 4 GB
+    (["invariance", "--trials", "11000"],
+     "frame terms of 11000 states at 197 points need 4080032000 bytes "
+     "(budget 1073741824); reduce --trials"),
+    (["frame-check", "--dimension", "100000"],
+     "a 2n x 2n complex matrix at dimension 100000 needs 640000000000 bytes "
+     "(budget 1073741824); reduce --dimension"),
+    (["criterion", "--dimension", "4097"],
+     "a 2n x 2n complex matrix at dimension 4097 needs 1074266176 bytes "
+     "(budget 1073741824); reduce --dimension"),
+    (["path-hamiltonian", "--path-name", "dilation", "--t", "700"],
+     "inverse iteration did not converge"),
+    (["path-hamiltonian", "--path-name", "shear", "--t", "1e10"],
+     "inverse iteration did not converge"),
+], ids=["trials", "trials-squared", "dimension", "criterion-dimension", "dilation-overflow",
+        "shear-1e10"])
+def test_hostile_call_ends_in_one_error_line(argv, message):
+    # in a child under an address-space limit and a timeout, with overflow
+    # warnings made errors: a count the byte budget missed would run out of
+    # memory or time there, and an unguarded overflow would end in a traceback
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gaborflow.cli",
+                           *argv], capture_output=True, text=True, timeout=60,
+                          env=child_env(OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=_limited_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_path_hamiltonian_far_from_zero_keeps_its_values(capsys):
+    # t +- 1e-5 at t = 1e10 are 1.9e-5 apart as floats; divided by 2e-5 the
+    # rotation read Q = 0.9537 I and values 0.4768, 0.4768, 0.3099, 0.8059
+    code, out, _ = run_cli(capsys, "path-hamiltonian", "--path-name", "rotation", "--t", "1e10")
+    assert code == 0
+    result = loads(out)["result"]
+    assert np.abs(np.array(result["quadratic_form"]) - np.eye(2)).max() < 1e-9
+    values = [entry["value"] for entry in result["isotopy_values"]]
+    assert values == pytest.approx([0.5, 0.5, 0.325, 0.845], abs=1e-9)
 
 
 def test_frame_check_output_does_not_depend_on_the_blas_thread_count():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gaborflow import errors
 from gaborflow.dynamics import (
     Hamiltonian,
     SeparableParts,
@@ -227,24 +228,22 @@ def test_default_steps():
 
 
 def test_integrate_checks_its_bytes_before_allocating(monkeypatch):
-    import gaborflow.dynamics as dynamics
-
     H = builtin_hamiltonian("anharmonic", 1)
     z0 = np.zeros((3, 2))
     # times, then 3 points and 3 S_t of 2 x 2 per node, and the 10 steps'
     # derivatives of 3 x 2 x 2
     need = 8 * 11 * (1 + 6 + 12) + 8 * 10 * 12
-    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     assert integrate(H, z0, 1.0, 10).points.shape == (11, 3, 2)
-    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         integrate(H, z0, 1.0, 10)
     # RK4 adds its three inner stage points of 3 x 2 and four stage Hessians
     # of 3 x 2 x 2 per step
     need_rk4 = need + 8 * 10 * (3 * 6 + 4 * 12)
-    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need_rk4)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need_rk4)
     integrate(H, z0, 1.0, 10, method="rk4")
-    monkeypatch.setattr(dynamics, "ARRAY_BYTE_BUDGET", need_rk4 - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need_rk4 - 1)
     with pytest.raises(ResourceLimit, match=f"need {need_rk4} bytes"):
         integrate(H, z0, 1.0, 10, method="rk4")
     # without S_t only the times and points count
@@ -825,9 +824,11 @@ def test_time_differences_that_cannot_resolve_t_raise():
                  lambda: hamiltonian_from_isotopy(iso, 1e17, [0.7, -0.4])):
         with pytest.raises(ResolutionError, match="does not resolve t = 1e\\+17"):
             call()
-    # the step still resolves t = 1e10 (ulp 1.9e-6)
-    Q = hamiltonian_from_linear_path(rotation, 1e10, fd_step=1e-3)
-    assert np.max(np.abs(Q - np.eye(2))) < 1e-2
+    # the step still resolves t = 1e10 (ulp 1.9e-6), where t +- 1e-5 are
+    # 5 ulp = 1.9e-5 apart: divided by 2e-5 instead, Q read 0.9537 I
+    Q = hamiltonian_from_linear_path(rotation, 1e10)
+    assert np.max(np.abs(Q - np.eye(2))) < 1e-9
+    assert hamiltonian_from_isotopy(iso, 1e10, [0.7, -0.4]) == pytest.approx(0.325, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +909,20 @@ def test_backward_error_of_euler_step():
     euler = symplectic_euler_step(H, z, dt)
     fine = flow_map(K, z, 0.0, dt, steps=10_000, method="rk4")
     assert np.linalg.norm(euler - fine) < 1e-6
+
+
+def test_isotopy_inverse_that_leaves_the_float_range_raises():
+    from gaborflow.errors import InverseIterationError
+
+    # exp(700) = 1.0e304, so a Newton step that grows w past about 1e4
+    # overflows; the overflow is no warning, and the step is not taken
+    def dilation(t, z):
+        return np.diag([np.exp(t), np.exp(-t)]) @ np.asarray(z, dtype=float)
+
+    with pytest.raises(InverseIterationError):
+        hamiltonian_from_isotopy(dilation, 700.0, [0.7, -0.4], nodes=5)
+    with pytest.raises(InverseIterationError, match="left the float range"):
+        hamiltonian_from_isotopy(dilation, 700.0, [1e5, 0.0], nodes=5)
 
 
 def test_isotopy_inverse_failure_reports_residual():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaborflow import errors
 from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from gaborflow.frames import (
     EstimationConfig,
@@ -629,7 +630,7 @@ def test_frame_bounds_checks_its_byte_budget_before_allocating(monkeypatch):
     built = []
     monkeypatch.setattr(frames, "deficiency_witnesses", lambda *a: built.append(a))
     calls = counting_calls(monkeypatch, "_overlap_core")
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         frame_bounds(sys)
     assert built == [] and calls == []
@@ -642,7 +643,7 @@ def test_frame_bounds_counts_the_test_family_in_its_byte_budget(monkeypatch):
     monkeypatch.setattr(frames, "build_test_family", lambda *a, **k: built.append(a))
     sys = standard_points(radius=4.0)
     monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", _frame_bounds_bytes(sys, _symmetry(sys)))
+    monkeypatch.setattr(errors, "BYTE_BUDGET", _frame_bounds_bytes(sys, _symmetry(sys)))
     monkeypatch.setattr(frames, "FAMILY_SIZE", 9)
     with pytest.raises(ResourceLimit):
         frame_bounds(sys)
@@ -664,7 +665,6 @@ def test_frame_bounds_with_a_huge_family_raises_before_building_it(monkeypatch):
 
 
 def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
-    import gaborflow.frames as frames
     from gaborflow.deformation import invariance_check
     from gaborflow.dynamics import builtin_hamiltonian
 
@@ -672,19 +672,22 @@ def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
     N = len(sys.points)
     family = build_test_family(1, HBAR, 8)
     # one row of overlaps per state and per mode of the longest HermiteState,
-    # and per mixture component one of kernel overlaps at 80 bytes each (n = 1)
+    # and per mixture component one of kernel overlaps at 80 bytes each (n = 1);
+    # then the state-by-component and state-by-mode coefficient blocks, each
+    # twice (padded by a zero row for the product)
     components = sum(len(s.components) for s in family if isinstance(s, GaussianMixture))
     modes = max(len(s.coefficients) for s in family if isinstance(s, HermiteState))
-    need = N * (16 * (len(family) + modes) + 80 * components)
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need)
+    need = (N * (16 * (len(family) + modes) + 80 * components)
+            + 2 * 16 * len(family) * (components + modes))
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     assert frame_terms(sys, family).shape == (len(family), N)
     calls = counting_calls(monkeypatch, "_overlap_core")
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"need {need} bytes"):
         frame_terms(sys, family)
     # the matched-pair checks run on frame_terms
     mixtures = [s for s in family if isinstance(s, GaussianMixture)]
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", 16 * N)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 16 * N)
     for check in (lambda: covariance_check(sys, rotation(0.3), mixtures),
                   lambda: translation_check(sys, [0.1, 0.2], [0.3, 0.0], mixtures),
                   lambda: rescaling_check(sys, 0.5, mixtures),
@@ -787,8 +790,6 @@ def test_no_lattice_at_or_past_the_critical_density_carries_a_frame(monkeypatch,
 
 
 def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
-    import gaborflow.frames as frames
-
     sys = standard_system()
     dual = GaborSystem(sys.window, adjoint_lattice(sys.lattice, HBAR), HBAR)
     # the adjoint of the square lattice is square: the quarter turn, as in
@@ -798,11 +799,11 @@ def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
     need = 16 * R * N + 80 * R * N + 2 * 16 * 4 * R * R + 16 * (R * R + 3 * (R - 1) ** 2)
     assert _gram_bytes(dual, _symmetry(dual)) == need
     calls = counting_calls(monkeypatch, "_overlap_core")
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"of {N} points need {need} bytes"):
         frame_bounds(sys)
     assert calls == []
-    monkeypatch.setattr(frames, "FRAME_BOUNDS_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     assert frame_bounds(sys).is_frame
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from gaborflow import errors
 from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from gaborflow.symplectic import (
     AffineSymplectic,
     GeneratingFunctionData,
     Lattice,
-    PhasePoint,
     affine_compose,
     affine_inverse,
     adjoint_lattice,
@@ -82,13 +82,7 @@ def test_standard_j_squares_to_minus_identity():
         assert np.array_equal(J.T @ J, np.eye(2 * n))
 
 
-def test_phase_point_roundtrip():
-    pt = PhasePoint([1.0, 2.0], [3.0, 4.0])
-    assert pt.n == 2
-    assert np.array_equal(pt.z, [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(PhasePoint.from_z(pt.z).x, pt.x)
-    with pytest.raises(DimensionMismatch):
-        PhasePoint([1.0], [1.0, 2.0])
+def test_phase_vector_has_even_length():
     with pytest.raises(DimensionMismatch):
         as_phase_vector([1.0, 2.0, 3.0])
 
@@ -287,16 +281,14 @@ def test_lattice_point_cap(monkeypatch):
 
 
 def test_lattice_enumeration_checks_its_bytes_before_allocating(monkeypatch):
-    import gaborflow.symplectic as symplectic
-
     # 11 x 11 index candidates at 3 arrays of 2 float64 coordinates each
     need = 24 * 2 * 11 * 11
     lat = separable_lattice([0.9], [0.9], 4.0)
-    monkeypatch.setattr(symplectic, "_ENUMERATION_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     assert len(lattice_points(lat)) == 61
     built = []
     monkeypatch.setattr(np, "meshgrid", lambda *a, **kw: built.append(a))
-    monkeypatch.setattr(symplectic, "_ENUMERATION_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(ResourceLimit, match=f"needs {need} bytes"):
         lattice_points(lat)
     assert built == []
@@ -410,8 +402,8 @@ def test_adjoint_of_a_separable_lattice():
 
 
 def test_operations_accept_phase_points():
-    z = PhasePoint([1.0], [0.0])
-    w = PhasePoint([0.0], [1.0])
+    z = np.array([1.0, 0.0])
+    w = np.array([0.0, 1.0])
     assert symplectic_form(z, w) == -1.0
     g = AffineSymplectic.translation(z)
     assert np.allclose(g(w), [1.0, 1.0])
