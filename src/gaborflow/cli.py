@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -62,44 +63,78 @@ def _report_dict(report) -> dict:
     }
 
 
-def _json_text(obj, level: int) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) nested `level` deep (str keys);
-    a finite float ndarray is formatted at once by a "%r" template of its shape."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or not np.isfinite(obj).all():
-            return _json_text(obj.tolist(), level)
-        text = "%r"
-        for depth in range(obj.ndim - 1, -1, -1):  # innermost axis first
-            text = _json_block("[]", [text] * obj.shape[depth], level + depth)
-        return text % tuple(obj.ravel().tolist())
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_json_text(v, level + 1)}" for k, v in sorted(obj.items())]
-        return _json_block("{}", items, level)
-    if isinstance(obj, (list, tuple)):
-        return _json_block("[]", [_json_text(v, level + 1) for v in obj], level)
-    return json.dumps(obj)
+# Floats formatted into one block of output text: JSON arrays and CSV rows are
+# written a block at a time, so the output never holds much more than a block
+OUTPUT_BLOCK = 4096
 
 
-def _json_block(ends: str, items: list, level: int) -> str:
+def _json_parts(obj, level: int):
+    """The text of json.dumps(obj, sort_keys=True, indent=2) nested `level`
+    deep (str keys), in parts.  A finite float ndarray is formatted by "%r"
+    templates a block of rows at a time, any other ndarray item by item along
+    its leading axis, and a numpy scalar as its Python value."""
+    if isinstance(obj, np.generic) or isinstance(obj, np.ndarray) and obj.ndim == 0:
+        yield json.dumps(obj.item())
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and np.isfinite(obj).all():
+        yield from _array_parts(obj, level)
+    elif isinstance(obj, dict):
+        yield from _block_parts("{}", (chain((f"{json.dumps(k)}: ",), _json_parts(v, level + 1))
+                                       for k, v in sorted(obj.items())), level)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield from _block_parts("[]", (_json_parts(v, level + 1) for v in obj), level)
+    else:
+        yield json.dumps(obj)
+
+
+def _block_parts(ends: str, items, level: int):
+    """A JSON array or object, indented `level` deep, of items given as
+    iterables of parts."""
     pad = "\n" + "  " * level
-    return f"{ends[0]}{pad}  " + f",{pad}  ".join(items) + pad + ends[1] if items else ends
+    first = True
+    for item in items:
+        yield f"{ends[0]}{pad}  " if first else f",{pad}  "
+        first = False
+        yield from item
+    yield ends if first else pad + ends[1]
+
+
+def _array_parts(a: np.ndarray, level: int):
+    """_json_parts of a finite float array with a leading axis: each block of
+    rows, about OUTPUT_BLOCK floats, fills the "%r" template of one row
+    repeated, and the separator between rows also separates the blocks."""
+    row = "%r"
+    for depth in range(a.ndim - 1, 0, -1):  # innermost axis first
+        row = "".join(_block_parts("[]", [(row,)] * a.shape[depth], level + depth))
+    sep = ",\n" + "  " * (level + 1)
+    count = max(1, OUTPUT_BLOCK // max(1, math.prod(a.shape[1:])))
+    blocks = (a[start:start + count] for start in range(0, len(a), count))
+    return _block_parts("[]", ((sep.join([row] * len(b)) % tuple(b.ravel().tolist()),)
+                               for b in blocks), level)
+
+
+def _csv_parts(rows, header):
+    """The CSV text of a header and rows, a block of rows per part."""
+    yield ",".join(header) + "\n"
+    count = max(1, OUTPUT_BLOCK // max(1, len(header)))
+    for start in range(0, len(rows), count):
+        yield "".join(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in rows[start:start + count])
 
 
 def _write_output(payload: dict, rows, header, args, cfg: RunConfig):
-    """Emit JSON (nested payload) or CSV (tabular rows) to --out or stdout."""
+    """Emit JSON (nested payload) or CSV (tabular rows) to --out or stdout,
+    each part as soon as it is formatted.  Every value is computed before the
+    first byte is written."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        parts = _csv_parts(rows, header)
     else:
         meta = {"version": __version__, "seed": cfg.seed, "config_hash": config_hash(cfg)}
-        text = _json_text({"meta": meta, "result": payload}, 0) + "\n"
+        parts = chain(_json_parts({"meta": meta, "result": payload}, 0), ("\n",))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _random_test_state(rng, n: int, hbar: float) -> GaussianState:

@@ -354,26 +354,36 @@ def _expm(A: np.ndarray, t: float) -> np.ndarray:
 # The kick ("k") and drift ("d") stages of each splitting, with their fractions of h
 _SPLITTINGS = {"euler": (("k", 1.0), ("d", 1.0)),
                "verlet": (("d", 0.5), ("k", 1.0), ("d", 0.5))}
+# The same stages, each with whether it is the last of its kind, which writes
+# its half of the step's output
+_STAGES = {method: tuple((kind, frac, all(later != kind for later, _ in stages[i + 1:]))
+                         for i, (kind, frac) in enumerate(stages))
+           for method, stages in _SPLITTINGS.items()}
 
 
-def _split_step(H: Hamiltonian, method: str, z: np.ndarray, h: float, stages=None) -> np.ndarray:
+def _split_step(H: Hamiltonian, method: str, z: np.ndarray, h: float, stages=None,
+                out=None) -> np.ndarray:
     """One kick/drift step z -> z' of a separable H: a kick p -= c V'(x), a
-    drift x += c U'(p).  A list `stages` collects each stage's (kind, c, x or
-    p that it reads), from which _split_jacobians builds the step's
-    derivative."""
+    drift x += c U'(p).  The last stage of each kind writes its half of z'
+    straight into `out` (a new array when None), which is returned; no stage
+    writes over an array it reads.  A list `stages` collects each stage's
+    (kind, c, x or p that it reads), from which _split_jacobians builds the
+    step's derivative."""
     if H.separable is None:
         raise InvalidMatrix("this integrator requires a separable Hamiltonian U(p) + V(x)")
     sep, n = H.separable, H.n
+    if out is None:
+        out = np.empty_like(z)
     x, p = z[..., :n], z[..., n:]
-    for stage, frac in _SPLITTINGS[method]:
+    for stage, frac, last in _STAGES[method]:
         c = frac * h
         if stages is not None:
             stages.append((stage, c, x if stage == "k" else p))
         if stage == "k":
-            p = p - c * sep.dv(x)
+            p = np.subtract(p, c * sep.dv(x), out=out[..., n:] if last else None)
         else:
-            x = x + c * sep.du(p)
-    return np.concatenate([x, p], axis=-1)
+            x = np.add(x, c * sep.du(p), out=out[..., :n] if last else None)
+    return out
 
 
 def _split_jacobians(H: Hamiltonian, method: str, z: np.ndarray, h: float) -> np.ndarray:
@@ -549,31 +559,34 @@ def _rk4_jacobians(H: Hamiltonian, z: np.ndarray, inner: np.ndarray, times: np.n
     return _variational_rk4_step(np.eye(2 * H.n), h, *(J @ a for a in hessians))
 
 
-def _step_map(H: Hamiltonian, method: str, times: np.ndarray, h: float, inner=None):
-    """The one-step map (z, k) -> z' of a method with step h from node k, and
-    the map from the nodes z_k (k < steps) to the derivatives DPhi_h(z_k) of
-    their steps, batched over the leading axis.  For rk4 the derivatives need
-    `inner`, a (steps, 3, ..., 2n) array that the steps fill with their
-    inner stage points."""
+def _step_map(H: Hamiltonian, method: str, times: np.ndarray, h: float, points: np.ndarray,
+              inner=None):
+    """The step k -> node k of a method with step h, which reads node k - 1
+    of `points` and writes node k in place into points[k], and the map from
+    the nodes z_k (k < steps) to the derivatives DPhi_h(z_k) of their steps,
+    batched over the leading axis.  For rk4 the derivatives need `inner`, a
+    (steps, 3, ..., 2n) array that the steps fill with their inner stage
+    points."""
     if method == "exact":
         if not has_exact_flow(H):
             raise InvalidMatrix("exact integration requires an autonomous quadratic Hamiltonian")
         flow = quadratic_flow(H.quadratic.matrix(times[0]), H.quadratic.vector(times[0]), h)
 
-        def step(z, k):
-            return _matvec(flow.linear, z) + flow.shift
+        def step(k):
+            points[k] = _matvec(flow.linear, points[k - 1]) + flow.shift
 
         def jacobians(z):
             return flow.linear
     elif method in _SPLITTINGS:
-        def step(z, k):
-            return _split_step(H, method, z, h)
+        def step(k):
+            _split_step(H, method, points[k - 1], h, out=points[k])
 
         def jacobians(z):
             return _split_jacobians(H, method, z, h)
     elif method == "rk4":
-        def step(z, k):
-            return _rk4_step(H, z, times[k], h, None if inner is None else inner[k])
+        def step(k):
+            points[k] = _rk4_step(H, points[k - 1], times[k - 1], h,
+                                  None if inner is None else inner[k - 1])
 
         def jacobians(z):
             return _rk4_jacobians(H, z, inner, times[:-1], h)
@@ -606,7 +619,8 @@ def integrate(
 
     Methods: "euler" and "verlet" (symplectic, separable H only), "rk4"
     (non-symplectic reference, any H), "exact" (autonomous quadratic H only).
-    The loop moves the points only; the overflow guard checks them a block of
+    The loop moves the points only, each step writing its node in place into
+    the trajectory's points array; the overflow guard checks them a block of
     GUARD_BLOCK steps at a time.  With variational, the derivatives DPhi_h of
     all steps are built afterwards in one batched pass over the nodes, and
     S_t = DPhi_h(z_{k-1}) ... DPhi_h(z_0) is their prefix product, so it is
@@ -633,16 +647,14 @@ def integrate(
     points[0] = z0
 
     inner = np.empty((steps, 3) + z0.shape) if variational and method == "rk4" else None
-    step, jacobians = _step_map(H, method, times, h, inner)
-    z = z0
+    step, jacobians = _step_map(H, method, times, h, points, inner)
     # steps past a diverged point may overflow; the guard reports them
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, steps + 1, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, steps + 1)
             try:
                 for k in range(start, stop):
-                    z = step(z, k - 1)
-                    points[k] = z
+                    step(k)
             except Exception:
                 if k > start:  # a diverged point can make the step itself fail
                     _check_overflow(points[start:k])

@@ -6,21 +6,22 @@ p1..pn and t; functions sin, cos, exp, sqrt.  Errors carry byte offsets and
 the expected-token set.
 
 The gradient with respect to z = (x, p) and the upper triangle of the
-Hessian are differentiated symbolically once, and the value and every
-derivative are compiled to numpy closures over a (..., 2n) batch of points,
-so derivatives are exact to rounding for the supported operations.  A domain
-error or a non-finite intermediate raises EvalDomainError with the span of the
-source node it comes from.
+Hessian are differentiated symbolically once, so derivatives are exact to
+rounding for the supported operations.  The value, the gradient and the
+Hessian are each compiled to one generated straight-line Python function over
+a (..., 2n) batch of points, with one line per distinct node (an operation on
+the same operands is computed once for all entries) running the numpy
+operator of that node.  A domain error or a non-finite intermediate raises
+EvalDomainError with the span of the source node it comes from.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Hamiltonian, _coordinate
+from .dynamics import Hamiltonian
 from .errors import GaborflowError
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -350,81 +351,128 @@ def _z_index(node: Var, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to numpy closures over a batch of points
+# Compilation to straight-line numpy functions over a batch of points
 # ---------------------------------------------------------------------------
 
-# the arithmetic goes through the operators, so a single point takes numpy's
-# scalar paths and rounds as the per-point evaluation always has
-_EVALUATORS = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-               "sqrt": np.sqrt, "log": np.log, "+": operator.add, "-": operator.sub,
-               "*": operator.mul, "/": operator.truediv, "^": operator.pow}
-# op -> (test of the arguments that fails the domain, message)
+# Source of each operation on the names of its operands.  The arithmetic goes
+# through the operators, so a single point takes numpy's scalar paths and
+# rounds as the per-point evaluation always has.
+_OPERATIONS = {"neg": "-{0}", "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})",
+               "sqrt": "sqrt({0})", "log": "log({0})", "+": "{0} + {1}", "-": "{0} - {1}",
+               "*": "{0} * {1}", "/": "{0} / {1}", "^": "{0} ** {1}"}
+# op -> (whether a left operand of 0 fails it with this literal right operand,
+# source of the test of the operands that fails the domain, message)
 _DOMAIN = {
-    "sqrt": (lambda a: a <= 0.0, "square root of a non-positive value"),
-    "log": (lambda a: a <= 0.0, "non-integer power requires a positive base"),
-    "/": (lambda a, b: b == 0.0, "division by zero"),
-    "^": (lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
+    "sqrt": (None, "({0} <= 0.0).any()", "square root of a non-positive value"),
+    "log": (None, "({0} <= 0.0).any()", "non-integer power requires a positive base"),
+    "/": (lambda b: b == 0.0, "({1} == 0.0).any()", "division by zero"),
+    "^": (lambda b: b < 0.0, "(({0} == 0.0) & ({1} < 0.0)).any()",
+          "zero raised to a negative power"),
 }
 
 
-def _compile(node, n: int):
-    """A closure (z, t) -> value of node at every point of z (..., 2n).
+class _Program:
+    """The body of a straight-line evaluator of ASTs over z (..., 2n) and t:
+    one line per distinct node, a node being its operation on the names of
+    its operands, with its domain test on the line before it.  Literals
+    enter through the namespace, so no text of the expression reaches the
+    source."""
 
-    It runs under np.errstate(over="raise", invalid="raise"), so a
-    non-finite result raises at the node that produced it."""
-    if isinstance(node, Const):
-        value = np.float64(node.value)
-        return lambda z, t: value
-    if isinstance(node, Var):
-        if node.kind == "t":
-            return lambda z, t: t
-        index = _z_index(node, n)
-        return lambda z, t: _coordinate(z, index)
-    if isinstance(node, Binary) and node.op == "^" and _integer_exponent(node) is None:
-        return _compile(_exp_log(node), n)
-    op = _EVALUATORS[node.op]
-    bad, message = _DOMAIN.get(node.op, (None, ""))
-    children = (node.arg,) if isinstance(node, Unary) else (node.left, node.right)
-    args = [_compile(child, n) for child in children]
-    literal = node.right if isinstance(node, Binary) and isinstance(node.right, Const) else None
-    if bad is not None and literal is not None and not bad(0.0, literal.value):
-        bad = None  # a literal divisor or exponent that no left operand can fail
-    span = node.span
+    def __init__(self, n: int):
+        self.n = n
+        self.lines = []       # (source, span of the node it evaluates)
+        self.namespace = {}   # literal names and domain errors
+        self.names = {}       # node key -> the name holding its value
+        self.seen = {}        # id(node) -> (node, name); the node keeps its id taken
+        self.tests = set()    # domain tests emitted: a repeated one cannot fail
 
-    def evaluate(z, t):
-        values = [f(z, t) for f in args]
-        if bad is not None and bad(*values).any():
-            raise EvalDomainError(message, span)
-        try:
-            return op(*values)
-        except FloatingPointError as exc:
-            raise EvalDomainError(str(exc), span) from None
+    def name(self, node) -> str:
+        """The name holding node's value, emitting its line on first use."""
+        hit = self.seen.get(id(node))
+        if hit is not None:
+            return hit[1]
+        if isinstance(node, Binary) and node.op == "^" and _integer_exponent(node) is None:
+            name = self.name(_exp_log(node))
+        else:
+            if isinstance(node, Const):
+                key = ("const", node.value.hex())
+            elif isinstance(node, Var):
+                key = ("t",) if node.kind == "t" else ("z", _z_index(node, self.n))
+            else:
+                children = (node.arg,) if isinstance(node, Unary) else (node.left, node.right)
+                key = (node.op, *(self.name(child) for child in children))
+            name = self.names.get(key)
+            if name is None:
+                name = self.names[key] = self._emit(key, node)
+        self.seen[id(node)] = (node, name)
+        return name
 
-    return evaluate
+    def _emit(self, key, node) -> str:
+        if key[0] == "const":
+            name = f"c{len(self.namespace)}"
+            self.namespace[name] = np.float64(node.value)
+            return name
+        if key[0] == "t":
+            return "t"
+        name = f"v{len(self.lines)}"
+        if key[0] == "z":  # a numpy scalar for a single point, as dynamics._coordinate reads it
+            self.lines.append((f"{name} = z[..., {key[1]}][()]", node.span))
+            return name
+        op, operands = key[0], key[1:]
+        literal_fails, test, message = _DOMAIN.get(node.op, (None, None, ""))
+        if test is not None and (literal_fails is None or not isinstance(node.right, Const)
+                                 or literal_fails(node.right.value)):
+            test = test.format(*operands)
+            if test not in self.tests:
+                self.tests.add(test)
+                error = f"d{len(self.namespace)}"
+                self.namespace[error] = (message, node.span)
+                self.lines.append((f"if {test}: raise EvalDomainError(*{error})", node.span))
+        self.lines.append((f"{name} = {_OPERATIONS[op].format(*operands)}", node.span))
+        return name
+
+
+def _floating_point_error(exc: FloatingPointError, spans: dict) -> EvalDomainError:
+    """exc as an EvalDomainError with the span of the generated line that raised it."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return EvalDomainError(str(exc), spans[tb.tb_lineno])
 
 
 def _compile_entries(entries, n: int):
-    """A callable (z, t) -> array of shape z.shape[:-1] + (2n,) * rank, with
-    entry index filled by its compiled AST and mirrored to the reversed
-    index, so a Hessian from its upper triangle is exactly symmetric."""
-    compiled = [((..., *index), (..., *index[::-1]), _compile(node, n)) for index, node in entries]
-    tail = (2 * n,) * len(entries[0][0])
-
-    def evaluate(z, t):
-        z = np.asarray(z, dtype=float)
-        t = np.float64(t)
-        out = np.empty(z.shape[:-1] + tail)
-        with np.errstate(over="raise", invalid="raise"):
-            for index, mirror, f in compiled:
-                out[index] = out[mirror] = f(z, t)
-        return out[()]
-
-    return evaluate
+    """A function (z, t) -> array of shape z.shape[:-1] + (2n,) * rank, with
+    entry index filled by its AST and mirrored to the reversed index, so a
+    Hessian from its upper triangle is exactly symmetric.  It runs under
+    np.errstate(over="raise", invalid="raise"), so a non-finite result
+    raises at the node that produced it."""
+    program = _Program(n)
+    targets = [(index, program.name(node)) for index, node in entries]
+    head = ["def evaluate(z, t):",
+            "    z = asarray(z, dtype=float)",
+            "    t = float64(t)",
+            f"    out = empty(z.shape[:-1] + {(2 * n,) * len(entries[0][0])!r})",
+            "    with errstate(over='raise', invalid='raise'):",
+            "        try:"]
+    body = [f"            {line}" for line, _ in program.lines] or ["            pass"]
+    spans = {len(head) + 1 + i: span for i, (_, span) in enumerate(program.lines)}
+    tail = ["        except FloatingPointError as exc:",
+            "            raise floating_point_error(exc, spans) from None"]
+    for index, name in targets:
+        for cell in dict.fromkeys((index, index[::-1])):
+            tail.append(f"        out[{', '.join(['...', *map(str, cell)])}] = {name}")
+    tail.append("    return out[()]")
+    namespace = dict(program.namespace, asarray=np.asarray, float64=np.float64, empty=np.empty,
+                     errstate=np.errstate, sin=np.sin, cos=np.cos, exp=np.exp, sqrt=np.sqrt,
+                     log=np.log, EvalDomainError=EvalDomainError, spans=spans,
+                     floating_point_error=_floating_point_error)
+    exec(compile("\n".join(head + body + tail), "<expression>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 def _compiled_hamiltonian(ast, n: int, **fields) -> Hamiltonian:
     """Value, gradient and upper-triangle Hessian of an AST, differentiated
-    once and compiled to closures over (..., 2n) batches."""
+    once and compiled to straight-line functions over (..., 2n) batches."""
     grads = [_diff(ast, k, n) for k in range(2 * n)]
     return Hamiltonian(
         n,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given
 
 from gaborflow import errors
-from gaborflow.cli import _config_from_args, _json_text, build_arg_parser, main
+from gaborflow.cli import (OUTPUT_BLOCK, _config_from_args, _json_parts, _write_output,
+                           build_arg_parser, main)
 from gaborflow.config import (
     PARAMETERS,
     RunConfig,
@@ -425,8 +427,36 @@ documents = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
           "z": np.array([-0.0, 5e-324, 2.2e-308])})
 @example({"i": np.arange(4).reshape(2, 2), "b": np.array([True, False]), "e": np.array(7),
           "\u0127bar \u00e9": [np.ones((1, 1, 2))], 'k"\\\n': {"": np.array(-0.0)}})
+# more rows than one block of output, exactly one block, and an empty leading axis
+@example({"points": np.linspace(-1.0, 1.0, 2 * OUTPUT_BLOCK + 6).reshape(-1, 2) / 3,
+          "times": np.arange(OUTPUT_BLOCK + 1) * 0.1})
+@example([np.linspace(0.0, 1.0, OUTPUT_BLOCK).reshape(-1, 2, 2) / 7, np.ones(OUTPUT_BLOCK)])
+@example({"empty": np.zeros((0, 2, 2)), "nan_rows": np.full((OUTPUT_BLOCK + 1, 1), np.nan)})
 def test_json_text_is_json_dumps_with_arrays_as_lists(doc):
-    assert _json_text(doc, 0) == json.dumps(as_lists(doc), sort_keys=True, indent=2)
+    text = "".join(_json_parts(doc, 0))
+    assert text == json.dumps(as_lists(doc), sort_keys=True, indent=2)
+
+
+def test_written_output_holds_about_one_block_in_memory(tmp_path):
+    # the arrays of an `integrate --dump-matrices` payload of 10^5 nodes are
+    # 6.1 MB; formatted whole, their JSON text and its intermediate lists took
+    # about 14 times that
+    rng = np.random.default_rng(0)
+    nodes = 10**5 + 1
+    payload = {"method": "verlet", "steps": nodes - 1, "times": np.linspace(0.0, 10.0, nodes),
+               "points": rng.normal(size=(nodes, 2)), "action": rng.normal(size=nodes),
+               "linear_flow": rng.normal(size=(nodes, 2, 2))}
+    path = tmp_path / "out.json"
+    args = build_arg_parser().parse_args(["integrate", "--z0=1,0", "--out", str(path)])
+    cfg = _config_from_args(args)
+    tracemalloc.start()
+    try:
+        _write_output(payload, (), (), args, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert loads(path.read_text())["result"] == as_lists(payload)
 
 
 def assert_canonical_json(text: str):

@@ -611,11 +611,10 @@ def test_a_step_that_raises_with_every_row_inside_the_guard_reraises(monkeypatch
 
     calls = []
 
-    def failing(z, k):
-        calls.append(1)
+    def failing(k):  # leaves node k at its zeros, inside the guard
+        calls.append(k)
         if len(calls) == 5:
             raise ValueError("step failed")
-        return z
 
     monkeypatch.setattr(dynamics, "_step_map", lambda *a: (failing, None))
     with pytest.raises(ValueError, match="step failed"):

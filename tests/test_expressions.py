@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +8,12 @@ import hypothesis.strategies as st
 from gaborflow.dynamics import fd_gradient, fd_hessian, builtin_hamiltonian
 from gaborflow.errors import GaborflowError
 from gaborflow.expressions import (
+    Const,
     EvalDomainError,
     ParseError,
+    Unary,
+    Var,
+    _diff,
     eval_with_derivatives,
     expression_hamiltonian,
     parse_hamiltonian,
@@ -178,6 +184,29 @@ def test_overflow_raises_domain_error_with_span(z):
         assert err.value.span == (9, 14)
 
 
+@pytest.mark.parametrize("src, z, span, message", [
+    ("sqrt(x1 * p1)", [-1.0, 1.0], (0, 13), "square root"),
+    ("exp(x1 * p1)", [30.0, 30.0], (0, 12), "overflow"),
+])
+def test_a_node_shared_by_several_entries_raises_with_its_span(src, z, span, message):
+    # the node sits in both gradient entries and in every Hessian entry, and
+    # is evaluated once for all of them
+    H = expression_hamiltonian(src, 1)
+    for fn in (H.value, H.gradient, H.hessian):
+        with pytest.raises(EvalDomainError, match=message) as err:
+            fn(np.array(z), 0.0)
+        assert err.value.span == span
+
+
+def test_literals_evaluate_as_the_same_numpy_scalar_arithmetic():
+    H = expression_hamiltonian("0.1 * x1 + 1e-300 * p1^3 - 0.7 / 3", 1)
+    z = np.array([0.3, 2.5e-5])
+    c = np.float64
+    expected = c(0.1) * z[0] + c(1e-300) * z[1] ** c(3.0) - c(0.7) / c(3.0)
+    value = H.value(z, 0.0)
+    assert value != 0.0 and value.tobytes() == expected.tobytes()
+
+
 def test_gradient_evaluates_no_hessian():
     # only the Hessian entry, 2.4e308, overflows
     H = expression_hamiltonian("2e307 * x1^4", 1)
@@ -248,6 +277,49 @@ def test_compiled_batch_equals_per_row_calls(rng):
             np.testing.assert_allclose(batch.reshape(rows.shape), rows, rtol=1e-12, atol=1e-14)
         hess = H.hessian(Z, 0.3)
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": operator.pow}
+
+
+def tree_walk(node, z, t, n: int):
+    """The value of an AST at z, walking the tree with numpy's operators on
+    the coordinates and numpy scalar literals: the reference arithmetic."""
+    if isinstance(node, Const):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return t if node.kind == "t" else z[..., node.index + (n if node.kind == "p" else 0)][()]
+    if isinstance(node, Unary):
+        a = tree_walk(node.arg, z, t, n)
+        return -a if node.op == "neg" else getattr(np, node.op)(a)
+    a, b = tree_walk(node.left, z, t, n), tree_walk(node.right, z, t, n)
+    exponent = node.right.arg if isinstance(node.right, Unary) and node.right.op == "neg" \
+        else node.right
+    if node.op == "^" and not (isinstance(exponent, Const) and exponent.value.is_integer()):
+        return np.exp(b * np.log(a))
+    return _OPERATORS[node.op](a, b)
+
+
+def test_compiled_entries_equal_a_tree_walk_bit_for_bit(rng):
+    Z = rng.uniform(-1.0, 1.0, (5, 4))
+    t = np.float64(0.3)
+    for src in expression_corpus(60, n=2, seed=9):
+        ast = parse_hamiltonian(src, 2)
+        H = expression_hamiltonian(src, 2)
+        grads = [_diff(ast, k, 2) for k in range(4)]
+        for z in (Z, Z[0]):
+            value, gradient, hessian = (np.empty(z.shape[:-1] + (4,) * rank) for rank in range(3))
+            with np.errstate(over="raise", invalid="raise"):
+                value[...] = tree_walk(ast, z, t, 2)
+                for i in range(4):
+                    gradient[..., i] = tree_walk(grads[i], z, t, 2)
+                    for j in range(i, 4):
+                        hessian[..., i, j] = hessian[..., j, i] = tree_walk(
+                            _diff(grads[i], j, 2), z, t, 2)
+            assert np.asarray(H.value(z, t)).tobytes() == value.tobytes()
+            assert H.gradient(z, t).tobytes() == gradient.tobytes()
+            assert H.hessian(z, t).tobytes() == hessian.tobytes()
 
 
 def test_expression_hamiltonian_time_dependence_flag():
