@@ -317,9 +317,6 @@ def cmd_path_hamiltonian(args, cfg: RunConfig) -> int:
         def iso(tt, z):
             return np.asarray(z, dtype=float) + tt * shift
     else:
-        if args.path_name not in _BUILTIN_PATHS:
-            raise GaborflowError(f"unknown path {args.path_name!r}; "
-                                 f"choose rotation, shear, dilation, translation")
         path = _BUILTIN_PATHS[args.path_name]
         Q = hamiltonian_from_linear_path(path, t).tolist()
 

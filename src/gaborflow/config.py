@@ -19,7 +19,7 @@ from .dynamics import Hamiltonian, builtin_hamiltonian
 from .errors import ConfigError, check_bytes
 from .frames import EstimationConfig, GaborSystem, default_radius
 from .gaussians import GaussianState
-from .symplectic import Lattice, separable_lattice
+from .symplectic import Lattice, enumeration_bytes, separable_lattice
 
 BUILTIN_HAMILTONIANS = ("harmonic", "free", "shear", "anharmonic", "driven")
 
@@ -114,6 +114,11 @@ def build_window(cfg: RunConfig) -> GaussianState:
 
 
 def build_system(cfg: RunConfig) -> GaborSystem:
+    # every use of the system enumerates a lattice of dimension 2n: refuse a
+    # too large smallest index box before any O(n^3) work on window or generator
+    n = cfg.dimension
+    check_bytes(enumeration_bytes([1] * (2 * n)), f"lattice enumeration at dimension {n}",
+                "reduce --dimension")
     return GaborSystem(build_window(cfg), build_lattice(cfg), cfg.hbar)
 
 

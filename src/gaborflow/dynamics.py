@@ -222,7 +222,7 @@ def separable_hamiltonian(n: int, u, du, v, dv, d2u=None, d2v=None, name="separa
     return Hamiltonian(n, value, gradient, hessian, separable=parts, name=name)
 
 
-def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian:
+def builtin_hamiltonian(name: str, n: int = 1) -> Hamiltonian:
     """The built-in test family: harmonic, free, shear, anharmonic, driven."""
     if name == "harmonic":
         return quadratic_hamiltonian(np.eye(2 * n), name="harmonic")
@@ -231,9 +231,8 @@ def builtin_hamiltonian(name: str, n: int = 1, shear_matrix=None) -> Hamiltonian
         M[n:, n:] = np.eye(n)
         return quadratic_hamiltonian(M, name="free")
     if name == "shear":
-        P = np.eye(n) if shear_matrix is None else np.atleast_2d(np.asarray(shear_matrix, dtype=float))
         M = np.zeros((2 * n, 2 * n))
-        M[:n, :n] = P
+        M[:n, :n] = np.eye(n)
         return quadratic_hamiltonian(M, name="shear")
     if name == "anharmonic":
         if n != 1:

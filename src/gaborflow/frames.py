@@ -370,8 +370,9 @@ def _eigenvalue_range(rows: np.ndarray, sym: _Sectors) -> tuple[float, float]:
 
 def _frame_vectors(sys: GaborSystem, family) -> np.ndarray:
     """Matrix m[j, p] = <psi_j | T(z_p) phi> of Gaussian, mixture and Hermite
-    states, in closed form.  Raises ResourceLimit before the kernel runs when
-    its arrays would exceed errors.BYTE_BUDGET (check_frame_vectors)."""
+    states, each summed over its own components and modes.  Raises
+    ResourceLimit before the kernel runs when its arrays would exceed
+    errors.BYTE_BUDGET (check_frame_vectors)."""
     if len(family) == 0:
         raise InvalidMatrix("test family is empty")
     analytic = (GaussianState, GaussianMixture, HermiteState)
@@ -388,13 +389,11 @@ def check_frame_vectors(sys: GaborSystem, states: int, components: int, modes: i
                         remedy: str):
     """Raise ResourceLimit when _frame_vectors of `states` states with
     `components` Gaussian components in all and `modes` oscillator modes would
-    exceed the budget: the overlaps of the states and their modes, and those
-    of the components with the kernel's temporaries, at every point, and the
-    state-by-component and state-by-mode coefficient blocks with their
-    zero-row padded copies."""
+    exceed the budget: at every point, the overlaps of the states and of the
+    modes, and those of the components with the kernel's temporaries and
+    their coefficient-scaled copy.  Every term is linear in the state count."""
     N = sys.points.shape[0]
-    need = (N * (16 * (states + modes) + components * _overlap_bytes(sys.n))
-            + 2 * 16 * states * (components + modes))
+    need = N * (16 * (states + modes) + components * (_overlap_bytes(sys.n) + 16))
     check_bytes(need, f"frame terms of {states} states at {N} points", remedy)
 
 

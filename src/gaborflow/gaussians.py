@@ -13,9 +13,10 @@ GaussianState; mixtures hold GaussianState components only.  A HermiteState
 is a finite sum of the oscillator modes h_k of hermite_functions (n = 1).
 Every closed-form overlap goes through _overlap_core on component stacks,
 broadcast over both sides, and every overlap of a mode with a Gaussian through
-the recurrence of _mode_core.  Uniform grids (SampledWindow) provide the
-independent quadrature oracle that the tests compare against; _state_values
-evaluates a whole family of states at their nodes in one pass.
+the recurrence of _mode_core; _state_sums adds up each state's own terms.
+Uniform grids (SampledWindow) provide the independent quadrature oracle that
+the tests compare against; _state_values evaluates a whole family of states at
+their nodes in one pass.
 """
 
 from __future__ import annotations
@@ -71,19 +72,26 @@ class _Stack(NamedTuple):
                       self.phases[:, None])
 
 
-def _stack_states(states) -> tuple[_Stack, np.ndarray, np.ndarray]:
-    """One flat stack of the Gaussian components of all states, the state-by-
-    component coefficient block B and the state-by-mode block H of the
-    HermiteState coefficients, so that
-    <states_j | f> = B @ <components | f> + H @ <modes | f>."""
+def _stack_states(states) -> tuple[_Stack, np.ndarray, int]:
+    """One flat stack of the Gaussian components of all states, the index of
+    the state that owns each component, and the number of oscillator modes of
+    the longest HermiteState (0 for none)."""
     stacks = [g._stack for g in states]
     stack = _Stack(*map(np.concatenate, zip(*stacks)))
     owner = np.repeat(np.arange(len(stacks)), [len(s.coefficients) for s in stacks])
-    modes = [g.coefficients if isinstance(g, HermiteState) else () for g in states]
-    H = np.zeros((len(states), max(map(len, modes))), dtype=complex)
-    for row, c in zip(H, modes):
-        row[:len(c)] = c
-    return stack, (owner == np.arange(len(stacks))[:, None]) * stack.coefficients, H
+    modes = max((len(g.coefficients) for g in states if isinstance(g, HermiteState)), default=0)
+    return stack, owner, modes
+
+
+def _state_sums(states, stack: _Stack, owner, K, C) -> np.ndarray:
+    """Each state's sum over its own terms only: its coefficients times its rows
+    of K (one per component of stack, in order), a HermiteState's times C."""
+    out = np.zeros((len(states), K.shape[1]), dtype=complex)
+    np.add.at(out, owner, stack.coefficients[:, None] * K)
+    for row, g in zip(out, states):
+        if isinstance(g, HermiteState):
+            row += g.coefficients @ C[:len(g.coefficients)]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +193,7 @@ def hermite_functions(axis: np.ndarray, hbar: float, degree_max: int) -> np.ndar
     """
     u = axis / np.sqrt(hbar)
     out = np.zeros((degree_max + 1, axis.size))
-    out[0] = np.pi**-0.25 * np.exp(-0.5 * u**2) * hbar**-0.25
+    out[:1] = np.pi**-0.25 * np.exp(-0.5 * u**2) * hbar**-0.25
     if degree_max >= 1:
         out[1] = np.sqrt(2.0) * u * out[0]
     for d in range(2, degree_max + 1):
@@ -324,6 +332,8 @@ def _mode_core(M, centers, phases, hbar: float, degree: int) -> np.ndarray:
     """
     m = np.conj(M[..., 0, 0])
     x0, p0 = centers[..., 0], centers[..., 1]
+    if degree < 0:
+        return np.zeros((0,) + np.broadcast(m, x0, phases).shape, dtype=complex)
     alpha = (1.0 + 1j * m) / hbar
     beta = 1j / hbar * (m * x0 - p0)
     a = 1.0 / (hbar * alpha) - 0.5
@@ -341,26 +351,19 @@ def _mode_core(M, centers, phases, hbar: float, degree: int) -> np.ndarray:
 
 
 def _state_gram(states1, states2) -> np.ndarray:
-    """<states1_i | states2_j> of Gaussian, mixture and Hermite states: one
-    kernel call for B1 K B2^H, with K the overlaps of all their components,
-    plus the mode terms H1 C2 B2^H + B1 C1^H H2^H + H1 H2^H, with C the mode
-    overlaps of each side's components (the modes are orthonormal)."""
-    s, B1, H1 = _stack_states(states1)
-    t, B2, H2 = _stack_states(states2)
+    """<states1_i | states2_j> of Gaussian, mixture and Hermite states: the
+    conjugated _state_sums of the right states over the left states' sums of
+    their overlaps with the right components and the orthonormal modes."""
+    s, owner1, modes1 = _stack_states(states1)
+    t, owner2, modes2 = _stack_states(states2)
     hbar = states1[0].hbar
-    terms = []
-    if B1.shape[1] and B2.shape[1]:
-        terms.append(B1 @ _overlap_core(s.column(), t.M, t.centers, t.phases, hbar) @ B2.conj().T)
-    if H1.shape[1] and B2.shape[1]:
-        C2 = _mode_core(t.M, t.centers, t.phases, hbar, H1.shape[1] - 1)
-        terms.append(H1 @ C2 @ B2.conj().T)
-    if B1.shape[1] and H2.shape[1]:
-        C1 = _mode_core(s.M, s.centers, s.phases, hbar, H2.shape[1] - 1)
-        terms.append(B1 @ C1.conj().T @ H2.conj().T)
-    d = min(H1.shape[1], H2.shape[1])
-    if d:
-        terms.append(H1[:, :d] @ H2[:, :d].conj().T)
-    return sum(terms[1:], terms[0])
+    # rows: left components (K) or modes (C); columns: right components, modes
+    K = np.concatenate([_overlap_core(s.column(), t.M, t.centers, t.phases, hbar),
+                        _mode_core(s.M, s.centers, s.phases, hbar, modes2 - 1).conj().T], 1)
+    C = np.concatenate([_mode_core(t.M, t.centers, t.phases, hbar, modes1 - 1),
+                        np.eye(modes1, modes2)], 1)
+    left = _state_sums(states1, s, owner1, K, C).conj().T
+    return _state_sums(states2, t, owner2, left[:owner2.size], left[owner2.size:]).conj().T
 
 
 def inner_product(g1, g2) -> complex:
@@ -384,18 +387,14 @@ def _shifted(phi: GaussianState, shifts) -> tuple[np.ndarray, np.ndarray]:
 
 def _shift_overlaps(states, phi: GaussianState, shifts) -> np.ndarray:
     """<states_j | T(z_p) phi> for all states and shift rows: one kernel call
-    for the Gaussian components and one mode recurrence for HermiteStates."""
-    stack, B, H = _stack_states(states)
+    for the Gaussian components (none for modes only, as in the witness scan)
+    and one mode recurrence for HermiteStates, summed by _state_sums."""
+    stack, owner, modes = _stack_states(states)
     centers, gammas = _shifted(phi, shifts)
-    parts = []
-    if B.shape[1]:
-        parts.append((B, _overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar)))
-    if H.shape[1]:
-        parts.append((H, _mode_core(phi.M, centers, gammas, phi.hbar, H.shape[1] - 1)))
-    # numpy takes gemv for a one-row block, which rounds unlike gemm: a zero
-    # row keeps a state's overlaps the same in every family that holds it
-    rows = [(np.pad(X, ((0, 1), (0, 0))) @ K)[:-1] for X, K in parts]
-    return sum(rows[1:], rows[0])
+    K = (_overlap_core(stack.column(), phi.M, centers, gammas, phi.hbar) if owner.size
+         else np.zeros((0, len(gammas))))
+    C = _mode_core(phi.M, centers, gammas, phi.hbar, modes - 1)
+    return _state_sums(states, stack, owner, K, C)
 
 
 def overlaps_with_shifts(psi, phi: GaussianState, shifts) -> np.ndarray:
@@ -522,17 +521,13 @@ def evaluate_state(g, x) -> np.ndarray:
 
 def _state_values(states, pts) -> np.ndarray:
     """Values of Gaussian, mixture and Hermite states of one n and hbar at the
-    points pts (P, n), shape (states, P), in one pass: B times the values of
-    all their Gaussian components plus H times one table of hermite_functions
-    (the blocks of _stack_states)."""
-    stack, B, H = _stack_states(states)
+    points pts (P, n), shape (states, P), in one pass: the values of all
+    their Gaussian components and one table of hermite_functions, summed per
+    state by _state_sums."""
+    stack, owner, modes = _stack_states(states)
     hbar = states[0].hbar
-    out = np.zeros((len(states), pts.shape[0]), dtype=complex)
-    if B.shape[1]:
-        out += B @ _component_values(stack.M, stack.centers, stack.phases, hbar, pts).T
-    if H.shape[1]:
-        out += H @ hermite_functions(pts[:, 0], hbar, H.shape[1] - 1)
-    return out
+    K = _component_values(stack.M, stack.centers, stack.phases, hbar, pts).T
+    return _state_sums(states, stack, owner, K, hermite_functions(pts[:, 0], hbar, modes - 1))
 
 
 def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:

@@ -285,6 +285,13 @@ def separable_lattice(alpha, beta, radius: float) -> Lattice:
     return Lattice(gen, radius)
 
 
+def enumeration_bytes(half_widths) -> float:
+    """Bytes that lattice_points holds for an index box of these half-widths
+    (each at least 1), one per axis: the index grid, its stacked copy and the
+    points (or their squares), dim float64s each per candidate; inf on overflow."""
+    return 24.0 * len(half_widths) * math.prod(2.0 * float(h) + 1.0 for h in half_widths)
+
+
 def lattice_points(lat: Lattice) -> np.ndarray:
     """Enumerate the truncated lattice, shape (num_points, 2n).
 
@@ -298,11 +305,7 @@ def lattice_points(lat: Lattice) -> np.ndarray:
     # Index bounds: |k_i| = |(L^-1 z)_i| <= ||row_i(L^-1)|| R for |z| <= R.
     inv = np.linalg.inv(gen)
     half_widths = np.ceil(np.linalg.norm(inv, axis=1) * R + 1e-9)
-    # the index grid, its stacked copy and the points (or their squares) are
-    # alive at once, each holding dim float64s per candidate index; Python
-    # floats overflow to inf without a numpy warning
-    need = 24.0 * dim * math.prod(2.0 * float(h) + 1.0 for h in half_widths)
-    check_bytes(need, "lattice enumeration", "reduce radius")
+    check_bytes(enumeration_bytes(half_widths), "lattice enumeration", "reduce radius")
     bounds = half_widths.astype(int)
     axes = [np.arange(-b, b + 1) for b in bounds]
     ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)

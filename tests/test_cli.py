@@ -20,6 +20,7 @@ from gaborflow.cli import (OUTPUT_BLOCK, _config_from_args, _json_parts, _write_
 from gaborflow.config import (
     PARAMETERS,
     RunConfig,
+    build_system,
     config_hash,
     parse_complex_list,
     parse_float_list,
@@ -710,15 +711,22 @@ def _limited_address_space():
 
 @pytest.mark.parametrize("argv, message", [
     (["invariance", "--trials", "1000000000"],
-     "frame terms of 1000000000 states at 197 points need 32000018912000000000 bytes "
+     "frame terms of 1000000000 states at 197 points need 22064000000000 bytes "
      "(budget 1073741824); reduce --trials"),
-    # past the frame terms' own bytes, the states' coefficient block grows
-    # like trials^2: 11000 trials took 4 GB
-    (["invariance", "--trials", "11000"],
-     "frame terms of 11000 states at 197 points need 4080032000 bytes "
+    # 112 bytes a trial and point: about 48,600 trials fit at the default lattice
+    (["invariance", "--trials", "50000"],
+     "frame terms of 50000 states at 197 points need 1103200000 bytes "
      "(budget 1073741824); reduce --trials"),
     (["frame-check", "--dimension", "100000"],
      "a 2n x 2n complex matrix at dimension 100000 needs 640000000000 bytes "
+     "(budget 1073741824); reduce --dimension"),
+    # the 2n x 2n matrices fit, but no index box of dimension 2n does: it
+    # holds at least 3^(2n) candidates, refused before the O(n^3) work on them
+    (["frame-check", "--dimension", "4096"],
+     "lattice enumeration at dimension 4096 needs inf bytes "
+     "(budget 1073741824); reduce --dimension"),
+    (["invariance", "--dimension", "4096", "--trials", "1"],
+     "lattice enumeration at dimension 4096 needs inf bytes "
      "(budget 1073741824); reduce --dimension"),
     (["criterion", "--dimension", "4097"],
      "a 2n x 2n complex matrix at dimension 4097 needs 1074266176 bytes "
@@ -727,8 +735,8 @@ def _limited_address_space():
      "inverse iteration did not converge"),
     (["path-hamiltonian", "--path-name", "shear", "--t", "1e10"],
      "inverse iteration did not converge"),
-], ids=["trials", "trials-squared", "dimension", "criterion-dimension", "dilation-overflow",
-        "shear-1e10"])
+], ids=["trials", "trials-past-the-limit", "dimension", "dimension-4096",
+        "invariance-dimension-4096", "criterion-dimension", "dilation-overflow", "shear-1e10"])
 def test_hostile_call_ends_in_one_error_line(argv, message):
     # in a child under an address-space limit and a timeout, with overflow
     # warnings made errors: a count the byte budget missed would run out of
@@ -738,6 +746,24 @@ def test_hostile_call_ends_in_one_error_line(argv, message):
                           env=child_env(OPENBLAS_NUM_THREADS="1"),
                           preexec_fn=_limited_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_build_system_refuses_a_dimension_no_index_box_fits(monkeypatch):
+    # every half-width of an index box is at least 1, so at n = 2 the
+    # smallest box has 3^4 candidates: 24 * 4 * 81 = 7776 bytes, the bytes
+    # lattice_points itself asks for on a lattice that small
+    cfg = RunConfig(dimension=2, radius=0.1).validate()
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 7775)
+    with pytest.raises(ResourceLimit, match="lattice enumeration at dimension 2 needs 7776 "
+                                            "bytes .*; reduce --dimension"):
+        build_system(cfg)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 7776)
+    assert build_system(cfg).points.shape == (1, 4)
+    # from n = 7 on even the smallest box is over the default budget
+    monkeypatch.undo()
+    build_system(RunConfig(dimension=6, radius=0.1))
+    with pytest.raises(ResourceLimit, match="dimension 7 needs 1607077584 bytes"):
+        build_system(RunConfig(dimension=7, radius=0.1))
 
 
 def test_path_hamiltonian_far_from_zero_keeps_its_values(capsys):

@@ -672,13 +672,11 @@ def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
     N = len(sys.points)
     family = build_test_family(1, HBAR, 8)
     # one row of overlaps per state and per mode of the longest HermiteState,
-    # and per mixture component one of kernel overlaps at 80 bytes each (n = 1);
-    # then the state-by-component and state-by-mode coefficient blocks, each
-    # twice (padded by a zero row for the product)
+    # and per mixture component one of kernel overlaps at 80 bytes each (n = 1)
+    # and one of their coefficient-scaled copy at 16
     components = sum(len(s.components) for s in family if isinstance(s, GaussianMixture))
     modes = max(len(s.coefficients) for s in family if isinstance(s, HermiteState))
-    need = (N * (16 * (len(family) + modes) + 80 * components)
-            + 2 * 16 * len(family) * (components + modes))
+    need = N * (16 * (len(family) + modes) + 96 * components)
     monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     assert frame_terms(sys, family).shape == (len(family), N)
     calls = counting_calls(monkeypatch, "_overlap_core")
@@ -826,6 +824,53 @@ def test_gram_bytes_cover_the_traced_peak_of_the_solve(window, lattice, points, 
     finally:
         tracemalloc.stop()
     assert peak <= _gram_bytes(dual, sym)
+
+
+def mixed_family(rng):
+    """A Gaussian, a three-component mixture and two HermiteStates."""
+    return [random_gaussian(rng),
+            GaussianMixture([0.6, 0.8j, -0.3], tuple(random_gaussian(rng) for _ in range(3))),
+            HermiteState(rng.normal(size=40) + 1j * rng.normal(size=40), HBAR),
+            HermiteState([0.0, 1.0], HBAR)]
+
+
+@pytest.mark.parametrize("kind", ["one-component", "mixed"])
+def test_frame_terms_bytes_cover_the_traced_peak(monkeypatch, kind):
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    sys = standard_system(side=1.0)
+    N = len(sys.points)
+    family = ([random_gaussian(rng) for _ in range(3000)] if kind == "one-component"
+              else mixed_family(rng))
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 0)
+    with pytest.raises(ResourceLimit) as exc:
+        frame_terms(sys, family)
+    monkeypatch.undo()
+    need = int(str(exc.value).split(" need ")[1].split(" bytes")[0])
+    if kind == "one-component":
+        # linear in the state count: 112 bytes a state and point, where a
+        # state-by-component block would add 32 * 3000**2
+        assert need == 112 * 3000 * N
+    tracemalloc.start()
+    try:
+        frame_terms(sys, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+
+
+def test_a_state_sums_only_its_own_terms():
+    # each row is the state's own sum, bit for bit, whatever else the family holds
+    sys = standard_system(radius=4.0)
+    family = mixed_family(np.random.default_rng(6))
+    together = frame_terms(sys, family)
+    gram = _family_gram(family)
+    for j, state in enumerate(family):
+        assert np.array_equal(together[j], frame_terms(sys, [state])[0])
+        assert np.array_equal(gram[j], _family_gram([state] + family)[0, 1:])
+        assert np.array_equal(gram[:, j], _family_gram(family + [state])[:-1, -1])
 
 
 def test_residual_estimate_is_small_at_defaults():
