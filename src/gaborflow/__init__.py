@@ -38,19 +38,14 @@ from .symplectic import (
 from .gaussians import (
     GaussianMixture,
     GaussianState,
-    SampledWindow,
     heisenberg_weyl_apply,
     inner_product,
     metaplectic_apply,
-    quadratic_fourier_apply,
     rescale_window,
-    sample_state,
     siegel_action,
     standard_gaussian,
-    stft,
 )
 from .frames import (
-    EstimationConfig,
     FrameReport,
     GaborSystem,
     covariance_check,

@@ -26,7 +26,6 @@ from .config import (
     load_config_file,
     merge_config,
     parse_float_list,
-    sub_config,
 )
 from .deformation import DeformationConfig, deform_sweep, invariance_check, weak_deform
 from .dynamics import (
@@ -37,7 +36,7 @@ from .dynamics import (
     integrate,
 )
 from .errors import GaborflowError, check_bytes
-from .frames import EstimationConfig, check_frame_vectors, frame_bounds, gaussian_frame_criterion
+from .frames import check_frame_vectors, frame_bounds, gaussian_frame_criterion
 from .gaussians import GaussianState
 from .symplectic import rotation, make_generator
 
@@ -161,7 +160,7 @@ def cmd_criterion(args, cfg: RunConfig) -> int:
 
 def cmd_frame_check(args, cfg: RunConfig) -> int:
     sys_ = build_system(cfg)
-    report = frame_bounds(sys_, sub_config(EstimationConfig, cfg))
+    report = frame_bounds(sys_, cfg.frame_floor)
     payload = _report_dict(report)
     rows = [(report.a_est, report.b_est, report.ratio, report.is_frame)]
     _write_output(payload, rows, ("a_est", "b_est", "ratio", "is_frame"), args, cfg)
@@ -172,7 +171,7 @@ def cmd_deform(args, cfg: RunConfig) -> int:
     sys_ = build_system(cfg)
     H = build_hamiltonian(cfg)
     result = weak_deform(sys_, H, cfg.t,
-                         sub_config(DeformationConfig, cfg, lattice_mode=args.lattice_mode))
+                         DeformationConfig(cfg.steps, cfg.method, args.lattice_mode))
     payload = {
         "t": cfg.t,
         "trajectory_end": result.trajectory_end.tolist(),
@@ -207,7 +206,7 @@ def cmd_invariance(args, cfg: RunConfig) -> int:
     H = build_hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
     psis = [_random_test_state(rng, cfg.dimension, cfg.hbar) for _ in range(args.trials)]
-    t1, t2 = invariance_check(sys_, H, cfg.t, psis, sub_config(DeformationConfig, cfg))
+    t1, t2 = invariance_check(sys_, H, cfg.t, psis, DeformationConfig(cfg.steps, cfg.method))
     deviations = np.abs(t1.sum(-1) - t2.sum(-1)).tolist()
     payload = {
         "max_deviation": max(deviations),
@@ -266,7 +265,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     if (args.ab_grid is None) == (args.t_grid is None):
         raise GaborflowError("sweep takes exactly one of --ab-grid and --t-grid")
-    est = sub_config(EstimationConfig, cfg)
     if args.ab_grid is not None:
         grid = _parse_grid(args.ab_grid)
         if not np.all(grid > 0):
@@ -275,12 +273,12 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         for ab in grid:
             side = (float(np.sqrt(ab)),)
             square = build_system(replace(cfg, alpha=side, beta=side, generator=None))
-            results.append((float(ab), frame_bounds(square, est)))
+            results.append((float(ab), frame_bounds(square, cfg.frame_floor)))
         label = "alpha_beta"
     else:
         grid = _parse_grid(args.t_grid)
         results = deform_sweep(build_system(cfg), build_hamiltonian(cfg), grid,
-                               sub_config(DeformationConfig, cfg), est)
+                               DeformationConfig(cfg.steps, cfg.method), cfg.frame_floor)
         label = "t"
     payload = {
         "grid_label": label,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, builtin_hamiltonian
 from .errors import ConfigError, check_bytes
-from .frames import EstimationConfig, GaborSystem, default_radius
+from .frames import FRAME_FLOOR, GaborSystem, default_radius
 from .gaussians import GaussianState
 from .symplectic import Lattice, enumeration_bytes, separable_lattice
 
@@ -41,7 +41,7 @@ class RunConfig:
     method: str = "auto"
     steps: int | None = None
     t: float = 1.0
-    frame_floor: float = EstimationConfig.frame_floor
+    frame_floor: float = FRAME_FLOOR
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
@@ -132,14 +132,6 @@ def build_hamiltonian(cfg: RunConfig) -> Hamiltonian:
     return expression_hamiltonian(name, cfg.dimension)
 
 
-def sub_config(cls, cfg: RunConfig, **extra):
-    """A cls (EstimationConfig, DeformationConfig) that takes every field it
-    shares by name with RunConfig from cfg, and the rest from extra."""
-    shared = {f.name for f in fields(RunConfig)}
-    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in shared},
-               **extra)
-
-
 def config_dict(cfg: RunConfig) -> dict:
     out = {}
     for f in fields(cfg):
@@ -208,7 +200,7 @@ PARAMETERS = (
     Parameter("steps", "integrator", "steps", int, "integrator steps"),
     Parameter("t", "integrator", "t", float, "evolution time"),
     Parameter("frame_floor", "estimation", "frame_floor", float,
-              f"a/b verdict threshold (default {EstimationConfig.frame_floor:g})"),
+              f"a/b verdict threshold (default {FRAME_FLOOR:g})"),
 )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, auto_method, default_steps, flow_map, integrate
 from .errors import InvalidMatrix
-from .frames import EstimationConfig, FrameReport, GaborSystem, frame_bounds, matched_pair
+from .frames import FRAME_FLOOR, FrameReport, GaborSystem, frame_bounds, matched_pair
 from .gaussians import (
     GaussianState,
     check_siegel,
@@ -133,8 +133,7 @@ def gaussian_corollary_check(M, sys: GaborSystem, H: Hamiltonian, t: float, psis
 
 
 def deform_sweep(sys: GaborSystem, H: Hamiltonian, t_grid,
-                 cfg: DeformationConfig | None = None,
-                 estimation: EstimationConfig | None = None):
+                 cfg: DeformationConfig | None = None, frame_floor: float = FRAME_FLOOR):
     """Frame reports of the deformed system along a strictly increasing grid.
 
     An affine image is the source moved by the unitary T(z_t) mu(S_t) T(-z_c)
@@ -148,10 +147,10 @@ def deform_sweep(sys: GaborSystem, H: Hamiltonian, t_grid,
     if np.any(np.diff(t_grid) <= 0) and t_grid.size > 1:
         raise InvalidMatrix("t grid must be strictly increasing")
     cfg = cfg or DeformationConfig()
-    source = frame_bounds(sys, estimation) if cfg.lattice_mode == "affine" else None
+    source = frame_bounds(sys, frame_floor) if cfg.lattice_mode == "affine" else None
     out: list[tuple[float, FrameReport]] = []
     for t in t_grid:
         result = weak_deform(sys, H, float(t), cfg)
-        report = source or frame_bounds(deformed_system(sys, result), estimation)
+        report = source or frame_bounds(deformed_system(sys, result), frame_floor)
         out.append((float(t), report))
     return out

@@ -39,11 +39,7 @@ def check_bytes(need, what: str, remedy: str):
 
 
 class ResolutionError(GaborflowError, ValueError):
-    """A sampled grid does not resolve the oscillation of the requested transform."""
-
-
-class GridDomainError(GaborflowError, ValueError):
-    """A sampled-window operation left the grid domain (shift beyond half-width)."""
+    """A step or a grid does not resolve the quantity it samples."""
 
 
 class DivergenceError(GaborflowError, ArithmeticError):

@@ -12,8 +12,13 @@ operator, so its least eigenvalue lies above the Riesz bound and its largest
 below: a_est >= A and b_est <= B.  A lattice of volume (2 pi hbar)^n or more
 carries no frame (the density theorem; at equality, Balian-Low for Gaussian
 windows), so there a_est is 0 without a solve and b_est comes from the Gram of
-Lambda without its shift.  No lattice report enumerates Lambda, and a shift of
-Lambda or of the window, a unitary, enters neither Gram, not even by rounding.
+Lambda without its shift.  The same rule holds plane by plane: when the
+generator couples no two (x_k, p_k) planes and the window matrix is diagonal,
+the frame operator is the tensor product of the planes' ones, A = A_1 ... A_n,
+so a plane at or past its critical density 2 pi hbar gives a_est 0, and b_est
+still comes from the Gram of Lambda^o.  No lattice report enumerates Lambda,
+and a shift of Lambda or of the window, a unitary, enters neither Gram, not
+even by rounding.
 
 An explicit point set (an exact-nonlinear image, say) has no adjoint lattice.
 Its upper bound is the largest eigenvalue of the Gram matrix of the points,
@@ -113,11 +118,8 @@ class GaborSystem:
         return float(np.max(np.linalg.norm(pts, axis=1))) if pts.size else 0.0
 
 
-@dataclass(frozen=True)
-class EstimationConfig:
-    """frame_floor sets every verdict: a frame when a_est > frame_floor * b_est."""
-
-    frame_floor: float = 1e-3
+# the default verdict threshold: a report is a frame when a_est > frame_floor * b_est
+FRAME_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -456,8 +458,9 @@ def _frame_bounds_bytes(sys: GaborSystem, sym: _Sectors) -> int:
     return _gram_bytes(sys, sym) + 16 * (family * N + components**2)
 
 
-def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> FrameReport:
-    """Estimate the frame bounds of a truncated Gabor system.
+def frame_bounds(sys: GaborSystem, frame_floor: float = FRAME_FLOOR) -> FrameReport:
+    """Estimate the frame bounds of a truncated Gabor system; the verdict
+    is_frame is a_est > frame_floor * b_est.
 
     A system on a Lattice takes the dual route (method "dual") and never reads
     sys.points: a_est and b_est are (2 pi hbar)^n/vol(Lambda) times the least
@@ -466,8 +469,14 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     vol(Lambda) >= (2 pi hbar)^n (to relative 1e-12) no Gabor system on the
     lattice is a frame: a_est is 0 without a solve, and b_est is the largest
     eigenvalue of the Gram of the truncated lattice without its shift, again
-    <= B.  Both Grams are of unshifted lattices, so the report depends on the
-    window matrix, the generator, the radius and hbar only.
+    <= B.  When the system is a product over its (x_k, p_k) planes (no
+    generator entry couples two planes, and the window matrix is diagonal)
+    and one plane's cell |det L_k| is at or past 2 pi hbar (to the same
+    relative 1e-12), a_est is 0 as well, since A is the product of the
+    planes' bounds; b_est still comes from the Gram of the adjoint lattice.
+    At n = 1 this is the density rule itself.  Both Grams are of unshifted
+    lattices, so the report depends on the window matrix, the generator, the
+    radius and hbar only.
 
     An explicit point set takes the test-family route (method "eig"): b_est
     is the largest eigenvalue of the Gram of the points, and a_est the
@@ -482,9 +491,8 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
     would exceed errors.BYTE_BUDGET; the largest benchmark system (alpha*beta =
     1/2, R = 16: 405 adjoint points) needs about 6.0 MB.
     """
-    cfg = cfg or EstimationConfig()
     if isinstance(sys.lattice, Lattice):
-        return _dual_bounds(sys, cfg)
+        return _dual_bounds(sys, frame_floor)
     sym = _symmetry(sys)
     check_bytes(_frame_bounds_bytes(sys, sym), f"frame bounds of {sys.points.shape[0]} points",
                 "reduce radius")
@@ -500,10 +508,25 @@ def frame_bounds(sys: GaborSystem, cfg: EstimationConfig | None = None) -> Frame
         T = V[:, keep] / np.sqrt(w[keep])
         compressed = T.conj().T @ A @ T
         a_est = float(max(np.min(np.linalg.eigvalsh(compressed)), 0.0)) if compressed.size else 0.0
-    return _report(sys, cfg, min(a_est, b_est), b_est, "eig")
+    return _report(sys, frame_floor, min(a_est, b_est), b_est, "eig")
 
 
-def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
+def _plane_past_critical(sys: GaborSystem) -> bool:
+    """Whether the lattice system sys is a product over its (x_k, p_k) planes
+    (no generator entry couples two planes, and the window matrix is
+    diagonal) with a plane whose cell |det L_k| is at or past 2 pi hbar, to
+    relative 1e-12.  That plane's Gaussian system, and so sys, then has
+    lower bound 0."""
+    n, L = sys.n, sys.lattice.generator
+    plane = np.arange(2 * n) % n
+    if np.any(L[plane[:, None] != plane]) or np.any(sys.window.M[~np.eye(n, dtype=bool)]):
+        return False
+    axes = np.stack([np.arange(n), np.arange(n) + n], axis=1)
+    cells = np.abs(np.linalg.det(L[axes[:, :, None], axes[:, None, :]]))
+    return bool(np.any(cells >= 2.0 * np.pi * sys.hbar * (1.0 - 1e-12)))
+
+
+def _dual_bounds(sys: GaborSystem, frame_floor: float) -> FrameReport:
     """frame_bounds of a lattice system, from the Gram of an unshifted lattice."""
     lat = sys.lattice
     cell = (2.0 * np.pi * sys.hbar) ** sys.n
@@ -517,22 +540,24 @@ def _dual_bounds(sys: GaborSystem, cfg: EstimationConfig) -> FrameReport:
                 "reduce radius")
     with blas_threads(1):
         least, largest = _eigenvalue_range(_gram_matrix(gram_sys, sym), sym)
-    if frame_density:
+    if not frame_density:
+        a_est, b_est = 0.0, largest
+    elif _plane_past_critical(sys):
+        a_est, b_est = 0.0, cell / volume * largest
+    else:
         # rounding may take the least eigenvalue of a Gram near the critical
         # density below 0, which no Gram reaches
         a_est, b_est = cell / volume * max(least, 0.0), cell / volume * largest
-    else:
-        a_est, b_est = 0.0, largest
-    return _report(sys, cfg, a_est, b_est, "dual")
+    return _report(sys, frame_floor, a_est, b_est, "dual")
 
 
-def _report(sys: GaborSystem, cfg: EstimationConfig, a_est: float, b_est: float,
+def _report(sys: GaborSystem, frame_floor: float, a_est: float, b_est: float,
             method: str) -> FrameReport:
     return FrameReport(
         a_est=a_est,
         b_est=b_est,
         ratio=float("inf") if a_est == 0 else b_est / a_est,
-        is_frame=bool(a_est > cfg.frame_floor * b_est),
+        is_frame=bool(a_est > frame_floor * b_est),
         method=method,
         truncation=sys.truncation_radius,
         residual_estimate=residual_tail_estimate(sys),

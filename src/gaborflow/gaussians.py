@@ -10,14 +10,12 @@ Heisenberg-Weyl shift
 Internally a Gaussian state is a flat component stack: coefficients (K,),
 matrices (K, n, n), centers (K, 2n) and phases (K,), with K = 1 for a
 GaussianState; mixtures hold GaussianState components only.  A HermiteState
-is a finite sum of the oscillator modes h_k of hermite_functions (n = 1).
+is a finite sum of the orthonormal oscillator modes h_k (n = 1).
 Every closed-form overlap goes through _overlap_core on component stacks,
 broadcast over both sides, and every overlap of a mode with a Gaussian through
 the recurrence of _mode_core; _state_sums adds up each state's own terms.
-Uniform grids (SampledWindow) provide the independent quadrature oracle that
-the tests compare against; _state_values evaluates a whole family of states at
-their nodes in one pass.
-"""
+The package holds no sampled representation: the quadrature oracle that the
+tests compare these closed forms against lives with the tests."""
 
 from __future__ import annotations
 
@@ -26,19 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GridDomainError,
-    InvalidMatrix,
-    NumericalDegeneracy,
-    ResolutionError,
-)
-from .symplectic import (
-    GeneratingFunctionData,
-    as_phase_vector,
-    blocks,
-    check_symplectic,
-)
+from .errors import DimensionMismatch, InvalidMatrix, NumericalDegeneracy
+from .symplectic import as_phase_vector, blocks, check_symplectic
 
 SIEGEL_CONDITION_CAP = 1e12
 
@@ -158,7 +145,8 @@ class GaussianMixture:
 @dataclass(frozen=True, eq=False)
 class HermiteState:
     """The one-dimensional state sum_k coefficients[k] h_k over the
-    orthonormal oscillator modes h_k of hermite_functions."""
+    orthonormal oscillator modes h_k(x) = (2^k k!)^(-1/2) H_k(x/sqrt(hbar))
+    (pi hbar)^(-1/4) exp(-x^2/(2 hbar)), H_k the Hermite polynomials."""
 
     coefficients: np.ndarray
     hbar: float
@@ -183,22 +171,6 @@ class HermiteState:
 def _gaussian_only(g) -> None:
     if not isinstance(g, (GaussianState, GaussianMixture)):
         raise DimensionMismatch(f"a {type(g).__name__} has no closed-form phase-space transforms")
-
-
-def hermite_functions(axis: np.ndarray, hbar: float, degree_max: int) -> np.ndarray:
-    """Orthonormal oscillator modes on the grid, shape (degree_max + 1, N).
-
-    Stable normalized recurrence; mode d is the degree-d polynomial excitation
-    of the standard width-sqrt(hbar) Gaussian.
-    """
-    u = axis / np.sqrt(hbar)
-    out = np.zeros((degree_max + 1, axis.size))
-    out[:1] = np.pi**-0.25 * np.exp(-0.5 * u**2) * hbar**-0.25
-    if degree_max >= 1:
-        out[1] = np.sqrt(2.0) * u * out[0]
-    for d in range(2, degree_max + 1):
-        out[d] = np.sqrt(2.0 / d) * u * out[d - 1] - np.sqrt((d - 1) / d) * out[d - 2]
-    return out
 
 
 def standard_gaussian(n: int, hbar: float) -> GaussianState:
@@ -317,10 +289,10 @@ def _overlap_core(left: _Stack, M2, Z2, gamma2, hbar: float):
 
 
 def _mode_core(M, centers, phases, hbar: float, degree: int) -> np.ndarray:
-    """c_k = integral h_k conj(g) of the modes k <= degree of hermite_functions
-    against normalized 1-D Gaussians g(M, z0, gamma), broadcast over the
-    leading axes of matrices (..., 1, 1), centers (..., 2) and phases (...);
-    shape (degree + 1, ...).
+    """c_k = integral h_k conj(g) of the oscillator modes k <= degree (see
+    HermiteState) against normalized 1-D Gaussians g(M, z0, gamma), broadcast
+    over the leading axes of matrices (..., 1, 1), centers (..., 2) and phases
+    (...); shape (degree + 1, ...).
 
     The generating function sum_k h_k t^k / sqrt(k!) of the modes integrates
     against conj(g) to c_0 exp(b t + a t^2), hence the three-term recurrence
@@ -436,174 +408,3 @@ def shifted_gram(phi: GaussianState, shifts, rows=None) -> np.ndarray:
         left = _Stack(1.0, phi.M, centers[chunk, None], gammas[chunk, None])
         out[start:start + step] = _overlap_core(left, phi.M, centers, gammas, phi.hbar)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sampled windows (quadrature oracle representation)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SampledWindow:
-    """Complex samples on the uniform grid x_k = -extent + k*(2*extent/N) per
-    axis; rectangle-rule quadrature weight (2*extent/N)^n."""
-
-    extent: float
-    values: np.ndarray
-    hbar: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim < 1 or values.shape[0] < 2:
-            raise InvalidMatrix("need at least 2 samples per axis")
-        if any(s != values.shape[0] for s in values.shape):
-            raise InvalidMatrix("tensor grid must be square")
-        if self.extent <= 0 or self.hbar <= 0:
-            raise InvalidMatrix("extent and hbar must be positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "extent", float(self.extent))
-        object.__setattr__(self, "hbar", float(self.hbar))
-
-    @property
-    def n(self) -> int:
-        return self.values.ndim
-
-    @property
-    def npoints(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.extent / self.npoints
-
-    @property
-    def axis(self) -> np.ndarray:
-        return _grid_axis(self.extent, self.npoints)
-
-    @property
-    def weight(self) -> float:
-        return self.step ** self.n
-
-
-def _grid_axis(extent: float, npoints: int) -> np.ndarray:
-    return -extent + 2.0 * extent / npoints * np.arange(npoints)
-
-
-def _grid_nodes(extent: float, npoints: int, n: int) -> np.ndarray:
-    """The nodes of the n-dimensional grid, shape (npoints**n, n), in the
-    order of the flattened samples of a SampledWindow on it."""
-    axes = np.meshgrid(*([_grid_axis(extent, npoints)] * n), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, n)
-
-
-def sampled_norm(w: SampledWindow) -> float:
-    return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.weight))
-
-
-def sampled_inner_product(w1: SampledWindow, w2: SampledWindow) -> complex:
-    """Quadrature inner product (w1|w2) on a common grid."""
-    if w1.values.shape != w2.values.shape or abs(w1.extent - w2.extent) > 1e-12:
-        raise DimensionMismatch("windows must share the grid")
-    return complex(np.sum(w1.values * np.conj(w2.values)) * w1.weight)
-
-
-def evaluate_state(g, x) -> np.ndarray:
-    """Pointwise values of a GaussianState, GaussianMixture or HermiteState.
-
-    x has shape (...,) for n=1 or (..., n) in general.
-    """
-    n = g.n
-    x = np.asarray(x, dtype=float)
-    if n > 1 and x.shape[-1:] != (n,):
-        raise DimensionMismatch(f"points must have last axis {n}")
-    shape = x.shape if n == 1 else x.shape[:-1]
-    return _state_values([g], x.reshape(-1, n))[0].reshape(shape)
-
-
-def _state_values(states, pts) -> np.ndarray:
-    """Values of Gaussian, mixture and Hermite states of one n and hbar at the
-    points pts (P, n), shape (states, P), in one pass: the values of all
-    their Gaussian components and one table of hermite_functions, summed per
-    state by _state_sums."""
-    stack, owner, modes = _stack_states(states)
-    hbar = states[0].hbar
-    K = _component_values(stack.M, stack.centers, stack.phases, hbar, pts).T
-    return _state_sums(states, stack, owner, K, hermite_functions(pts[:, 0], hbar, modes - 1))
-
-
-def _component_values(M, centers, phases, hbar: float, pts) -> np.ndarray:
-    """Values at pts (..., n) of the normalized Gaussian components with
-    matrices M (K, n, n), centers (K, 2n) and phases (K,); shape (..., K)."""
-    n = M.shape[-1]
-    x0, p0 = centers[:, :n], centers[:, n:]
-    # component axis last: dx has shape (..., K, n)
-    dx = pts[..., None, :] - x0
-    expo = np.einsum("...ki,kij,...kj->...k", dx, M, dx)
-    # in place, so the (points x components) temporaries stay few
-    expo *= 0.5
-    expo += phases + (pts @ p0.T - 0.5 * np.einsum("ki,ki->k", p0, x0))
-    expo *= 1j / hbar
-    np.exp(expo, out=expo)
-    expo *= _normalization(M, hbar)
-    return expo
-
-
-def sample_state(g, extent: float, npoints: int) -> SampledWindow:
-    """Sample a Gaussian state, mixture or HermiteState on the uniform grid."""
-    values = _state_values([g], _grid_nodes(extent, npoints, g.n))[0]
-    return SampledWindow(extent, values.reshape((npoints,) * g.n), g.hbar)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic Fourier transform (direct quadrature oracle, n = 1)
-# ---------------------------------------------------------------------------
-
-def quadratic_fourier_apply(
-    data: GeneratingFunctionData, w: SampledWindow, hbar: float
-) -> SampledWindow:
-    """Apply the quadratic Fourier transform with generating data (P, L, Q, m)
-    by direct O(N^2) quadrature of
-
-        (2*pi*i*hbar)^(-1/2) i^m sqrt|L| * integral exp(i W(x,x')/hbar) f(x') dx'
-
-    with W(x,x') = P x^2/2 - L x x' + Q x'^2/2.  Supported for n = 1 on grids
-    that resolve the kernel oscillation.
-    """
-    if w.n != 1 or data.n != 1:
-        raise DimensionMismatch("direct quadrature supports n = 1 only")
-    P, L, Q = float(data.P[0, 0]), float(data.L[0, 0]), float(data.Q[0, 0])
-    coef = max(abs(P), abs(L), abs(Q))
-    required = 4.0 * w.extent**2 * coef / (np.pi * hbar)
-    if w.npoints < required:
-        raise ResolutionError(
-            f"grid of {w.npoints} points cannot resolve the kernel; need >= {int(np.ceil(required))}"
-        )
-    x = w.axis
-    W = 0.5 * P * x[:, None] ** 2 - L * np.outer(x, x) + 0.5 * Q * x[None, :] ** 2
-    pref = (2.0 * np.pi * hbar) ** -0.5 * np.exp(-0.25j * np.pi) * (1j**data.m) * np.sqrt(abs(L))
-    values = pref * (np.exp(1j * W / hbar) @ w.values) * w.step
-    return SampledWindow(w.extent, values, hbar)
-
-
-def stft(w: SampledWindow, window: SampledWindow, z) -> complex:
-    """Short-time Fourier transform sample
-
-        V(z) = integral exp(-2*pi*i p x') psi(x') conj(phi(x' - x)) dx'
-
-    at z = (x, p), by quadrature on the common grid with the window shift
-    snapped to the nearest grid multiple.  For hbar = 1/(2*pi) it relates to
-    the shift overlap by <psi|T(z)phi> = exp(i*pi*p*x) V(z).
-    """
-    if w.n != 1 or window.n != 1:
-        raise DimensionMismatch("stft quadrature supports n = 1 only")
-    if w.values.shape != window.values.shape or abs(w.extent - window.extent) > 1e-12:
-        raise DimensionMismatch("windows must share the grid")
-    z = as_phase_vector(z, 1)
-    x0, p0 = z[0], z[1]
-    if abs(x0) > w.extent:
-        raise GridDomainError("position shift exceeds the grid half-width")
-    k = int(np.round(x0 / w.step))
-    shifted = np.roll(window.values, k)
-    axis = w.axis
-    return complex(
-        np.sum(np.exp(-2j * np.pi * p0 * axis) * w.values * np.conj(shifted)) * w.weight
-    )

@@ -21,7 +21,6 @@ from gaborflow.dynamics import (
 from gaborflow.expressions import eval_with_derivatives, parse_hamiltonian, to_source
 from gaborflow.dynamics import fd_gradient
 from gaborflow.frames import (
-    EstimationConfig,
     GaborSystem,
     covariance_check,
     frame_bounds,
@@ -32,9 +31,6 @@ from gaborflow.frames import (
 from gaborflow.gaussians import (
     GaussianState,
     metaplectic_apply,
-    quadratic_fourier_apply,
-    sample_state,
-    sampled_inner_product,
     siegel_action,
     standard_gaussian,
 )
@@ -50,6 +46,7 @@ from gaborflow.symplectic import (
 )
 
 from conftest import HBAR, random_symplectic
+from oracles import quadratic_fourier_apply, sample_state, sampled_inner_product
 from test_expressions import expression_corpus
 
 
@@ -75,13 +72,12 @@ def _standard_system(side=0.9, radius=8.0):
 
 def test_criterion_1_gaussian_frame_threshold():
     with criterion(1, "gaussian frame threshold"):
-        cfg = EstimationConfig()
         ratios = {}
         for ab in (0.36, 0.64, 0.81, 0.9025, 1.0, 1.1025, 1.44):
             side = float(np.sqrt(ab))
             sys = GaborSystem(standard_gaussian(1, HBAR),
                               separable_lattice([side], [side], 8.0), HBAR)
-            report = frame_bounds(sys, cfg)
+            report = frame_bounds(sys)
             expected = bool(gaussian_frame_criterion([side], [side], HBAR)[0])
             assert report.is_frame == expected, f"verdict mismatch at alpha*beta={ab}"
             ratios[ab] = report.a_est / report.b_est

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -128,6 +129,39 @@ def test_frame_check_at_the_critical_density_is_not_a_frame(capsys):
                            "--format", "csv")
     assert code == 3
     assert out.splitlines()[1].startswith("0,") and out.splitlines()[1].endswith(",inf,False")
+
+
+# frame-check on these lattices exited 0 with is_frame true before the
+# density rule was applied plane by plane: plane (x1, p1) has alpha1*beta1 of
+# 1.1 and 1.024, past 2 pi hbar.  b_est, from the same adjoint Gram, is the
+# value printed then, bit for bit
+PLANE_PAST_CRITICAL = [
+    (("--alpha", "1.1,0.5", "--beta", "1,1", "--radius", "3.2"), 4.1350257375094408),
+    (("--alpha", "1.1,0.5", "--beta", "1,1", "--radius", "4"), 4.21459762815884),
+    (("--alpha", "1.28,0.5", "--beta", "0.8,0.8", "--radius", "3.2"), 4.9566346343301904),
+    (("--alpha", "1.28,0.5", "--beta", "0.8,0.8", "--radius", "4"), 5.0620319937535294),
+]
+
+
+@pytest.mark.parametrize("argv, b_est", PLANE_PAST_CRITICAL,
+                         ids=["1.1-R3.2", "1.1-R4", "1.024-R3.2", "1.024-R4"])
+def test_frame_check_n2_with_a_plane_past_the_critical_density_is_not_a_frame(capsys, argv,
+                                                                              b_est):
+    code, out, _ = run_cli(capsys, "frame-check", "--dimension", "2", *argv)
+    assert code == 3
+    result = loads(out)["result"]
+    assert (result["a_est"], result["b_est"], result["is_frame"], result["method"]) == (
+        0.0, b_est, False, "dual")
+
+
+def test_frame_check_agrees_with_the_criterion_on_separable_n2_lattices(capsys):
+    # each plane's alpha*beta in {0.5, 0.9, 1.0, 1.1}
+    products = ("0.5", "0.9", "1.0", "1.1")
+    for first, second in itertools.product(products, repeat=2):
+        flags = ("--dimension", "2", "--alpha", f"{first},{second}", "--beta", "1,1",
+                 "--radius", "3.2")
+        verdicts = [run_cli(capsys, command, *flags)[0] for command in ("criterion", "frame-check")]
+        assert verdicts[0] == verdicts[1], f"alpha*beta {first}, {second}: exit codes {verdicts}"
 
 
 def test_invariance_command(capsys):

@@ -22,10 +22,11 @@ from gaborflow.frames import (
     rescaling_check,
     translation_check,
 )
-from gaborflow.gaussians import GaussianMixture, GaussianState, sample_state, standard_gaussian
+from gaborflow.gaussians import GaussianMixture, GaussianState, standard_gaussian
 from gaborflow.symplectic import rotation, separable_lattice
 
 from conftest import HBAR, counting_calls, random_symplectic
+from oracles import sample_state
 
 
 def standard_system(side=0.9, radius=8.0):

@@ -4,7 +4,6 @@ import pytest
 from gaborflow import errors
 from gaborflow.errors import DimensionMismatch, InvalidMatrix, ResourceLimit
 from gaborflow.frames import (
-    EstimationConfig,
     GaborSystem,
     build_test_family,
     covariance_check,
@@ -31,12 +30,9 @@ from gaborflow.gaussians import (
     GaussianState,
     HermiteState,
     heisenberg_weyl_apply,
-    hermite_functions,
     inner_product,
     metaplectic_apply,
     mixture_norm,
-    sample_state,
-    sampled_norm,
     shifted_gram,
     standard_gaussian,
 )
@@ -51,6 +47,7 @@ from gaborflow.symplectic import (
 )
 
 from conftest import HBAR, counting_calls, random_symplectic
+from oracles import exact_frame_bounds, hermite_functions, sample_state, sampled_norm
 
 # goldens computed at first build by dense-eigenvalue brute force on the
 # quadrature grid (cross-checked below at coarser tolerance)
@@ -312,7 +309,7 @@ def test_blas_threads_sets_and_restores_the_openblas_count():
 
 
 def test_frame_bounds_goldens():
-    report = frame_bounds(standard_points(), EstimationConfig())
+    report = frame_bounds(standard_points())
     assert report.a_est == pytest.approx(GOLDEN_A, rel=1e-6)
     assert report.b_est == pytest.approx(GOLDEN_B, rel=1e-6)
     assert report.is_frame
@@ -327,7 +324,7 @@ def test_upper_bound_against_dense_oracle():
     shifted = shifted_window_samples(sys, L, N)
     F = (shifted.conj().T @ shifted) * step**2
     dense_b = float(np.linalg.eigvalsh(F)[-1] / step)
-    report = frame_bounds(sys, EstimationConfig())
+    report = frame_bounds(sys)
     assert report.b_est == pytest.approx(dense_b, rel=1e-8)
 
 
@@ -343,7 +340,7 @@ def test_lower_bound_against_dense_mode_oracle():
     m = (modes @ shifted.conj().T) * step
     A = (m @ m.conj().T).real
     dense_a = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
-    report = frame_bounds(sys, EstimationConfig())
+    report = frame_bounds(sys)
     assert report.a_est <= dense_a + 1e-9
     assert report.a_est == pytest.approx(dense_a, rel=1e-3)
 
@@ -376,8 +373,8 @@ def test_family_growth_never_raises_lower_bound(monkeypatch):
 
 
 def test_radius_growth_never_lowers_upper_bound():
-    b_small = frame_bounds(standard_system(radius=6.0), EstimationConfig()).b_est
-    b_large = frame_bounds(standard_system(radius=8.0), EstimationConfig()).b_est
+    b_small = frame_bounds(standard_system(radius=6.0)).b_est
+    b_large = frame_bounds(standard_system(radius=8.0)).b_est
     assert b_large >= b_small - 1e-12
 
 
@@ -553,32 +550,18 @@ def test_sector_solve_builds_a_quarter_of_the_rows_and_solves_quarter_blocks(mon
     assert all(np.iscomplexobj(a) and a.shape[-1] <= quarter for a in inputs)
 
 
-def test_frame_bounds_samples_the_shifted_window_once(monkeypatch):
-    # a Gaussian window is never sampled: the witness scan, the family product
-    # and the family Gram are closed-form, here and in any frame_terms call
-    import gaborflow.frames as frames
+def test_gaussians_defines_no_sampling_name():
+    # a Gaussian window is never sampled: the quadrature oracle lives with the
+    # tests, and the package keeps one state representation
+    import gaborflow
     import gaborflow.gaussians as gaussians
 
-    calls = []
-
-    def record(module, name):
-        real = getattr(module, name)
-
-        def recording(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, recording)
-
-    for name in ("_component_values", "hermite_functions", "sample_state", "_state_values"):
-        record(gaussians, name)
-    sys = standard_points(radius=4.0)
-    monkeypatch.setattr(frames, "FAMILY_SIZE", 8)
-    frame_bounds(sys)
-    assert calls == []
-    assert "_held" not in vars(sys)
-    frame_terms(sys, build_test_family(1, HBAR, 8))
-    assert calls == []
+    sampling = ("SampledWindow", "_grid_axis", "_grid_nodes", "sampled_norm",
+                "sampled_inner_product", "evaluate_state", "_state_values", "_component_values",
+                "sample_state", "quadratic_fourier_apply", "stft", "hermite_functions")
+    assert [name for name in sampling if hasattr(gaussians, name)] == []
+    assert [name for name in sampling if hasattr(gaborflow, name)] == []
+    assert not hasattr(errors, "GridDomainError")
 
 
 def test_frame_bounds_leaves_no_state_on_the_system(monkeypatch):
@@ -700,11 +683,43 @@ def test_frame_terms_checks_its_byte_budget_before_the_kernel_runs(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # Exact bounds of the standard Gaussian on alpha = beta = sqrt(1/q) at
-# hbar = 1/(2 pi), to 6 decimals, from the Ron-Shen symbol (Ron & Shen,
-# J. Funct. Anal. 148, 1997); the benchmark's independent oracle reproduces
-# them to 1e-6
+# hbar = 1/(2 pi), to 6 decimals, as ROADMAP.md quotes them from the Ron-Shen
+# symbol (Ron & Shen, J. Funct. Anal. 148, 1997); the fiber-matrix oracle and
+# the benchmark's independent oracle reproduce them to 1e-6
 EXACT_BOUNDS = {2: (1.669254, 2.360681), 3: (2.891232, 3.106831), 4: (3.970177, 4.029935)}
 ROUNDING = 5e-7
+
+
+def benchmark_reference():
+    """perfbench/reference.py, loaded by path: the benchmark's oracle, which
+    imports nothing of gaborflow."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_bound_oracle_reproduces_the_roadmap_pairs_and_the_benchmark_oracle():
+    reference = benchmark_reference()
+    for q, (a_table, b_table) in EXACT_BOUNDS.items():
+        side = np.sqrt(1.0 / q)
+        A, B = exact_frame_bounds(side, side)
+        assert abs(A - a_table) <= 1e-6 and abs(B - b_table) <= 1e-6
+        a_ref, b_ref = reference.exact_bounds(side, side)
+        assert A == pytest.approx(a_ref, rel=1e-12) and B == pytest.approx(b_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.9, 0.9), (1.0, 1.0), (np.sqrt(6 / 7), np.sqrt(6 / 7))],
+                         ids=["irrational", "critical", "q-7"])
+def test_exact_bound_oracle_refuses_densities_outside_its_scope(alpha, beta):
+    with pytest.raises(ValueError, match="is not p/q < 1"):
+        exact_frame_bounds(alpha, beta)
 
 
 @pytest.mark.parametrize("q, radius, a_gap, b_gap", [
@@ -716,11 +731,56 @@ ROUNDING = 5e-7
 def test_dual_bounds_lie_inside_the_exact_bounds(q, radius, a_gap, b_gap):
     # a finite section of the adjoint Gram raises its least eigenvalue and
     # lowers its largest: a_est from above, b_est from below
-    A, B = EXACT_BOUNDS[q]
+    A, B = exact_frame_bounds(np.sqrt(1.0 / q), np.sqrt(1.0 / q))
     report = frame_bounds(standard_system(np.sqrt(1.0 / q), radius))
     assert report.method == "dual" and report.is_frame
     assert A - ROUNDING <= report.a_est <= A * (1.0 + a_gap)
     assert B * (1.0 + b_gap) <= report.b_est <= B + ROUNDING
+
+
+# (p, q, M): the relative gaps a_est/A - 1 and 1 - b_est/B of the window M on
+# alpha = beta = sqrt(p/q) at hbar = 1/(2 pi), measured against the fiber-matrix
+# oracle and rounded up in the third digit, at R = 8 and at R = 16.  They fall
+# about 4-fold from R = 8 to 16, as the section gap falls like 1/R^2; the
+# windows 0.5i and 2i are each other's quarter turn, so their gaps agree
+DUAL_GAPS = {
+    (1, 2, 1j): ((7.44e-3, 6.21e-3), (2.00e-3, 1.68e-3)),
+    (1, 2, 0.5j): ((2.38e-2, 1.08e-2), (6.15e-3, 2.82e-3)),
+    (1, 2, 2j): ((2.38e-2, 1.08e-2), (6.15e-3, 2.82e-3)),
+    (1, 2, 0.3 + 0.8j): ((4.58e-3, 6.56e-3), (1.22e-3, 1.78e-3)),
+    (1, 3, 1j): ((2.09e-3, 1.88e-3), (5.77e-4, 5.18e-4)),
+    (1, 3, 0.5j): ((1.15e-2, 7.84e-3), (2.90e-3, 1.99e-3)),
+    (1, 3, 2j): ((1.15e-2, 7.84e-3), (2.90e-3, 1.99e-3)),
+    (1, 3, 0.3 + 0.8j): ((2.11e-3, 1.42e-3), (5.81e-4, 3.86e-4)),
+    (1, 4, 1j): ((5.82e-4, 5.77e-4), (1.59e-4, 1.57e-4)),
+    (1, 4, 0.5j): ((4.64e-3, 3.91e-3), (1.45e-3, 1.22e-3)),
+    (1, 4, 2j): ((4.64e-3, 3.91e-3), (1.45e-3, 1.22e-3)),
+    (1, 4, 0.3 + 0.8j): ((4.77e-4, 5.64e-4), (1.35e-4, 1.58e-4)),
+    (2, 3, 1j): ((1.05e-2, 6.06e-3), (2.83e-3, 1.65e-3)),
+    (2, 3, 0.5j): ((3.44e-2, 1.05e-2), (8.70e-3, 2.68e-3)),
+    (2, 3, 2j): ((3.44e-2, 1.05e-2), (8.70e-3, 2.68e-3)),
+    (2, 3, 0.3 + 0.8j): ((1.06e-2, 6.18e-3), (2.89e-3, 1.70e-3)),
+    (3, 4, 1j): ((9.26e-3, 5.83e-3), (2.54e-3, 1.55e-3)),
+    (3, 4, 0.5j): ((4.46e-2, 1.18e-2), (1.12e-2, 2.98e-3)),
+    (3, 4, 2j): ((4.46e-2, 1.18e-2), (1.12e-2, 2.98e-3)),
+    (3, 4, 0.3 + 0.8j): ((8.07e-3, 6.27e-3), (2.19e-3, 1.68e-3)),
+    (3, 5, 1j): ((6.49e-3, 3.90e-3), (1.78e-3, 1.07e-3)),
+    (3, 5, 0.5j): ((2.68e-2, 9.34e-3), (7.75e-3, 2.73e-3)),
+    (3, 5, 2j): ((2.68e-2, 9.34e-3), (7.75e-3, 2.73e-3)),
+    (3, 5, 0.3 + 0.8j): ((6.75e-3, 3.48e-3), (1.91e-3, 9.92e-4)),
+}
+
+
+@pytest.mark.parametrize("radius", [8.0, 16.0])
+@pytest.mark.parametrize("p, q, m", list(DUAL_GAPS), ids=lambda v: str(v))
+def test_dual_bounds_hold_the_exact_bounds_at_rational_densities(p, q, m, radius):
+    side = np.sqrt(p / q)
+    A, B = exact_frame_bounds(side, side, m)
+    window = GaussianState(np.array([[m]]), [0.0, 0.0], 0.0, HBAR)
+    report = frame_bounds(GaborSystem(window, separable_lattice([side], [side], radius), HBAR))
+    a_gap, b_gap = DUAL_GAPS[p, q, m][radius == 16.0]
+    assert A <= report.a_est <= A * (1.0 + a_gap)
+    assert B * (1.0 - b_gap) <= report.b_est <= B * (1.0 + 1e-12)
 
 
 def test_dual_bounds_tighten_with_the_radius():
@@ -785,6 +845,26 @@ def test_no_lattice_at_or_past_the_critical_density_carries_a_frame(monkeypatch,
     assert (lat.radius, lat.shift.tolist()) == (sys.lattice.radius, [0.0, 0.0])
     full = np.linalg.eigvalsh(shifted_gram(sys.window, sys.points))
     assert report.b_est == pytest.approx(full[-1], rel=1e-13)
+
+
+def test_plane_coupling_systems_keep_the_2n_ball_solve():
+    # the planes of the lattice diag(1.1, 0.5, 1, 1) are product factors, the
+    # first past the critical density; a generator entry that couples two
+    # planes, or a window matrix that does, leaves a_est to the Lambda^o Gram
+    base = np.diag([1.1, 0.5, 1.0, 1.0])
+    coupled = make_generator("shear", n=2, P=[[0.0, 0.2], [0.2, 0.0]]) @ base
+    skew = GaussianState(np.array([[1j, 0.1], [0.1, 1j]]), np.zeros(4), 0.0, HBAR)
+    product = GaborSystem(standard_gaussian(2, HBAR), Lattice(base, 3.2), HBAR)
+    assert frame_bounds(product).a_est == 0.0
+    for window, generator in ((standard_gaussian(2, HBAR), coupled), (skew, base)):
+        sys = GaborSystem(window, Lattice(generator, 3.2), HBAR)
+        dual = GaborSystem(window, adjoint_lattice(sys.lattice, HBAR), HBAR)
+        sym = _symmetry(dual)
+        least = _eigenvalue_range(_gram_matrix(dual, sym), sym)[0]
+        scale = (2.0 * np.pi * HBAR) ** 2 / abs(np.linalg.det(generator))
+        report = frame_bounds(sys)
+        assert report.a_est > 0.0
+        assert report.a_est == pytest.approx(scale * least, rel=1e-12)
 
 
 def test_dual_bounds_check_their_bytes_before_allocating(monkeypatch):
@@ -889,11 +969,11 @@ def test_upper_gamma_q_matches_scipy(n):
 def test_report_fields_consistent():
     # a lattice system is truncated at its radius, a point set at its
     # largest norm
-    report = frame_bounds(standard_system(), EstimationConfig())
+    report = frame_bounds(standard_system())
     assert report.a_est <= report.b_est
     assert (report.method, report.truncation) == ("dual", 8.0)
     sys = standard_points()
-    report = frame_bounds(sys, EstimationConfig())
+    report = frame_bounds(sys)
     assert report.a_est <= report.b_est
     assert (report.method, report.truncation) == ("eig", sys.truncation_radius)
 

@@ -14,28 +14,17 @@ from gaborflow.gaussians import (
     GaussianMixture,
     GaussianState,
     HermiteState,
-    SampledWindow,
     check_siegel,
-    evaluate_state,
     heisenberg_weyl_apply,
-    hermite_functions,
     inner_product,
     metaplectic_apply,
     mixture_norm,
     overlaps_with_shifts,
-    quadratic_fourier_apply,
     rescale_window,
-    sample_state,
-    sampled_inner_product,
-    sampled_norm,
     shifted_gram,
     siegel_action,
     standard_gaussian,
-    stft,
-    _grid_axis,
-    _grid_nodes,
     _mode_core,
-    _state_values,
 )
 from gaborflow.symplectic import (
     GeneratingFunctionData,
@@ -47,6 +36,17 @@ from gaborflow.symplectic import (
 )
 
 from conftest import HBAR, counting_calls, random_symplectic
+from oracles import (
+    SampledWindow,
+    evaluate_state,
+    hermite_functions,
+    quadratic_fourier_apply,
+    sample_state,
+    sampled_inner_product,
+    sampled_norm,
+    stft,
+    _grid_axis,
+)
 
 
 def random_gaussian(rng, n=1, hbar=HBAR):
@@ -355,18 +355,6 @@ def test_hermite_state_inner_products_are_the_mode_coefficients(rng):
     w1, wg = sample_state(h1, 10.0, 1024), sample_state(g, 10.0, 1024)
     assert inner_product(h1, g) == pytest.approx(sampled_inner_product(w1, wg), abs=1e-12)
     assert inner_product(g, h1) == pytest.approx(sampled_inner_product(wg, w1), abs=1e-12)
-
-
-def test_one_pass_sampling_matches_per_state_sampling(rng):
-    mix = GaussianMixture([0.8, 0.6j], (random_gaussian(rng), random_gaussian(rng)))
-    family = [random_gaussian(rng), mix, HermiteState(rng.normal(size=7), HBAR),
-              HermiteState([0.3, 1j], HBAR)]
-    mix2 = GaussianMixture([1.0, -0.5], (random_gaussian(rng, 2), random_gaussian(rng, 2)))
-    for states, n in ((family, 1), ([mix2, random_gaussian(rng, 2)], 2)):
-        one_pass = _state_values(states, _grid_nodes(6.0, 64, n))
-        for row, state in zip(one_pass, states):
-            alone = sample_state(state, 6.0, 64).values.ravel()
-            assert np.max(np.abs(row - alone)) <= 1e-14
 
 
 @pytest.mark.parametrize("h", [HermiteState([0.0, 1.0], HBAR),
