@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -266,13 +265,21 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if (args.ab_grid is None) == (args.t_grid is None):
         raise GaborflowError("sweep takes exactly one of --ab-grid and --t-grid")
     if args.ab_grid is not None:
+        given = [f"--{f}" for f in ("alpha", "beta", "generator", "hamiltonian", "method", "steps")
+                 if getattr(args, f) is not None]
+        if given:
+            raise GaborflowError(f"sweep --ab-grid builds square lattices and takes no "
+                                 f"{', '.join(given)}")
         grid = _parse_grid(args.ab_grid)
         if not np.all(grid > 0):
             raise GaborflowError("alpha*beta grid values must be positive")
+        # square lattices, with the window, hbar, dimension and radius of cfg
+        kept = {f: getattr(cfg, f) for f in ("hbar", "dimension", "radius", "window_m",
+                                             "window_center")}
         results = []
         for ab in grid:
             side = (float(np.sqrt(ab)),)
-            square = build_system(replace(cfg, alpha=side, beta=side, generator=None))
+            square = build_system(RunConfig(alpha=side, beta=side, **kept))
             results.append((float(ab), frame_bounds(square, cfg.frame_floor)))
         label = "alpha_beta"
     else:
@@ -280,12 +287,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         results = deform_sweep(build_system(cfg), build_hamiltonian(cfg), grid,
                                DeformationConfig(cfg.steps, cfg.method), cfg.frame_floor)
         label = "t"
-    payload = {
-        "grid_label": label,
-        "rows": [
-            {label: g, **_report_dict(rep)} for g, rep in results
-        ],
-    }
+    payload = {"grid_label": label, "rows": [{label: g, **_report_dict(rep)} for g, rep in results]}
     rows = [(g, rep.a_est, rep.b_est, rep.ratio, rep.is_frame) for g, rep in results]
     _write_output(payload, rows, (label, "a_est", "b_est", "ratio", "is_frame"), args, cfg)
     return EXIT_OK
@@ -306,8 +308,7 @@ _BUILTIN_PATHS = {
 
 def cmd_path_hamiltonian(args, cfg: RunConfig) -> int:
     t = cfg.t
-    probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.7, -0.4]),
-              np.array([-1.2, 0.5])]
+    probes = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, -0.4], [-1.2, 0.5]])
     if args.path_name == "translation":
         shift = np.array([0.4, -0.3])
         Q = None
@@ -339,14 +340,40 @@ def cmd_path_hamiltonian(args, cfg: RunConfig) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_system_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=str, default=None, help="INI config file")
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    for p in PARAMETERS:
-        # lists are parsed after argparse, so a malformed one exits 1, not 2
-        scalar = p.parse in (int, float)
-        parser.add_argument(p.flag, type=p.parse if scalar else str, default=None, help=p.help)
+# every run parameter but seed, which every command takes for the reports' meta
+_EVERY = frozenset(p.field for p in PARAMETERS) - {"seed"}
+
+# name: (handler, help, the RunConfig fields its result depends on, which are
+# its flags besides --seed, and its own options as (flag, add_argument keywords))
+COMMANDS = {
+    "criterion": (
+        cmd_criterion, "Gaussian frame criterion per axis",
+        frozenset({"hbar", "dimension", "alpha", "beta"}), ()),
+    "frame-check": (
+        cmd_frame_check, "estimate frame bounds and verdict",
+        _EVERY - {"hamiltonian", "method", "steps", "t"}, ()),
+    "deform": (
+        cmd_deform, "weak-deform a Gaussian Gabor system", _EVERY - {"frame_floor"},
+        (("--lattice-mode", dict(choices=("affine", "exact-nonlinear"), default="affine")),
+         ("--dump-lattice", dict(action="store_true")))),
+    "invariance": (
+        cmd_invariance, "check the deformation invariance identity", _EVERY - {"frame_floor"},
+        (("--trials", dict(type=int, default=8)), ("--tol", dict(type=float, default=1e-8)))),
+    "integrate": (
+        cmd_integrate, "integrate a Hamiltonian trajectory",
+        frozenset({"dimension", "hamiltonian", "method", "steps", "t"}),
+        (("--z0", dict(type=str, required=True, help="initial phase point, 2n floats")),
+         ("--dump-matrices", dict(action="store_true", help="also write the linearized flow "
+                                  "S_t at every node (JSON output only)")))),
+    "sweep": (
+        cmd_sweep, "frame reports over a deformation or density grid", _EVERY - {"t"},
+        (("--t-grid", dict(type=str, default=None, help="start:stop:count or comma list")),
+         ("--ab-grid", dict(type=str, default=None, help="alpha*beta products (square "
+                            "lattices), start:stop:count or comma list")))),
+    "path-hamiltonian": (
+        cmd_path_hamiltonian, "reconstruct generating Hamiltonians of paths", frozenset({"t"}),
+        (("--path-name", dict(choices=(*_BUILTIN_PATHS, "translation"), default="rotation")),)),
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -355,46 +382,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Symplectic and Hamiltonian deformations of Gaussian Gabor frames.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("criterion", help="Gaussian frame criterion per axis")
-    _add_system_flags(p)
-    p.set_defaults(func=cmd_criterion)
-
-    p = sub.add_parser("frame-check", help="estimate frame bounds and verdict")
-    _add_system_flags(p)
-    p.set_defaults(func=cmd_frame_check)
-
-    p = sub.add_parser("deform", help="weak-deform a Gaussian Gabor system")
-    _add_system_flags(p)
-    p.add_argument("--lattice-mode", choices=("affine", "exact-nonlinear"), default="affine")
-    p.add_argument("--dump-lattice", action="store_true")
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("invariance", help="check the deformation invariance identity")
-    _add_system_flags(p)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_invariance)
-
-    p = sub.add_parser("integrate", help="integrate a Hamiltonian trajectory")
-    _add_system_flags(p)
-    p.add_argument("--z0", type=str, required=True, help="initial phase point, 2n floats")
-    p.add_argument("--dump-matrices", action="store_true",
-                   help="also write the linearized flow S_t at every node (JSON output only)")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("sweep", help="frame reports over a deformation or density grid")
-    _add_system_flags(p)
-    p.add_argument("--t-grid", type=str, default=None, help="start:stop:count or comma list")
-    p.add_argument("--ab-grid", type=str, default=None,
-                   help="alpha*beta products (square lattices), start:stop:count or comma list")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("path-hamiltonian", help="reconstruct generating Hamiltonians of paths")
-    _add_system_flags(p)
-    p.add_argument("--path-name", choices=("rotation", "shear", "dilation", "translation"),
-                   default="rotation")
-    p.set_defaults(func=cmd_path_hamiltonian)
+    for name, (run, help_text, fields, options) in COMMANDS.items():
+        # no abbreviations: sweep --t would otherwise be read as --t-grid
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", type=str, default=None, help="INI config file")
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        for param in PARAMETERS:
+            if param.field == "seed" or param.field in fields:
+                # lists are parsed after argparse, so a malformed one exits 1, not 2
+                scalar = param.parse in (int, float)
+                p.add_argument(param.flag, type=param.parse if scalar else str, default=None,
+                               help=param.help)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=run)
     return parser
 
 
@@ -402,7 +404,7 @@ def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
     flag_values = {}
     for p in PARAMETERS:
-        value = getattr(args, p.field)
+        value = getattr(args, p.field, None)
         flag_values[p.field] = p.parse(value) if isinstance(value, str) else value
     return merge_config(file_values, flag_values)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +22,13 @@ from .gaussians import GaussianState
 from .symplectic import Lattice, enumeration_bytes, separable_lattice
 
 BUILTIN_HAMILTONIANS = ("harmonic", "free", "shear", "anharmonic", "driven")
+
+
+# The closed-form overlap of two shifts of a Gaussian window exponentiates a
+# quadratic form in the shifts over hbar, with coefficients up to about the
+# spread (1 + |m|^2)/Im m of each diagonal window entry m.  Up to the cap it
+# stays finite for |shift|^2/hbar up to 1e108; far past it, it overflows to NaN.
+WINDOW_SPREAD_CAP = 1e200
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,11 @@ class RunConfig:
                 raise ConfigError("window_m", f"needs 1 or {n} diagonal entries")
             if any(not complex(v).imag > 0 for v in self.window_m):
                 raise ConfigError("window_m", "imaginary parts must be positive")
+            # the spread, without overflow in |m|^2 when it is finite
+            if any(1 / m.imag + abs(m) * (abs(m) / m.imag) > WINDOW_SPREAD_CAP
+                   for m in map(complex, self.window_m)):
+                raise ConfigError("window_m", f"(1 + |m|^2)/Im m of each entry m must be at most "
+                                              f"{WINDOW_SPREAD_CAP:g}")
         if self.window_center is not None and len(self.window_center) != 2 * n:
             raise ConfigError("window_center", f"needs {2 * n} entries")
         if self.steps is not None and self.steps < 1:
@@ -132,18 +144,9 @@ def build_hamiltonian(cfg: RunConfig) -> Hamiltonian:
     return expression_hamiltonian(name, cfg.dimension)
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = [str(v) if isinstance(v, complex) else v for v in value]
-        out[f.name] = value
-    return out
-
-
 def config_hash(cfg: RunConfig) -> str:
-    payload = json.dumps(config_dict(cfg), sort_keys=True).encode()
+    # a complex list entry (of window_m) is hashed as its str
+    payload = json.dumps(asdict(cfg), sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 

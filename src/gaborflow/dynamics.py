@@ -350,34 +350,36 @@ def _expm(A: np.ndarray, t: float) -> np.ndarray:
 # One-step integrators (separable Hamiltonians)
 # ---------------------------------------------------------------------------
 
-# The kick ("k") and drift ("d") stages of each splitting, with their fractions of h
-_SPLITTINGS = {"euler": (("k", 1.0), ("d", 1.0)),
-               "verlet": (("d", 0.5), ("k", 1.0), ("d", 0.5))}
-# The same stages, each with whether it is the last of its kind, which writes
-# its half of the step's output
-_STAGES = {method: tuple((kind, frac, all(later != kind for later, _ in stages[i + 1:]))
-                         for i, (kind, frac) in enumerate(stages))
-           for method, stages in _SPLITTINGS.items()}
+# The kick ("k") and drift ("d") stages of each splitting: each stage's kind,
+# fraction of h and whether it is the last of its kind, which writes its half
+# of the step's output
+_STAGES = {"euler": (("k", 1.0, True), ("d", 1.0, True)),
+           "verlet": (("d", 0.5, False), ("k", 1.0, True), ("d", 0.5, True))}
 
 
-def _split_step(H: Hamiltonian, method: str, z: np.ndarray, h: float, stages=None,
-                out=None) -> np.ndarray:
-    """One kick/drift step z -> z' of a separable H: a kick p -= c V'(x), a
-    drift x += c U'(p).  The last stage of each kind writes its half of z'
-    straight into `out` (a new array when None), which is returned; no stage
-    writes over an array it reads.  A list `stages` collects each stage's
-    (kind, c, x or p that it reads), from which _split_jacobians builds the
-    step's derivative."""
+def _split_stages(H: Hamiltonian, method: str, h: float) -> tuple:
+    """The _STAGES of method for a separable H and step h, each fraction made
+    c = frac * h once: a 0-d float64 array multiplies an array faster than a float."""
     if H.separable is None:
         raise InvalidMatrix("this integrator requires a separable Hamiltonian U(p) + V(x)")
+    return tuple((kind, np.array(frac * h), last) for kind, frac, last in _STAGES[method])
+
+
+def _split_step(H: Hamiltonian, stages: tuple, z: np.ndarray, record=None,
+                out=None) -> np.ndarray:
+    """One kick/drift step z -> z' of a separable H through `stages`
+    (_split_stages): a kick p -= c V'(x), a drift x += c U'(p).  The last
+    stage of each kind writes its half of z' straight into `out` (a new array
+    when None), which is returned; no stage writes over an array it reads.  A
+    list `record` collects each stage's (kind, c, x or p that it reads), from
+    which _split_jacobians builds the step's derivative."""
     sep, n = H.separable, H.n
     if out is None:
         out = np.empty_like(z)
     x, p = z[..., :n], z[..., n:]
-    for stage, frac, last in _STAGES[method]:
-        c = frac * h
-        if stages is not None:
-            stages.append((stage, c, x if stage == "k" else p))
+    for stage, c, last in stages:
+        if record is not None:
+            record.append((stage, c, x if stage == "k" else p))
         if stage == "k":
             p = np.subtract(p, c * sep.dv(x), out=out[..., n:] if last else None)
         else:
@@ -385,17 +387,17 @@ def _split_step(H: Hamiltonian, method: str, z: np.ndarray, h: float, stages=Non
     return out
 
 
-def _split_jacobians(H: Hamiltonian, method: str, z: np.ndarray, h: float) -> np.ndarray:
+def _split_jacobians(H: Hamiltonian, stages: tuple, z: np.ndarray) -> np.ndarray:
     """DPhi_h of a kick/drift step at each point of z, in one pass over the
     batch: the product of the stage shears, Dp -= c V''(x) Dx for a kick and
     Dx += c U''(p) Dp for a drift.  Each shear is symplectic, so DPhi_h is
     symplectic to rounding at any h."""
-    stages = []
-    _split_step(H, method, z, h, stages)
+    record = []
+    _split_step(H, stages, z, record)
     n = H.n
     eye = np.eye(2 * n)
     Dx, Dp = eye[:n], eye[n:]
-    for stage, c, arg in stages:
+    for stage, c, arg in record:
         if stage == "k":
             Dp = Dp - c * (H.separable.d2v(arg) @ Dx)
         else:
@@ -405,12 +407,12 @@ def _split_jacobians(H: Hamiltonian, method: str, z: np.ndarray, h: float) -> np
 
 def symplectic_euler_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """First-order kick-drift step: p1 = p - V'(x) dt, x1 = x + U'(p1) dt."""
-    return _split_step(H, "euler", _points(z, H.n), dt)
+    return _split_step(H, _split_stages(H, "euler", dt), _points(z, H.n))
 
 
 def verlet_step(H: Hamiltonian, z, dt: float) -> np.ndarray:
     """Second-order position-Verlet step (drift, kick, drift)."""
-    return _split_step(H, "verlet", _points(z, H.n), dt)
+    return _split_step(H, _split_stages(H, "verlet", dt), _points(z, H.n))
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +578,14 @@ def _step_map(H: Hamiltonian, method: str, times: np.ndarray, h: float, points: 
 
         def jacobians(z):
             return flow.linear
-    elif method in _SPLITTINGS:
+    elif method in _STAGES:
+        stages = _split_stages(H, method, h)
+
         def step(k):
-            _split_step(H, method, points[k - 1], h, out=points[k])
+            _split_step(H, stages, points[k - 1], out=points[k])
 
         def jacobians(z):
-            return _split_jacobians(H, method, z, h)
+            return _split_jacobians(H, stages, z)
     elif method == "rk4":
         def step(k):
             points[k] = _rk4_step(H, points[k - 1], times[k - 1], h,

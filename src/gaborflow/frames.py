@@ -295,8 +295,9 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     origin, so G0 has the same spectrum.  A point map z -> Sz is a symmetry of
     G0 when the metaplectic operator mu(S), with mu(S) T(z) = T(Sz) mu(S),
     fixes that window up to a phase: the parity always; the quarter turn J
-    when M @ M == -I, since J acts on M as M -> -M^-1.  Point lists with
-    repeated points take no symmetry.
+    when M = iI, the one point M = -M^-1 of the Siegel space on which J acts
+    as M -> -M^-1 (testing M @ M == -I instead would overflow on a large M).
+    Point lists with repeated points take no symmetry.
     """
     pts = sys.points
     N, n = pts.shape[0], sys.n
@@ -308,7 +309,7 @@ def _symmetry(sys: GaborSystem) -> _Sectors:
     if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         return none
     turn, m = None, 4
-    if np.array_equal(sys.window.M @ sys.window.M, -np.eye(n)):
+    if np.array_equal(sys.window.M, 1j * np.eye(n)):
         turn = _index_map(pts, order, np.hstack([pts[:, n:], -pts[:, :n]]))
     if turn is None:
         turn, m = _index_map(pts, order, -pts), 2

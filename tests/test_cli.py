@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given
 
 from gaborflow import errors
-from gaborflow.cli import (OUTPUT_BLOCK, _config_from_args, _json_parts, _write_output,
-                           build_arg_parser, main)
+from gaborflow.cli import (COMMANDS, OUTPUT_BLOCK, _config_from_args, _json_parts,
+                           _write_output, build_arg_parser, main)
 from gaborflow.config import (
     PARAMETERS,
     RunConfig,
@@ -158,9 +158,9 @@ def test_frame_check_agrees_with_the_criterion_on_separable_n2_lattices(capsys):
     # each plane's alpha*beta in {0.5, 0.9, 1.0, 1.1}
     products = ("0.5", "0.9", "1.0", "1.1")
     for first, second in itertools.product(products, repeat=2):
-        flags = ("--dimension", "2", "--alpha", f"{first},{second}", "--beta", "1,1",
-                 "--radius", "3.2")
-        verdicts = [run_cli(capsys, command, *flags)[0] for command in ("criterion", "frame-check")]
+        flags = ("--dimension", "2", "--alpha", f"{first},{second}", "--beta", "1,1")
+        verdicts = [run_cli(capsys, "criterion", *flags)[0],
+                    run_cli(capsys, "frame-check", *flags, "--radius", "3.2")[0]]
         assert verdicts[0] == verdicts[1], f"alpha*beta {first}, {second}: exit codes {verdicts}"
 
 
@@ -583,6 +583,8 @@ PARAMETER_TEXT = {
 }
 LIST_PARAMETERS = [p for p in PARAMETERS if p.parse in (parse_float_list, parse_complex_list)]
 SCALAR_PARAMETERS = [p for p in PARAMETERS if p.parse in (int, float)]
+# the run parameters whose flags each command takes: its table row's and seed
+TAKES = {name: fields | {"seed"} for name, (_, _, fields, _) in COMMANDS.items()}
 
 
 def test_every_run_parameter_is_declared_once():
@@ -594,15 +596,24 @@ def test_every_run_parameter_is_declared_once():
 
 def test_readme_table_lists_every_run_parameter():
     # each row of the README's run-parameter table is `--flag` | `[section] key`
+    # | default | the commands that read it, as in the command table
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    start = readme.index("| Flag | INI `[section] key` | Default |")
+    start = readme.index("| Flag | INI `[section] key` | Default | Read by |")
     rows = []
     for line in readme[start:].splitlines()[2:]:
         if not line.startswith("|"):
             break
-        flag, key = (cell.strip().strip("`") for cell in line.split("|")[1:3])
-        rows.append((flag, key))
-    assert rows == [(p.flag, f"[{p.section}] {p.key}") for p in PARAMETERS]
+        cells = [cell.strip().strip("`") for cell in line.split("|")[1:-1]]
+        read_by = list(COMMANDS) if cells[3] == "every command" else cells[3].split(", ")
+        rows.append((cells[0], cells[1], read_by))
+    assert rows == [(p.flag, f"[{p.section}] {p.key}",
+                     [name for name, taken in TAKES.items() if p.field in taken])
+                    for p in PARAMETERS]
+
+
+def reader(param) -> str:
+    """The first command that takes the flag of param."""
+    return next(name for name, taken in TAKES.items() if param.field in taken)
 
 
 @pytest.mark.parametrize("param", PARAMETERS, ids=lambda p: p.field)
@@ -611,8 +622,8 @@ def test_flag_and_ini_key_set_the_same_config(tmp_path, param):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{param.section}]\n{param.key} = {text}\n")
     parser = build_arg_parser()
-    by_flag = _config_from_args(parser.parse_args(["criterion", f"{param.flag}={text}"]))
-    by_key = _config_from_args(parser.parse_args(["criterion", "--config", str(ini)]))
+    by_flag = _config_from_args(parser.parse_args([reader(param), f"{param.flag}={text}"]))
+    by_key = _config_from_args(parser.parse_args([reader(param), "--config", str(ini)]))
     assert by_flag == by_key != RunConfig()
     assert config_hash(by_flag) == config_hash(by_key)
 
@@ -620,7 +631,7 @@ def test_flag_and_ini_key_set_the_same_config(tmp_path, param):
 @pytest.mark.parametrize("param", LIST_PARAMETERS, ids=lambda p: p.field)
 def test_malformed_list_flag_exits_1(capsys, param):
     kind = "float" if param.parse is parse_float_list else "complex"
-    code, out, err = run_cli(capsys, "criterion", param.flag, "0.9,x")
+    code, out, err = run_cli(capsys, reader(param), param.flag, "0.9,x")
     assert (code, out) == (1, "")
     assert err == f"error: list: malformed {kind} list '0.9,x'\n"
 
@@ -637,10 +648,53 @@ def test_malformed_ini_value_exits_1(tmp_path, capsys, param):
 @pytest.mark.parametrize("param", SCALAR_PARAMETERS, ids=lambda p: p.field)
 def test_malformed_scalar_flag_exits_2(capsys, param):
     with pytest.raises(SystemExit) as exc:
-        main(["criterion", param.flag, "x"])
+        main([reader(param), param.flag, "x"])
     assert exc.value.code == 2
     kind = param.parse.__name__
     assert f"error: argument {param.flag}: invalid {kind} value: 'x'" in capsys.readouterr().err
+
+
+def test_each_subparser_takes_its_run_parameters_and_seed():
+    subparsers = build_arg_parser()._subparsers._group_actions[0].choices
+    flags = {p.flag for p in PARAMETERS}
+    taken = {name: {opt for action in sub._actions for opt in action.option_strings} & flags
+             for name, sub in subparsers.items()}
+    assert taken == {name: {p.flag for p in PARAMETERS if p.field in fields}
+                     for name, fields in TAKES.items()}
+    assert sum(map(len, taken.values())) == 62
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, name):
+    # nor is it taken as the abbreviation of one the command has (--t of --t-grid)
+    required = ["--z0=1,0"] if name == "integrate" else []
+    unread = [p for p in PARAMETERS if p.field not in TAKES[name]]
+    assert unread
+    for param in unread:
+        with pytest.raises(SystemExit) as exc:
+            main([name, *required, f"{param.flag}={PARAMETER_TEXT[param.field]}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {param.flag}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "generator", "hamiltonian", "method", "steps"])
+def test_sweep_ab_grid_refuses_the_lattice_and_flow_flags(capsys, field):
+    flag = "--" + field
+    code, out, err = run_cli(capsys, "sweep", "--ab-grid", "0.5", f"{flag}={PARAMETER_TEXT[field]}")
+    assert (code, out) == (1, "")
+    assert err == f"error: sweep --ab-grid builds square lattices and takes no {flag}\n"
+
+
+def test_sweep_ab_grid_takes_every_ini_key(tmp_path, capsys):
+    # one INI file describes a whole run: the square lattices replace its
+    # lattice, and its flow is not read
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lattice]\nalpha = 2\nbeta = 2\ngenerator = 1,0.5,0,1\n\n"
+                   "[hamiltonian]\nexpression = anharmonic\n\n[integrator]\nsteps = 3\n")
+    argv = ("sweep", "--ab-grid", "0.5,0.9", "--radius", "5")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(ini))
+    assert code == 0
+    assert loads(out)["result"] == loads(run_cli(capsys, *argv)[1])["result"]
 
 
 def test_sweep_grid_count_is_checked_in_bytes(capsys, monkeypatch):
@@ -769,8 +823,12 @@ def _limited_address_space():
      "inverse iteration did not converge"),
     (["path-hamiltonian", "--path-name", "shear", "--t", "1e10"],
      "inverse iteration did not converge"),
+    # a window whose overlap kernel overflows is refused before any Gram
+    (["frame-check", "--window-m", "1e200+1j"],
+     "window_m: (1 + |m|^2)/Im m of each entry m must be at most 1e+200"),
 ], ids=["trials", "trials-past-the-limit", "dimension", "dimension-4096",
-        "invariance-dimension-4096", "criterion-dimension", "dilation-overflow", "shear-1e10"])
+        "invariance-dimension-4096", "criterion-dimension", "dilation-overflow", "shear-1e10",
+        "window-m-1e200"])
 def test_hostile_call_ends_in_one_error_line(argv, message):
     # in a child under an address-space limit and a timeout, with overflow
     # warnings made errors: a count the byte budget missed would run out of
@@ -780,6 +838,24 @@ def test_hostile_call_ends_in_one_error_line(argv, message):
                           env=child_env(OPENBLAS_NUM_THREADS="1"),
                           preexec_fn=_limited_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_a_narrow_window_ends_in_a_result_without_a_warning():
+    # Im m = 1e160 squares past the float range, which the quarter-turn test of
+    # the Gram's symmetry must not do; (1 + |m|^2)/Im m = 1e160 is under the cap
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gaborflow.cli",
+                           "frame-check", "--window-m", "0+1e160j"], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert loads(proc.stdout)["result"]["is_frame"] is False
+
+
+@pytest.mark.parametrize("m", ["1e200+1j", "1e-201j", "1+1e-201j"])
+def test_window_spread_past_the_cap_is_a_config_error(m):
+    # (1 + |m|^2)/Im m is inf, 1e201 and 2e201 here, and 1e200 and 1e199 below
+    with pytest.raises(errors.ConfigError, match=r"^window_m: \(1 \+ \|m\|\^2\)/Im m "):
+        RunConfig(window_m=(complex(m),)).validate()
+    RunConfig(dimension=2, window_m=(1e100 + 1j, 1e-199j)).validate()
 
 
 def test_build_system_refuses_a_dimension_no_index_box_fits(monkeypatch):

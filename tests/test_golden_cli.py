@@ -252,6 +252,33 @@ def test_every_golden_frame_verdict_follows_the_criterion():
     assert checked == 10
 
 
+def test_each_command_reads_the_run_parameters_of_its_table_row(monkeypatch):
+    # the RunConfig fields each handler reads over the goldens, which run every
+    # command, both sweep grids and both deform lattice modes; seed, which
+    # every command takes, and the config hash of a report's meta are left out
+    import gaborflow.cli as cli
+    from gaborflow.config import PARAMETERS, RunConfig
+
+    names = {p.field for p in PARAMETERS}
+    reads = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = cli._config_from_args
+    monkeypatch.setattr(cli, "_config_from_args", lambda args: Recording(**vars(parse(args))))
+    monkeypatch.setattr(cli, "_write_output", lambda *args: None)
+    read_by = {name: set() for name in cli.COMMANDS}
+    for argv in CASES.values():
+        reads.clear()
+        cli.main(list(argv))
+        read_by[argv[0]] |= reads - {"seed"}
+    assert read_by == {name: set(fields) for name, (_, _, fields, _) in cli.COMMANDS.items()}
+
+
 def test_every_golden_has_a_case():
     assert set(json.loads(STATUS.read_text())) == set(CASES)
 
